@@ -40,29 +40,24 @@ class UsageError(Exception):
 
 @dataclass
 class RunManifest:
-    tool_version: str
-    command: list
-    inputs: list
-    outputs: list
-    config_hashes: dict
-    started_at: float
-    finished_at: float = 0.0
-    counters: dict = field(default_factory=dict)
+    """Created when a command starts; ``write`` records the rest once the
+    command's output exists."""
 
-    def write(self, out_path: Path) -> None:
-        self.finished_at = time.time()
+    started_at: float = field(default_factory=time.time)
+
+    def write(self, out_path: Path, inputs: list, config_hashes: dict, counters: dict) -> None:
         manifest_path = Path(str(out_path) + ".manifest.json")
         manifest_path.write_text(
             json.dumps(
                 {
-                    "tool_version": self.tool_version,
-                    "command": self.command,
-                    "inputs": self.inputs,
-                    "outputs": self.outputs,
-                    "config_hashes": self.config_hashes,
+                    "tool_version": __version__,
+                    "command": sys.argv[1:],
+                    "inputs": [str(p) for p in inputs],
+                    "outputs": [str(out_path)],
+                    "config_hashes": config_hashes,
                     "started_at": self.started_at,
-                    "finished_at": self.finished_at,
-                    "counters": self.counters,
+                    "finished_at": time.time(),
+                    "counters": counters,
                 },
                 indent=2,
                 sort_keys=True,
@@ -78,17 +73,6 @@ def _hash_config(obj) -> str:
     else:
         data = json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(data).hexdigest()[:16]
-
-
-def _manifest(_args, inputs: list, outputs: list, config_hashes: dict) -> RunManifest:
-    return RunManifest(
-        tool_version=__version__,
-        command=sys.argv[1:],
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        config_hashes=config_hashes,
-        started_at=time.time(),
-    )
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -132,17 +116,35 @@ def _resolve_rules_arg(spec: str | None):
 
 def _weights_arg(args) -> WeightConfig:
     if getattr(args, "weights", None):
-        return WeightConfig.load(_config_path(args.weights, "weights file"))
+        path = _config_path(args.weights, "weights file")
+        try:
+            return WeightConfig.load(path)
+        except ValueError as exc:  # bad JSON, unknown keys, off-simplex weights
+            raise UsageError(f"invalid weights file {path}: {exc}") from None
     return WeightConfig()
 
 
+MAX_THRESHOLDS = 10_000
+
+
 def _parse_thresholds(spec: str) -> list[float]:
-    if ":" in spec:
-        lo_s, hi_s, step_s = spec.split(":")
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-        n = int(round((hi - lo) / step))
-        return [round(lo + i * step, 10) for i in range(n + 1)]
-    return [float(x) for x in spec.split(",")]
+    """``lo:hi:step`` or a comma-separated list, every value in [0,1]."""
+    try:
+        if ":" in spec:
+            lo, hi, step = (float(x) for x in spec.split(":"))
+            if not step > 0 or not hi >= lo:
+                raise ValueError("need step > 0 and hi >= lo")
+            n = round((hi - lo) / step)
+            if n >= MAX_THRESHOLDS:
+                raise ValueError(f"more than {MAX_THRESHOLDS} thresholds")
+            thresholds = [round(lo + i * step, 10) for i in range(n + 1)]
+        else:
+            thresholds = [float(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"invalid --thresholds {spec!r}: {exc}") from None
+    if not all(0.0 <= t <= 1.0 for t in thresholds):
+        raise UsageError(f"invalid --thresholds {spec!r}: values must lie in [0,1]")
+    return thresholds
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +152,7 @@ def _parse_thresholds(spec: str) -> list[float]:
 
 
 def cmd_extract(args) -> int:
+    manifest = RunManifest()
     root = Path(args.root)
     if not root.is_dir():
         raise UsageError(f"source root not found: {args.root}")
@@ -167,9 +170,7 @@ def cmd_extract(args) -> int:
     )
     out = Path(args.out)
     save_snapshot(snapshot, out)
-    manifest = _manifest(args, [root], [out], {"extract": _hash_config(vars(args))})
-    manifest.counters = snapshot.summary.to_dict()
-    manifest.write(out)
+    manifest.write(out, [root], {"extract": _hash_config(vars(args))}, snapshot.summary.to_dict())
     print(
         f"extracted {len(snapshot)} methods / {len(snapshot.class_index)} classes "
         f"from {snapshot.summary.files_parsed} files ({len(snapshot.summary.failed_files)} failed)"
@@ -180,6 +181,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_pairs(args) -> int:
+    manifest = RunManifest()
     left, right = _load_two_snapshots(args)
     out = Path(args.out)
     if args.mode == "exhaustive":
@@ -197,14 +199,13 @@ def cmd_pairs(args) -> int:
         pairs = prefilter.generate_pairs(classes, left, right, cfg)
         counters = {"class_pairs": len(classes), "pairs": len(pairs)}
     prefilter.save_pairs(pairs, out)
-    manifest = _manifest(args, [args.left, args.right], [out], {"pairs": _hash_config(vars(args))})
-    manifest.counters = counters
-    manifest.write(out)
+    manifest.write(out, [args.left, args.right], {"pairs": _hash_config(vars(args))}, counters)
     print(f"wrote {len(pairs)} candidate pairs to {out}")
     return EXIT_OK
 
 
 def cmd_ingest(args) -> int:
+    manifest = RunManifest()
     left, right = _load_two_snapshots(args)
     report_path = _require_file(args.report, "detector report")
     if args.format == "generic":
@@ -213,11 +214,9 @@ def cmd_ingest(args) -> int:
         pairs, stats = ingest.ingest_nicad_xml(report_path, left, right)
     out = Path(args.out)
     prefilter.save_pairs(pairs, out)
-    manifest = _manifest(
-        args, [args.left, args.right, report_path], [out], {"ingest": _hash_config(vars(args))}
+    manifest.write(
+        out, [args.left, args.right, report_path], {"ingest": _hash_config(vars(args))}, stats.to_dict()
     )
-    manifest.counters = stats.to_dict()
-    manifest.write(out)
     print(f"ingested {len(pairs)} pairs ({stats.unresolved} unresolved, {stats.duplicates} duplicates)")
     for diag in stats.diagnostics[:20]:
         print(f"  {diag}", file=sys.stderr)
@@ -240,44 +239,48 @@ def _filter_config(args) -> mapper.FilterConfig:
 
 
 def cmd_score(args) -> int:
+    manifest = RunManifest()
     left, right = _load_two_snapshots(args)
     pairs = ingest.load_pairs(_require_file(args.pairs, "pairs file"))
     cfg = _filter_config(args)
-    results = mapper.score_pairs(pairs, left, right, cfg, jobs=args.jobs)
+    results = mapper.score_pairs(pairs, left, right, cfg)
     out = Path(args.out)
     mapper.save_results(results, out, fmt=args.format)
     summary = mapper.summarize(results)
-    manifest = _manifest(
-        args,
+    manifest.write(
+        out,
         [args.pairs, args.left, args.right],
-        [out],
         {
             "weights": _hash_config(cfg.weights.to_dict()),
             "rules": _hash_config(cfg.rules.to_dict()),
             "score": _hash_config({"threshold": cfg.thres_sas, "task": cfg.task, "ablation": cfg.ablation.mode}),
         },
+        {"pairs_in": len(pairs), **summary},
     )
-    manifest.counters = {"pairs_in": len(pairs), **summary}
-    manifest.write(out)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    manifest = RunManifest()
     scored = mapper.load_results(_require_file(args.scored, "scored file"))
     labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
     kept = {r.key for r in scored if r.kept}
     counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
     out = Path(args.out)
     evalkit.save_metrics(counts, metrics, out, extra={"task": TASKS[args.task]})
-    manifest = _manifest(args, [args.scored, args.labels], [out], {"eval": _hash_config(vars(args))})
-    manifest.counters = {"labeled": len(labels), "kept": len(kept), **counts.to_dict()}
-    manifest.write(out)
+    manifest.write(
+        out,
+        [args.scored, args.labels],
+        {"eval": _hash_config(vars(args))},
+        {"labeled": len(labels), "kept": len(kept), **counts.to_dict()},
+    )
     print(json.dumps(metrics.to_dict(), sort_keys=True))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    manifest = RunManifest()
     scored = mapper.load_results(_require_file(args.scored, "scored file"))
     labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
     thresholds = _parse_thresholds(args.thresholds)
@@ -300,9 +303,9 @@ def cmd_sweep(args) -> int:
                 f"{m.f1_pos:.6f},{m.f1_neg:.6f},{m.avg_f1:.6f}"
             )
         csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    manifest = _manifest(args, [args.scored, args.labels], [out], {"sweep": _hash_config(vars(args))})
-    manifest.counters = {"points": len(points)}
-    manifest.write(out)
+    manifest.write(
+        out, [args.scored, args.labels], {"sweep": _hash_config(vars(args))}, {"points": len(points)}
+    )
     print(json.dumps({"best_threshold": best}, sort_keys=True))
     return EXIT_OK
 
@@ -315,10 +318,11 @@ def _score_under(args, left, right, pairs, mode: str):
         ablation=AblationSetting(mode),
         rules=_resolve_rules_arg(args.rules),
     )
-    return mapper.score_pairs(pairs, left, right, cfg, jobs=args.jobs)
+    return mapper.score_pairs(pairs, left, right, cfg)
 
 
 def cmd_ablate(args) -> int:
+    manifest = RunManifest()
     left, right = _load_two_snapshots(args)
     pairs = ingest.load_pairs(_require_file(args.pairs, "pairs file"))
     labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
@@ -331,9 +335,12 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest = _manifest(args, [args.pairs, args.labels], [out], {"ablate": _hash_config(vars(args))})
-    manifest.counters = {"pairs": len(pairs), "settings": len(report)}
-    manifest.write(out)
+    manifest.write(
+        out,
+        [args.pairs, args.labels],
+        {"ablate": _hash_config(vars(args))},
+        {"pairs": len(pairs), "settings": len(report)},
+    )
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
     return EXIT_OK
 
@@ -354,6 +361,7 @@ def _pair_code_type(pairs, left, right) -> dict:
 
 
 def cmd_impact(args) -> int:
+    manifest = RunManifest()
     left, right = _load_two_snapshots(args)
     pairs = ingest.load_pairs(_require_file(args.pairs, "pairs file"))
     code_types = _pair_code_type(pairs, left, right)
@@ -366,14 +374,13 @@ def cmd_impact(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest = _manifest(args, [args.pairs], [out], {"impact": _hash_config(vars(args))})
-    manifest.counters = {"pairs": len(pairs)}
-    manifest.write(out)
+    manifest.write(out, [args.pairs], {"impact": _hash_config(vars(args))}, {"pairs": len(pairs)})
     print(f"wrote impact report for {', '.join(settings)} to {out}")
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
+    manifest = RunManifest()
     scored = mapper.load_results(_require_file(args.scored, "scored file"))
     labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
     task = TASKS[args.task]
@@ -388,14 +395,15 @@ def cmd_tune(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     weights.save(out)
-    manifest = _manifest(args, [args.scored, args.labels], [out], {"tune": _hash_config(vars(args))})
-    manifest.counters = {"training": len(training)}
-    manifest.write(out)
+    manifest.write(
+        out, [args.scored, args.labels], {"tune": _hash_config(vars(args))}, {"training": len(training)}
+    )
     print(json.dumps(weights.to_dict(), sort_keys=True))
     return EXIT_OK
 
 
 def cmd_normalize(args) -> int:
+    manifest = RunManifest()
     snapshot = load_snapshot(_require_file(args.snapshot, "snapshot"))
     rules = _resolve_rules_arg(args.rules)
     role = args.role or snapshot.role
@@ -421,9 +429,9 @@ def cmd_normalize(args) -> int:
                 )
                 + "\n"
             )
-    manifest = _manifest(args, [args.snapshot], [out], {"normalize": _hash_config(vars(args))})
-    manifest.counters = {"records": len(snapshot)}
-    manifest.write(out)
+    manifest.write(
+        out, [args.snapshot], {"normalize": _hash_config(vars(args))}, {"records": len(snapshot)}
+    )
     print(f"wrote normalized details for {len(snapshot)} records to {out}")
     return EXIT_OK
 
@@ -485,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None)
     p.add_argument("--ablation", choices=[m.lower() for m in ABLATION_MODES], default="all")
     p.add_argument("--rules", default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--format", choices=["jsonl", "csv", "summary"], default="jsonl")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
@@ -516,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--weights", default=None)
     p.add_argument("--rules", default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 
@@ -530,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--weights", default=None)
     p.add_argument("--rules", default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_impact)
 

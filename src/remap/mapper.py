@@ -5,14 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
 from .records import ProjectSnapshot
-from .simcore import AblationSetting, SASBreakdown, WeightConfig, components
+from .simcore import AblationSetting, SASBreakdown, WeightConfig, class_sims, prepare, score_prepared
 
 TASK_GENUINE_CLONE = "genuine_clone"
 TASK_CODE_MAPPING = "code_mapping"
@@ -86,46 +85,40 @@ def score_pairs(
     left: ProjectSnapshot,
     right: ProjectSnapshot,
     cfg: FilterConfig,
-    jobs: int = 1,
 ) -> list[MappingResult]:
     """Normalize, score, threshold, and rank every candidate pair.
 
     An id that does not resolve in its snapshot is a hard error (the pairs
-    file was produced against different snapshots). Results are ordered by
-    (kept first, score descending, pair key), so parallel and serial runs
-    are identical.
+    file was produced against different snapshots). Each record is
+    normalized once, and the class-level similarities once per class pair.
+    Results are ordered by (kept first, score descending, pair key).
     """
     rules = EMPTY_RULESET if cfg.ablation.disables_renaming else cfg.rules
-    norm_cache_left: dict[str, object] = {}
-    norm_cache_right: dict[str, object] = {}
+    weights, ablation = cfg.weights, cfg.ablation
+    prepared_left: dict[str, tuple] = {}
+    prepared_right: dict[str, tuple] = {}
+    class_pairs: dict[tuple[str, str], tuple] = {}
 
-    def normalized(snapshot: ProjectSnapshot, cache: dict, rec_id: str):
-        details = cache.get(rec_id)
-        if details is None:
+    def prepared(snapshot: ProjectSnapshot, cache: dict, rec_id: str) -> tuple:
+        entry = cache.get(rec_id)
+        if entry is None:
             rec = snapshot.get(rec_id)
             if rec is None:
                 raise UnresolvedPairError(
                     f"pair id {rec_id!r} not found in snapshot {snapshot.project_id!r}"
                 )
             details = normalize_record(rec, snapshot.class_of(rec), rules, snapshot.role)
-            cache[rec_id] = details
-        return details
+            entry = cache[rec_id] = (rec.class_name, prepare(details))
+        return entry
 
-    def score_one(pair: CandidatePair) -> tuple[CandidatePair, SASBreakdown]:
-        d1 = normalized(left, norm_cache_left, pair.left)
-        d2 = normalized(right, norm_cache_right, pair.right)
-        return pair, components(d1, d2, cfg.weights, cfg.ablation)
-
-    if jobs > 1:
-        # warm the normalization caches serially, then score in parallel;
-        # the compiled LCS kernel releases the GIL
-        for pair in pairs:
-            normalized(left, norm_cache_left, pair.left)
-            normalized(right, norm_cache_right, pair.right)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(score_one, pairs))
-    else:
-        scored = [score_one(p) for p in pairs]
+    scored = []
+    for pair in pairs:
+        lclass, p1 = prepared(left, prepared_left, pair.left)
+        rclass, p2 = prepared(right, prepared_right, pair.right)
+        class_pair = class_pairs.get((lclass, rclass))
+        if class_pair is None:
+            class_pair = class_pairs[(lclass, rclass)] = class_sims(p1, p2)
+        scored.append((pair, score_prepared(p1, p2, class_pair, weights, ablation)))
 
     kept = [(p, b) for p, b in scored if b.sas >= cfg.thres_sas]
     dropped = [(p, b) for p, b in scored if b.sas < cfg.thres_sas]

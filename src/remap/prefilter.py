@@ -17,7 +17,7 @@ from typing import Callable
 
 from .normalizer import FIELD_CLASS_NAME, RuleSet, apply_rules, tokenize
 from .records import MethodRecord, ProjectSnapshot
-from .simcore import lcs_sim
+from .simcore import masked, masked_sim
 
 
 @dataclass(frozen=True)
@@ -135,19 +135,18 @@ def filter_classes(
     """Retain cross-product class pairs whose normalized qualified names
     reach the similarity threshold."""
     cfg = cfg or PrefilterConfig()
-    left_tokens = {
-        name: tuple(tokenize(apply_rules(name, FIELD_CLASS_NAME, left.role, rules)))
-        for name in left.class_index
-    }
-    right_tokens = {
-        name: tuple(tokenize(apply_rules(name, FIELD_CLASS_NAME, right.role, rules)))
-        for name in right.class_index
-    }
+
+    def names(snapshot: ProjectSnapshot) -> list[tuple[str, tuple]]:
+        return [
+            (name, masked(tuple(tokenize(apply_rules(name, FIELD_CLASS_NAME, snapshot.role, rules)))))
+            for name in sorted(snapshot.class_index)
+        ]
+
+    right_names = names(right)
     retained: list[ClassPair] = []
-    for lname in sorted(left_tokens):
-        lt = left_tokens[lname]
-        for rname in sorted(right_tokens):
-            sim = lcs_sim(lt, right_tokens[rname])
+    for lname, lm in names(left):
+        for rname, rm in right_names:
+            sim = masked_sim(lm, rm)
             if sim is None:
                 continue
             if sim >= cfg.class_sim_threshold:

@@ -17,6 +17,10 @@ doc contributes 0; two empty parameter lists agree on zero arity and score
 1; absent optional fields drop out of the mean (all absent -> 0). Ablation
 settings override field values after measurement, uniformly for every pair,
 so pairs differing only in an ablated field score identically.
+
+To score many pairs, ``prepare`` each record's fields (token sequences with
+their LCS match masks) once, take ``class_sims`` once per class pair, and
+call ``score_prepared``; ``components`` does all three for a single pair.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .lcs import lcs_length
+from .lcs import lcs_length, lcs_masked, match_masks
 from .normalizer import NormalizedDetails
 
 EPS = 1e-9
@@ -74,6 +78,8 @@ class WeightConfig:
     def __post_init__(self):
         for name in ("alpha", "beta", "theta", "delta", "eta", "phi"):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"weight {name}={v!r} is not a number")
             if not (0.0 - EPS <= v <= 1.0 + EPS):
                 raise ValueError(f"weight {name}={v} outside [0,1]")
         if abs(self.alpha + self.beta + self.theta - 1.0) > EPS:
@@ -97,6 +103,11 @@ class WeightConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "WeightConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"weights must be a JSON object, not {type(d).__name__}")
+        unknown = sorted(set(d) - set(WeightConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown weight keys: {', '.join(unknown)}")
         return WeightConfig(**d)
 
     @staticmethod
@@ -158,54 +169,113 @@ def lcs_sim(s1, s2) -> float | None:
     return 2.0 * lcs_length(s1, s2) / (n + m)
 
 
-def _aggregate(
-    fields: dict[str, float | None], w: WeightConfig, ablation: AblationSetting
+def masked(seq) -> tuple:
+    """A token sequence with its LCS match masks, for ``masked_sim``.
+
+    Build it once per sequence that takes part in many comparisons.
+    """
+    return (seq, match_masks(seq))
+
+
+def masked_sim(a: tuple, b: tuple) -> float | None:
+    """``lcs_sim`` of two ``masked`` sequences."""
+    s1, s2 = a[0], b[0]
+    n, m = len(s1), len(s2)
+    if n == 0 or m == 0:
+        return None if n + m == 0 else 0.0
+    # walk the shorter sequence over the longer one's masks
+    lcs = lcs_masked(s2, a[1], n) if m <= n else lcs_masked(s1, b[1], m)
+    return 2.0 * lcs / (n + m)
+
+
+def prepare(d: NormalizedDetails) -> tuple:
+    """The eight scored fields of one record as ``masked`` sequences, in
+    ``SASBreakdown`` order; the first two are the class fields."""
+    return (
+        masked(d.class_name),
+        masked(d.class_doc),
+        masked(d.method_name),
+        masked(d.return_type),
+        masked(d.params),
+        masked(d.local_vars),
+        masked(d.method_doc),
+        masked(d.comments),
+    )
+
+
+def class_sims(p1: tuple, p2: tuple) -> tuple[float | None, float | None]:
+    """(simClassName, simClassDoc) of two ``prepare``d records. They depend
+    only on the class pair, so a caller may reuse them across its methods."""
+    return masked_sim(p1[0], p2[0]), masked_sim(p1[1], p2[1])
+
+
+def _weighted_sum(
+    sim_class: float, sim_header: float, sim_optional: float, has_optional: bool, w: WeightConfig
+) -> float:
+    if w.renormalize_missing_optional and not has_optional:
+        return (w.alpha * sim_class + w.beta * sim_header) / (w.alpha + w.beta)
+    return w.alpha * sim_class + w.beta * sim_header + w.theta * sim_optional
+
+
+def score_prepared(
+    p1: tuple,
+    p2: tuple,
+    class_pair: tuple[float | None, float | None],
+    w: WeightConfig,
+    ablation: AblationSetting,
 ) -> SASBreakdown:
-    f = dict(fields)
-    if ablation.mode == "EXR3":
-        f["class_doc"] = 0.0
-        f["method_doc"] = 0.0
-    if ablation.mode == "EXR4":
-        f["comment"] = 0.0
-    if ablation.mode == "EXR2":
-        f["local_var"] = 0.0
+    """The score breakdown of two ``prepare``d records whose ``class_sims``
+    are ``class_pair``."""
+    cls_name, cls_doc = class_pair
+    m_name = masked_sim(p1[2], p2[2])
+    r_type = masked_sim(p1[3], p2[3])
+    param = masked_sim(p1[4], p2[4])
+    local_var = masked_sim(p1[5], p2[5])
+    method_doc = masked_sim(p1[6], p2[6])
+    comment = masked_sim(p1[7], p2[7])
 
-    cls_name = f["class_name"] if f["class_name"] is not None else 0.0
-    cls_doc = f["class_doc"] if f["class_doc"] is not None else w.absent_class_doc
-    sim_class = cls_name + (1.0 - cls_name) * cls_doc
+    mode = ablation.mode
+    if mode == "EXR3":
+        cls_doc = 0.0
+        method_doc = 0.0
+    elif mode == "EXR4":
+        comment = 0.0
+    elif mode == "EXR2":
+        local_var = 0.0
 
-    m_name = f["method_name"] if f["method_name"] is not None else 0.0
-    r_type = f["return_type"] if f["return_type"] is not None else 0.0
-    param = f["param"] if f["param"] is not None else w.absent_param  # zero-arity agreement
-    sim_header = w.delta * m_name + w.eta * r_type + w.phi * param
-    if ablation.mode == "EXR2":
+    cn = cls_name if cls_name is not None else 0.0
+    cd = cls_doc if cls_doc is not None else w.absent_class_doc
+    sim_class = cn + (1.0 - cn) * cd
+
+    if mode == "EXR2":
         sim_header = 0.0
+    else:
+        sim_header = (
+            w.delta * (m_name if m_name is not None else 0.0)
+            + w.eta * (r_type if r_type is not None else 0.0)
+            + w.phi * (param if param is not None else w.absent_param)  # zero-arity agreement
+        )
 
     if w.drop_absent_optional:
-        optional = [f[k] for k in ("local_var", "method_doc", "comment") if f[k] is not None]
+        optional = [v for v in (local_var, method_doc, comment) if v is not None]
     else:
-        optional = [f[k] if f[k] is not None else 0.0 for k in ("local_var", "method_doc", "comment")]
+        optional = [v if v is not None else 0.0 for v in (local_var, method_doc, comment)]
     sim_optional = math.fsum(optional) / len(optional) if optional else 0.0
 
-    has_optional = bool(optional)
-    if w.renormalize_missing_optional and not has_optional:
-        score = (w.alpha * sim_class + w.beta * sim_header) / (w.alpha + w.beta)
-    else:
-        score = w.alpha * sim_class + w.beta * sim_header + w.theta * sim_optional
     return SASBreakdown(
-        sim_class_name=f["class_name"],
-        sim_class_doc=f["class_doc"],
-        sim_method_name=f["method_name"],
-        sim_return_type=f["return_type"],
-        sim_param=f["param"],
-        sim_local_var=f["local_var"],
-        sim_method_doc=f["method_doc"],
-        sim_comment=f["comment"],
+        sim_class_name=cls_name,
+        sim_class_doc=cls_doc,
+        sim_method_name=m_name,
+        sim_return_type=r_type,
+        sim_param=param,
+        sim_local_var=local_var,
+        sim_method_doc=method_doc,
+        sim_comment=comment,
         sim_class=sim_class,
         sim_method_header=sim_header,
         sim_optional=sim_optional,
-        sas=score,
-        ablation=ablation.mode,
+        sas=_weighted_sum(sim_class, sim_header, sim_optional, bool(optional), w),
+        ablation=mode,
     )
 
 
@@ -216,22 +286,15 @@ def components(
     ablation: AblationSetting | None = None,
 ) -> SASBreakdown:
     """Per-field LCS similarities aggregated into the score breakdown."""
-    w = w or WeightConfig()
-    ablation = ablation or AblationSetting()
-    fields = {
-        "class_name": lcs_sim(d1.class_name, d2.class_name),
-        "class_doc": lcs_sim(d1.class_doc, d2.class_doc),
-        "method_name": lcs_sim(d1.method_name, d2.method_name),
-        "return_type": lcs_sim(d1.return_type, d2.return_type),
-        "param": lcs_sim(d1.params, d2.params),
-        "local_var": lcs_sim(d1.local_vars, d2.local_vars),
-        "method_doc": lcs_sim(d1.method_doc, d2.method_doc),
-        "comment": lcs_sim(d1.comments, d2.comments),
-    }
-    return _aggregate(fields, w, ablation)
+    p1, p2 = prepare(d1), prepare(d2)
+    return score_prepared(p1, p2, class_sims(p1, p2), w or WeightConfig(), ablation or AblationSetting())
 
 
 def sas(breakdown: SASBreakdown, w: WeightConfig | None = None) -> float:
     """Recompute the weighted sum from an existing breakdown's components."""
     w = w or WeightConfig()
-    return w.alpha * breakdown.sim_class + w.beta * breakdown.sim_method_header + w.theta * breakdown.sim_optional
+    optional = (breakdown.sim_local_var, breakdown.sim_method_doc, breakdown.sim_comment)
+    has_optional = not w.drop_absent_optional or any(v is not None for v in optional)
+    return _weighted_sum(
+        breakdown.sim_class, breakdown.sim_method_header, breakdown.sim_optional, has_optional, w
+    )

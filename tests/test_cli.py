@@ -129,8 +129,7 @@ def test_reruns_are_byte_identical(pipeline, tmp_path):
         out = tmp_path / f"{name}.jsonl"
         p = remap(
             "score", "--pairs", pairs, "--left", left, "--right", right,
-            "--task", "cm", "--threshold", "0.6", "--rules", "soot-sootup",
-            "--jobs", "3" if name == "b" else "1", "--out", out,
+            "--task", "cm", "--threshold", "0.6", "--rules", "soot-sootup", "--out", out,
         )
         assert p.returncode == 0
         outs.append(out.read_bytes())
@@ -246,3 +245,73 @@ def test_config_dir_env_var(pipeline, tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.strip().split("\n")[-1])
     assert summary["filt"] == 15
+
+
+def _main_error(capsys, *argv):
+    """Run remap.cli.main in-process; return its exit code and the one
+    JSON error line it printed to stderr."""
+    from remap import cli
+
+    code = cli.main([str(a) for a in argv])
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1, lines
+    return code, json.loads(lines[0])
+
+
+@pytest.mark.parametrize("weights, culprit", [
+    ({"alpha": 0.5, "beta": 0.25, "theta": 0.25, "gamma": 1.0}, "gamma"),
+    ({"alpha": "0.5", "beta": 0.25, "theta": 0.25}, "alpha"),
+    ([0.5, 0.25, 0.25], "list"),
+])
+def test_bad_weights_file_is_usage_error(pipeline, tmp_path, capsys, weights, culprit):
+    work, left, right, pairs = pipeline
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(weights))
+    code, err = _main_error(
+        capsys, "score", "--pairs", pairs, "--left", left, "--right", right,
+        "--weights", path, "--out", tmp_path / "s.jsonl",
+    )
+    assert code == 2
+    assert err["error"] == "usage" and culprit in err["message"]
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_sweep_zero_step_is_usage_error(pipeline, tmp_path, capsys):
+    work, left, right, pairs = pipeline
+    from remap import cli
+
+    scores, labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
+    _write_labels(labels, left, right)
+    assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+                     "--out", str(scores)]) == 0
+    capsys.readouterr()
+    for spec in ("0:1:0", "1:0:0.1", "0:1:x", "0.5,1.5", "0:1:1e-9"):
+        code, err = _main_error(
+            capsys, "sweep", "--scored", scores, "--labels", labels, "--task", "cm",
+            "--thresholds", spec, "--out", tmp_path / "sweep.json",
+        )
+        assert code == 2, spec
+        assert err["error"] == "usage" and spec in err["message"]
+
+
+def test_manifest_starts_before_the_work(pipeline, tmp_path, monkeypatch):
+    work, left, right, pairs = pipeline
+    import time
+
+    from remap import cli, mapper
+
+    called_at = []
+    score_pairs = mapper.score_pairs
+
+    def timed(*args, **kwargs):
+        called_at.append(time.time())
+        return score_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(mapper, "score_pairs", timed)
+    out = tmp_path / "s.jsonl"
+    assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+                     "--out", str(out)]) == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["started_at"] < called_at[0] < manifest["finished_at"]
+    assert manifest["counters"]["pairs_in"] == 40
+    assert manifest["outputs"] == [str(out)]

@@ -1,6 +1,7 @@
 """Scoring, threshold filtering, ranking, and report accounting."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +17,11 @@ from remap.mapper import (
     score_pairs,
     summarize,
 )
-from remap.normalizer import SOOT_SOOTUP_RULES
-from remap.prefilter import CandidatePair
-from remap.simcore import SASBreakdown
+from remap.normalizer import EMPTY_RULESET, SOOT_SOOTUP_RULES, normalize_record
+from remap.prefilter import CandidatePair, exhaustive_pairs
+from remap.simcore import ABLATION_MODES, AblationSetting, SASBreakdown, components
+
+FIXTURE = Path(__file__).parent / "fixtures" / "toy"
 
 LEFT = """\
 package soot;
@@ -134,13 +137,24 @@ def test_ranks_are_dense_and_ordered(world):
         assert a.sas >= b.sas
 
 
-def test_parallel_equals_serial(world):
-    left, right = world
-    pairs = all_pairs(left, right)
-    cfg = FilterConfig(thres_sas=0.3, rules=SOOT_SOOTUP_RULES)
-    serial = score_pairs(pairs, left, right, cfg, jobs=1)
-    parallel = score_pairs(pairs, left, right, cfg, jobs=4)
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_score_pairs_equals_components_per_pair(mode):
+    # the toy fixture's exhaustive pairs share class pairs, so the class
+    # similarity memo is reused; each breakdown must still be the one
+    # components() gives for that pair alone
+    left = extract(FIXTURE / "left", role="original")
+    right = extract(FIXTURE / "right", role="redesigned")
+    pairs = exhaustive_pairs(left, right)
+    ablation = AblationSetting(mode)
+    cfg = FilterConfig(thres_sas=0.6, rules=SOOT_SOOTUP_RULES, ablation=ablation)
+    results = score_pairs(pairs, left, right, cfg)
+    assert len(results) == len(pairs) == 756
+    rules = EMPTY_RULESET if ablation.disables_renaming else SOOT_SOOTUP_RULES
+    for r in results:
+        lrec, rrec = left.get(r.left), right.get(r.right)
+        d1 = normalize_record(lrec, left.class_of(lrec), rules, "original")
+        d2 = normalize_record(rrec, right.class_of(rrec), rules, "redesigned")
+        assert r.breakdown == components(d1, d2, cfg.weights, ablation), r.key
 
 
 def test_unresolvable_id_is_hard_error(world):
@@ -153,8 +167,6 @@ def test_unresolvable_id_is_hard_error(world):
 def test_exr1_disables_renaming(world):
     left, right = world
     pairs = all_pairs(left, right)
-    from remap.simcore import AblationSetting
-
     with_rules = score_pairs(
         pairs, left, right, FilterConfig(thres_sas=0.0, rules=SOOT_SOOTUP_RULES)
     )

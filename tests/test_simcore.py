@@ -4,11 +4,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remap import _lcs_py
-from remap.lcs import BACKEND, lcs_length
+from remap.lcs import lcs_length
 from remap.normalizer import NormalizedDetails
 from remap.simcore import (
     AblationSetting,
@@ -16,6 +15,8 @@ from remap.simcore import (
     WeightConfig,
     components,
     lcs_sim,
+    masked,
+    masked_sim,
     sas,
 )
 
@@ -32,6 +33,18 @@ def oracle_lcs(s1, s2):
                 best = r
                 break
     return best
+
+
+def dp_lcs(s1, s2):
+    """Second oracle for sequences too long for brute force: the O(n*m)
+    rolling-row dynamic program."""
+    prev = [0] * (len(s2) + 1)
+    for a in s1:
+        curr = [0]
+        for j, b in enumerate(s2):
+            curr.append(prev[j] + 1 if a == b else max(prev[j + 1], curr[j]))
+        prev = curr
+    return prev[-1]
 
 
 def details(**kwargs):
@@ -90,17 +103,28 @@ def test_lcs_sim_symmetric_and_bounded(s1, s2):
         assert lcs_sim(s1, s1) == 1.0
 
 
-def test_backends_agree():
-    cases = [(["a", "b"], ["b", "a"]), (list("banana"), list("ananas")), ([], ["x"])]
-    for s1, s2 in cases:
-        assert lcs_length(s1, s2) == _lcs_py.lcs_length(s1, s2)
+@st.composite
+def sequence_pairs(draw):
+    # alphabets of 1-5 tokens give long runs and many repeats; up to 200
+    # tokens spans several machine words of match mask
+    alphabet = "abcde"[: draw(st.integers(1, 5))]
+    tokens = st.lists(st.sampled_from(alphabet), max_size=200)
+    return draw(tokens), draw(tokens)
 
 
-def test_compiled_backend_is_active():
-    # the extension is expected to build in CI; the fallback still passes
-    # every other test, so only warn-level-assert here via skip
-    if BACKEND != "c":
-        pytest.skip("compiled kernel not built; running on the pure-Python fallback")
+@given(sequence_pairs())
+@example((list("a" * 150 + "b" * 50), list("b" * 120 + "a" * 80)))
+@example((list("ab" * 100), list("ba" * 100)))
+@example(([], list("abc" * 60)))
+@settings(max_examples=200, deadline=None)
+def test_lcs_length_matches_dp_oracle(pair):
+    s1, s2 = pair
+    expected = dp_lcs(s1, s2)
+    assert lcs_length(s1, s2) == expected
+    assert lcs_length(s2, s1) == expected
+    sim = masked_sim(masked(tuple(s1)), masked(tuple(s2)))
+    assert sim == lcs_sim(s1, s2)
+    assert sim == (None if not s1 and not s2 else 2.0 * expected / (len(s1) + len(s2)))
 
 
 def test_default_weights():
@@ -289,3 +313,29 @@ def test_renormalize_toggle():
     # no optional evidence: score over class+header weights only
     expected = (0.5 * 1.0 + 0.25 * 1.0) / 0.75
     assert b.sas == pytest.approx(expected)
+
+
+def test_sas_matches_components_when_optional_evidence_is_absent():
+    w = WeightConfig(renormalize_missing_optional=True)
+    d1 = details(class_name=["a", "b"], method_name=["f"], return_type=["void"])
+    d2 = details(class_name=["a", "c"], method_name=["g"], return_type=["void"])
+    b = components(d1, d2, w)
+    assert b.sim_optional == 0.0
+    expected = (w.alpha * b.sim_class + w.beta * b.sim_method_header) / (w.alpha + w.beta)
+    assert b.sas == pytest.approx(expected)
+    assert sas(b, w) == b.sas
+
+
+@given(
+    st.lists(st.sampled_from("abc"), max_size=4),
+    st.lists(st.sampled_from("abc"), max_size=4),
+    st.booleans(),
+    st.booleans(),
+)
+def test_sas_recomputes_the_breakdown_score(doc1, doc2, renormalize, drop_absent):
+    w = WeightConfig(renormalize_missing_optional=renormalize, drop_absent_optional=drop_absent)
+    d1 = details(class_name=["a"], method_name=["f"], return_type=["int"], method_doc=doc1)
+    d2 = details(class_name=["a", "b"], method_name=["f"], return_type=["long"], method_doc=doc2)
+    for mode in ("ALL", "EXR2", "EXR3", "EXR4"):
+        b = components(d1, d2, w, AblationSetting(mode))
+        assert sas(b, w) == b.sas
