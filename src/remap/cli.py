@@ -75,6 +75,12 @@ def _hash_config(obj) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _args_hash(args) -> str:
+    """Hash of a command's parsed arguments, without the handler function,
+    whose repr holds a memory address that differs between runs."""
+    return _hash_config({k: v for k, v in vars(args).items() if k != "func"})
+
+
 def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -124,6 +130,14 @@ def _weights_arg(args) -> WeightConfig:
     return WeightConfig()
 
 
+def _pairs_arg(args) -> list:
+    path = _require_file(args.pairs, "pairs file")
+    try:
+        return ingest.load_pairs(path)
+    except ValueError as exc:  # bad JSON, or a line that is not a format-1 pair
+        raise UsageError(f"invalid pairs file {path}: {exc}") from None
+
+
 MAX_THRESHOLDS = 10_000
 
 
@@ -170,7 +184,7 @@ def cmd_extract(args) -> int:
     )
     out = Path(args.out)
     save_snapshot(snapshot, out)
-    manifest.write(out, [root], {"extract": _hash_config(vars(args))}, snapshot.summary.to_dict())
+    manifest.write(out, [root], {"extract": _args_hash(args)}, snapshot.summary.to_dict())
     print(
         f"extracted {len(snapshot)} methods / {len(snapshot.class_index)} classes "
         f"from {snapshot.summary.files_parsed} files ({len(snapshot.summary.failed_files)} failed)"
@@ -199,7 +213,7 @@ def cmd_pairs(args) -> int:
         pairs = prefilter.generate_pairs(classes, left, right, cfg)
         counters = {"class_pairs": len(classes), "pairs": len(pairs)}
     prefilter.save_pairs(pairs, out)
-    manifest.write(out, [args.left, args.right], {"pairs": _hash_config(vars(args))}, counters)
+    manifest.write(out, [args.left, args.right], {"pairs": _args_hash(args)}, counters)
     print(f"wrote {len(pairs)} candidate pairs to {out}")
     return EXIT_OK
 
@@ -215,7 +229,7 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     prefilter.save_pairs(pairs, out)
     manifest.write(
-        out, [args.left, args.right, report_path], {"ingest": _hash_config(vars(args))}, stats.to_dict()
+        out, [args.left, args.right, report_path], {"ingest": _args_hash(args)}, stats.to_dict()
     )
     print(f"ingested {len(pairs)} pairs ({stats.unresolved} unresolved, {stats.duplicates} duplicates)")
     for diag in stats.diagnostics[:20]:
@@ -241,7 +255,7 @@ def _filter_config(args) -> mapper.FilterConfig:
 def cmd_score(args) -> int:
     manifest = RunManifest()
     left, right = _load_two_snapshots(args)
-    pairs = ingest.load_pairs(_require_file(args.pairs, "pairs file"))
+    pairs = _pairs_arg(args)
     cfg = _filter_config(args)
     results = mapper.score_pairs(pairs, left, right, cfg)
     out = Path(args.out)
@@ -272,7 +286,7 @@ def cmd_eval(args) -> int:
     manifest.write(
         out,
         [args.scored, args.labels],
-        {"eval": _hash_config(vars(args))},
+        {"eval": _args_hash(args)},
         {"labeled": len(labels), "kept": len(kept), **counts.to_dict()},
     )
     print(json.dumps(metrics.to_dict(), sort_keys=True))
@@ -304,31 +318,40 @@ def cmd_sweep(args) -> int:
             )
         csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     manifest.write(
-        out, [args.scored, args.labels], {"sweep": _hash_config(vars(args))}, {"points": len(points)}
+        out, [args.scored, args.labels], {"sweep": _args_hash(args)}, {"points": len(points)}
     )
     print(json.dumps({"best_threshold": best}, sort_keys=True))
     return EXIT_OK
 
 
-def _score_under(args, left, right, pairs, mode: str):
-    cfg = mapper.FilterConfig(
-        thres_sas=args.threshold if args.threshold is not None else 0.5,
-        task=TASKS[args.task],
-        weights=_weights_arg(args),
-        ablation=AblationSetting(mode),
-        rules=_resolve_rules_arg(args.rules),
-    )
-    return mapper.score_pairs(pairs, left, right, cfg)
+def _ranked_under(args, left, right, pairs, modes):
+    """Yield (mode, results) for each ablation mode in turn. The pairs are
+    measured at most twice, with the rules and, for EXR1, without them;
+    every mode ranks one of those measurements."""
+    weights, rules = _weights_arg(args), _resolve_rules_arg(args.rules)
+    threshold = args.threshold if args.threshold is not None else 0.5
+    measured = {}
+    for mode in modes:
+        cfg = mapper.FilterConfig(
+            thres_sas=threshold,
+            task=TASKS[args.task],
+            weights=weights,
+            ablation=AblationSetting(mode),
+            rules=rules,
+        )
+        renaming = not cfg.ablation.disables_renaming
+        if renaming not in measured:
+            measured[renaming] = list(mapper.measure_pairs(pairs, left, right, cfg.measure_rules))
+        yield mode, mapper.rank(measured[renaming], cfg)
 
 
 def cmd_ablate(args) -> int:
     manifest = RunManifest()
     left, right = _load_two_snapshots(args)
-    pairs = ingest.load_pairs(_require_file(args.pairs, "pairs file"))
+    pairs = _pairs_arg(args)
     labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
     report = {}
-    for mode in ABLATION_MODES:
-        results = _score_under(args, left, right, pairs, mode)
+    for mode, results in _ranked_under(args, left, right, pairs, ABLATION_MODES):
         kept = {r.key for r in results if r.kept}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
         report[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
@@ -338,7 +361,7 @@ def cmd_ablate(args) -> int:
     manifest.write(
         out,
         [args.pairs, args.labels],
-        {"ablate": _hash_config(vars(args))},
+        {"ablate": _args_hash(args)},
         {"pairs": len(pairs), "settings": len(report)},
     )
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
@@ -363,18 +386,16 @@ def _pair_code_type(pairs, left, right) -> dict:
 def cmd_impact(args) -> int:
     manifest = RunManifest()
     left, right = _load_two_snapshots(args)
-    pairs = ingest.load_pairs(_require_file(args.pairs, "pairs file"))
+    pairs = _pairs_arg(args)
     code_types = _pair_code_type(pairs, left, right)
-    baseline = _score_under(args, left, right, pairs, "ALL")
     settings = [args.setting.upper()] if args.setting else ["EXR1", "EXR2", "EXR3", "EXR4"]
-    report = {}
-    for mode in settings:
-        excluded = _score_under(args, left, right, pairs, mode)
-        report[mode] = evalkit.rule_impact(baseline, excluded, code_types)
+    ranked = _ranked_under(args, left, right, pairs, ["ALL", *settings])
+    _, baseline = next(ranked)
+    report = {mode: evalkit.rule_impact(baseline, excluded, code_types) for mode, excluded in ranked}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.write(out, [args.pairs], {"impact": _hash_config(vars(args))}, {"pairs": len(pairs)})
+    manifest.write(out, [args.pairs], {"impact": _args_hash(args)}, {"pairs": len(pairs)})
     print(f"wrote impact report for {', '.join(settings)} to {out}")
     return EXIT_OK
 
@@ -396,7 +417,7 @@ def cmd_tune(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     weights.save(out)
     manifest.write(
-        out, [args.scored, args.labels], {"tune": _hash_config(vars(args))}, {"training": len(training)}
+        out, [args.scored, args.labels], {"tune": _args_hash(args)}, {"training": len(training)}
     )
     print(json.dumps(weights.to_dict(), sort_keys=True))
     return EXIT_OK
@@ -430,7 +451,7 @@ def cmd_normalize(args) -> int:
                 + "\n"
             )
     manifest.write(
-        out, [args.snapshot], {"normalize": _hash_config(vars(args))}, {"records": len(snapshot)}
+        out, [args.snapshot], {"normalize": _args_hash(args)}, {"records": len(snapshot)}
     )
     print(f"wrote normalized details for {len(snapshot)} records to {out}")
     return EXIT_OK

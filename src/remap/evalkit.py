@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .mapper import MappingResult, TASK_CODE_MAPPING, TASK_GENUINE_CLONE
-from .simcore import EPS, WeightConfig
+from .simcore import EPS, FIELDS, WeightConfig, policy_filled
 
 CLONE_TYPES = ("non_clone", "T1", "T2", "T3", "T4")
 PairKey = tuple[str, str]
@@ -266,16 +266,7 @@ class TrainingExample:
         b = result.breakdown
         return TrainingExample(
             key=result.key,
-            fields={
-                "class_name": b.sim_class_name,
-                "class_doc": b.sim_class_doc,
-                "method_name": b.sim_method_name,
-                "return_type": b.sim_return_type,
-                "param": b.sim_param,
-                "local_var": b.sim_local_var,
-                "method_doc": b.sim_method_doc,
-                "comment": b.sim_comment,
-            },
+            fields={name: getattr(b, f"sim_{name}") for name in FIELDS},
             label=label,
         )
 
@@ -304,21 +295,12 @@ def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> Wei
     order = np.argsort(np.array([f"{ex.key[0]}\x00{ex.key[1]}" for ex in training]))
     examples = [training[i] for i in order]
 
-    def fval(ex: TrainingExample, name: str, absent: float) -> float:
-        v = ex.fields[name]
-        return absent if v is None else v
-
-    cn = np.array([fval(ex, "class_name", 0.0) for ex in examples])
-    cd = np.array([fval(ex, "class_doc", 0.0) for ex in examples])
-    sim_class = cn + (1.0 - cn) * cd
-    mn = np.array([fval(ex, "method_name", 0.0) for ex in examples])
-    rt = np.array([fval(ex, "return_type", 0.0) for ex in examples])
-    pm = np.array([fval(ex, "param", 1.0) for ex in examples])
-    opt_parts = []
-    for ex in examples:
-        present = [ex.fields[f] for f in ("local_var", "method_doc", "comment") if ex.fields[f] is not None]
-        opt_parts.append(sum(present) / len(present) if present else 0.0)
-    sim_opt = np.array(opt_parts)
+    # the 0/0 policies of WeightConfig(), which the returned config carries
+    policies = WeightConfig()
+    filled = np.array(
+        [policy_filled(tuple(ex.fields[name] for name in FIELDS), policies)[:5] for ex in examples]
+    )
+    sim_class, mn, rt, pm, sim_opt = filled.T
     labels = np.array([1 if ex.label else 0 for ex in examples])
     tiebreak = np.arange(len(examples))  # already in key order
 

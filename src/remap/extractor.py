@@ -112,6 +112,9 @@ class _FileParser:
     def _text(self, ci: int) -> str:
         return self.ct[ci].text if 0 <= ci < len(self.ct) else ""
 
+    def _kind(self, ci: int) -> str | None:
+        return self.ct[ci].kind if 0 <= ci < len(self.ct) else None
+
     def _slice_lines(self, start_line: int, end_line: int) -> str:
         return "\n".join(self.lines[start_line - 1:end_line])
 
@@ -202,7 +205,7 @@ class _FileParser:
                 continue
             if t in ("class", "interface", "enum") and self._text(j - 1) != ".":
                 return j, t
-            if t == "record" and self.ct[j + 1].kind == ID and self._text(j + 2) == "(":
+            if t == "record" and self._kind(j + 1) == ID and self._text(j + 2) == "(":
                 return j, "record"
             if t in MODIFIERS or self._text(j) == "non" or self._text(j) == "-":
                 j += 1
@@ -215,7 +218,7 @@ class _FileParser:
     def _parse_type_decl(self, ci: int, enclosing: _ClassCtx | None) -> int:
         kw_i, kind = self._find_kind_keyword(ci)
         name_i = kw_i + 1
-        if self.ct[name_i].kind != ID:
+        if self._kind(name_i) != ID:
             raise JavaParseError(f"missing type name near line {self.ct[kw_i].line} in {self.rel_path}")
         simple = self.ct[name_i].text
         if enclosing is not None:
@@ -292,7 +295,7 @@ class _FileParser:
             t = self._text(j)
             if depth == 0:
                 if t in _TYPE_KIND_KEYWORDS and self._text(j - 1) != ".":
-                    if t != "record" or (self.ct[j + 1].kind == ID and self._text(j + 2) == "("):
+                    if t != "record" or (self._kind(j + 1) == ID and self._text(j + 2) == "("):
                         return self._parse_type_decl(ms, enclosing=ctx)
                 if t == "@" and self._text(j + 1) == "interface":
                     return self._parse_type_decl(ms, enclosing=ctx)

@@ -219,18 +219,33 @@ def ingest_nicad_xml(
     return out, stats
 
 
+def _pair_from_json(obj) -> CandidatePair:
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    version = obj.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}")
+    for side in ("left", "right"):
+        fragment = obj.get(side)
+        if not (isinstance(fragment, dict) and isinstance(fragment.get("key"), str)):
+            raise ValueError(f"{side}.key is missing or not a string")
+    return CandidatePair(obj["left"]["key"], obj["right"]["key"], obj.get("detector", "unknown"))
+
+
 def load_pairs(path: str | Path) -> list[CandidatePair]:
-    """Load key-based pair JSONL previously written by this tool."""
+    """Load key-based pair JSONL previously written by this tool.
+
+    Raises ValueError naming the first line that is not a format-1 pair
+    object with ``left.key`` and ``right.key`` strings.
+    """
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            out.append(
-                CandidatePair(
-                    obj["left"]["key"], obj["right"]["key"], obj.get("detector", "unknown")
-                )
-            )
+            try:
+                out.append(_pair_from_json(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return out

@@ -5,13 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
 from .records import ProjectSnapshot
-from .simcore import AblationSetting, SASBreakdown, WeightConfig, class_sims, prepare, score_prepared
+from .simcore import AblationSetting, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
 
 TASK_GENUINE_CLONE = "genuine_clone"
 TASK_CODE_MAPPING = "code_mapping"
@@ -47,6 +48,11 @@ class FilterConfig:
         if self.task not in (TASK_GENUINE_CLONE, TASK_CODE_MAPPING):
             raise ValueError(f"unknown task: {self.task!r}")
 
+    @property
+    def measure_rules(self) -> RuleSet:
+        """The rules to measure under: none for EXR1, which disables renaming."""
+        return EMPTY_RULESET if self.ablation.disables_renaming else self.rules
+
 
 @dataclass(frozen=True)
 class MappingResult:
@@ -80,21 +86,19 @@ class UnresolvedPairError(RuntimeError):
     pass
 
 
-def score_pairs(
-    pairs: list[CandidatePair],
+def measure_pairs(
+    pairs: Iterable[CandidatePair],
     left: ProjectSnapshot,
     right: ProjectSnapshot,
-    cfg: FilterConfig,
-) -> list[MappingResult]:
-    """Normalize, score, threshold, and rank every candidate pair.
+    rules: RuleSet,
+) -> Iterator[tuple[CandidatePair, tuple]]:
+    """Yield each candidate pair with its ``measure``d fields under ``rules``.
 
     An id that does not resolve in its snapshot is a hard error (the pairs
     file was produced against different snapshots). Each record is
-    normalized once, and the class-level similarities once per class pair.
-    Results are ordered by (kept first, score descending, pair key).
+    normalized once, and the class-level similarities taken once per class
+    pair.
     """
-    rules = EMPTY_RULESET if cfg.ablation.disables_renaming else cfg.rules
-    weights, ablation = cfg.weights, cfg.ablation
     prepared_left: dict[str, tuple] = {}
     prepared_right: dict[str, tuple] = {}
     class_pairs: dict[tuple[str, str], tuple] = {}
@@ -111,27 +115,46 @@ def score_pairs(
             entry = cache[rec_id] = (rec.class_name, prepare(details))
         return entry
 
-    scored = []
     for pair in pairs:
         lclass, p1 = prepared(left, prepared_left, pair.left)
         rclass, p2 = prepared(right, prepared_right, pair.right)
         class_pair = class_pairs.get((lclass, rclass))
         if class_pair is None:
             class_pair = class_pairs[(lclass, rclass)] = class_sims(p1, p2)
-        scored.append((pair, score_prepared(p1, p2, class_pair, weights, ablation)))
+        yield pair, measure(p1, p2, class_pair)
 
+
+def rank(measured: Iterable[tuple[CandidatePair, tuple]], cfg: FilterConfig) -> list[MappingResult]:
+    """Aggregate measured pairs under ``cfg``'s weights and ablation,
+    threshold them, and rank the kept ones.
+
+    Results are ordered by (kept first, score descending, pair key).
+    """
+    weights, mode = cfg.weights, cfg.ablation.mode
+    scored = [(pair, aggregate(sims, weights, mode)) for pair, sims in measured]
     kept = [(p, b) for p, b in scored if b.sas >= cfg.thres_sas]
     dropped = [(p, b) for p, b in scored if b.sas < cfg.thres_sas]
     kept.sort(key=lambda pb: (-pb[1].sas, pb[0].left, pb[0].right))
     dropped.sort(key=lambda pb: (-pb[1].sas, pb[0].left, pb[0].right))
     results = [
-        MappingResult(p.left, p.right, p.provenance, b, True, rank)
-        for rank, (p, b) in enumerate(kept, 1)
+        MappingResult(p.left, p.right, p.provenance, b, True, position)
+        for position, (p, b) in enumerate(kept, 1)
     ]
     results.extend(
         MappingResult(p.left, p.right, p.provenance, b, False, None) for p, b in dropped
     )
     return results
+
+
+def score_pairs(
+    pairs: list[CandidatePair],
+    left: ProjectSnapshot,
+    right: ProjectSnapshot,
+    cfg: FilterConfig,
+) -> list[MappingResult]:
+    """Normalize, score, threshold, and rank every candidate pair: ``rank``
+    of ``measure_pairs`` under ``cfg``'s rules."""
+    return rank(measure_pairs(pairs, left, right, cfg.measure_rules), cfg)
 
 
 def summarize(results: list[MappingResult]) -> dict:
@@ -173,21 +196,7 @@ def load_results(path: str | Path) -> list[MappingResult]:
             if not line:
                 continue
             d = json.loads(line)
-            breakdown = SASBreakdown(
-                sim_class_name=d["sim_class_name"],
-                sim_class_doc=d["sim_class_doc"],
-                sim_method_name=d["sim_method_name"],
-                sim_return_type=d["sim_return_type"],
-                sim_param=d["sim_param"],
-                sim_local_var=d["sim_local_var"],
-                sim_method_doc=d["sim_method_doc"],
-                sim_comment=d["sim_comment"],
-                sim_class=d["sim_class"],
-                sim_method_header=d["sim_method_header"],
-                sim_optional=d["sim_optional"],
-                sas=d["sas"],
-                ablation=d["ablation"],
-            )
+            breakdown = SASBreakdown(**{f.name: d[f.name] for f in fields(SASBreakdown)})
             out.append(
                 MappingResult(d["left"], d["right"], d["provenance"], breakdown, d["kept"], d["rank"])
             )

@@ -12,15 +12,22 @@ and the final score is the weighted sum
 
     score = alpha*simClass + beta*simMethodHeader + theta*simOptional.
 
-A field is "absent" when both token sequences are empty (0/0). Absent class
-doc contributes 0; two empty parameter lists agree on zero arity and score
-1; absent optional fields drop out of the mean (all absent -> 0). Ablation
-settings override field values after measurement, uniformly for every pair,
-so pairs differing only in an ablated field score identically.
+Scoring is two steps. ``measure`` takes a pair's eight field similarities
+(``FIELDS`` order), None marking an "absent" field, one whose token
+sequences are both empty (0/0). ``aggregate`` turns them into the score
+breakdown under given weights and ablation setting. It applies the 0/0
+policies (``policy_filled``, shared with the weight tuner) and the
+ablation overrides; no other module does. By default absent class doc
+contributes 0; two empty parameter lists agree on zero arity and score 1;
+absent optional fields drop out of the mean (all absent -> 0). EXR2-EXR4
+override field values after measurement, uniformly for every pair, so
+pairs differing only in an ablated field score identically. EXR1 instead
+measures without the renaming rules.
 
 To score many pairs, ``prepare`` each record's fields (token sequences with
 their LCS match masks) once, take ``class_sims`` once per class pair, and
-call ``score_prepared``; ``components`` does all three for a single pair.
+``measure`` each pair once; one measurement serves every weight config and
+every ablation setting but EXR1. ``components`` does it all for one pair.
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ from .normalizer import NormalizedDetails
 EPS = 1e-9
 
 ABLATION_MODES = ("ALL", "EXR1", "EXR2", "EXR3", "EXR4")
+
+# the eight measured fields; ``SASBreakdown`` names each ``sim_<field>``
+FIELDS = (
+    "class_name", "class_doc", "method_name", "return_type",
+    "param", "local_var", "method_doc", "comment",
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,9 @@ class WeightConfig:
     drop_absent_optional: bool = True
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "theta", "delta", "eta", "phi"):
+        # the absent values stand in for similarities, so they share the
+        # weights' range; outside it a score could leave [0,1]
+        for name in ("alpha", "beta", "theta", "delta", "eta", "phi", "absent_class_doc", "absent_param"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"weight {name}={v!r} is not a number")
@@ -86,6 +101,8 @@ class WeightConfig:
             raise ValueError("alpha+beta+theta must equal 1")
         if abs(self.delta + self.eta + self.phi - 1.0) > EPS:
             raise ValueError("delta+eta+phi must equal 1")
+        if self.renormalize_missing_optional and not self.alpha + self.beta > 0:
+            raise ValueError("renormalize_missing_optional needs alpha+beta > 0")
 
     def to_dict(self) -> dict:
         return {
@@ -140,21 +157,7 @@ class SASBreakdown:
     ablation: str
 
     def to_dict(self) -> dict:
-        return {
-            "sim_class_name": self.sim_class_name,
-            "sim_class_doc": self.sim_class_doc,
-            "sim_method_name": self.sim_method_name,
-            "sim_return_type": self.sim_return_type,
-            "sim_param": self.sim_param,
-            "sim_local_var": self.sim_local_var,
-            "sim_method_doc": self.sim_method_doc,
-            "sim_comment": self.sim_comment,
-            "sim_class": self.sim_class,
-            "sim_method_header": self.sim_method_header,
-            "sim_optional": self.sim_optional,
-            "sas": self.sas,
-            "ablation": self.ablation,
-        }
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(d: dict) -> "SASBreakdown":
@@ -209,6 +212,33 @@ def class_sims(p1: tuple, p2: tuple) -> tuple[float | None, float | None]:
     return masked_sim(p1[0], p2[0]), masked_sim(p1[1], p2[1])
 
 
+def measure(p1: tuple, p2: tuple, class_pair: tuple[float | None, float | None]) -> tuple:
+    """The eight field similarities of two ``prepare``d records whose
+    ``class_sims`` are ``class_pair``, in ``FIELDS`` order (None: absent)."""
+    return class_pair + tuple(map(masked_sim, p1[2:], p2[2:]))
+
+
+def policy_filled(fields: tuple, w: WeightConfig) -> tuple:
+    """(simClass, simMethodName, simReturnType, simParam, simOptional,
+    has_optional) of ``measure``d fields under ``w``'s 0/0 policies;
+    has_optional is False when simOptional averaged nothing."""
+    cls_name, cls_doc, m_name, r_type, param, local_var, method_doc, comment = fields
+    cn = cls_name if cls_name is not None else 0.0
+    cd = cls_doc if cls_doc is not None else w.absent_class_doc
+    if w.drop_absent_optional:
+        optional = [v for v in (local_var, method_doc, comment) if v is not None]
+    else:
+        optional = [v if v is not None else 0.0 for v in (local_var, method_doc, comment)]
+    return (
+        cn + (1.0 - cn) * cd,
+        m_name if m_name is not None else 0.0,
+        r_type if r_type is not None else 0.0,
+        param if param is not None else w.absent_param,  # zero-arity agreement
+        math.fsum(optional) / len(optional) if optional else 0.0,
+        bool(optional),
+    )
+
+
 def _weighted_sum(
     sim_class: float, sim_header: float, sim_optional: float, has_optional: bool, w: WeightConfig
 ) -> float:
@@ -217,66 +247,21 @@ def _weighted_sum(
     return w.alpha * sim_class + w.beta * sim_header + w.theta * sim_optional
 
 
-def score_prepared(
-    p1: tuple,
-    p2: tuple,
-    class_pair: tuple[float | None, float | None],
-    w: WeightConfig,
-    ablation: AblationSetting,
-) -> SASBreakdown:
-    """The score breakdown of two ``prepare``d records whose ``class_sims``
-    are ``class_pair``."""
-    cls_name, cls_doc = class_pair
-    m_name = masked_sim(p1[2], p2[2])
-    r_type = masked_sim(p1[3], p2[3])
-    param = masked_sim(p1[4], p2[4])
-    local_var = masked_sim(p1[5], p2[5])
-    method_doc = masked_sim(p1[6], p2[6])
-    comment = masked_sim(p1[7], p2[7])
-
-    mode = ablation.mode
+def aggregate(fields: tuple, w: WeightConfig, mode: str = "ALL") -> SASBreakdown:
+    """The score breakdown of ``measure``d fields under weights ``w`` and
+    ablation ``mode`` (EXR1 needs fields measured without renaming rules)."""
+    cls_name, cls_doc, m_name, r_type, param, local_var, method_doc, comment = fields
     if mode == "EXR3":
-        cls_doc = 0.0
-        method_doc = 0.0
+        cls_doc = method_doc = 0.0
     elif mode == "EXR4":
         comment = 0.0
     elif mode == "EXR2":
         local_var = 0.0
-
-    cn = cls_name if cls_name is not None else 0.0
-    cd = cls_doc if cls_doc is not None else w.absent_class_doc
-    sim_class = cn + (1.0 - cn) * cd
-
-    if mode == "EXR2":
-        sim_header = 0.0
-    else:
-        sim_header = (
-            w.delta * (m_name if m_name is not None else 0.0)
-            + w.eta * (r_type if r_type is not None else 0.0)
-            + w.phi * (param if param is not None else w.absent_param)  # zero-arity agreement
-        )
-
-    if w.drop_absent_optional:
-        optional = [v for v in (local_var, method_doc, comment) if v is not None]
-    else:
-        optional = [v if v is not None else 0.0 for v in (local_var, method_doc, comment)]
-    sim_optional = math.fsum(optional) / len(optional) if optional else 0.0
-
-    return SASBreakdown(
-        sim_class_name=cls_name,
-        sim_class_doc=cls_doc,
-        sim_method_name=m_name,
-        sim_return_type=r_type,
-        sim_param=param,
-        sim_local_var=local_var,
-        sim_method_doc=method_doc,
-        sim_comment=comment,
-        sim_class=sim_class,
-        sim_method_header=sim_header,
-        sim_optional=sim_optional,
-        sas=_weighted_sum(sim_class, sim_header, sim_optional, bool(optional), w),
-        ablation=mode,
-    )
+    fields = (cls_name, cls_doc, m_name, r_type, param, local_var, method_doc, comment)
+    sim_class, m, r, p, sim_optional, has_optional = policy_filled(fields, w)
+    sim_header = 0.0 if mode == "EXR2" else w.delta * m + w.eta * r + w.phi * p
+    score = _weighted_sum(sim_class, sim_header, sim_optional, has_optional, w)
+    return SASBreakdown(*fields, sim_class, sim_header, sim_optional, score, mode)
 
 
 def components(
@@ -287,7 +272,8 @@ def components(
 ) -> SASBreakdown:
     """Per-field LCS similarities aggregated into the score breakdown."""
     p1, p2 = prepare(d1), prepare(d2)
-    return score_prepared(p1, p2, class_sims(p1, p2), w or WeightConfig(), ablation or AblationSetting())
+    mode = (ablation or AblationSetting()).mode
+    return aggregate(measure(p1, p2, class_sims(p1, p2)), w or WeightConfig(), mode)
 
 
 def sas(breakdown: SASBreakdown, w: WeightConfig | None = None) -> float:

@@ -63,6 +63,29 @@ def test_extract_writes_manifest_and_sidecar(pipeline):
     assert manifest["counters"]["files_parsed"] > 0
 
 
+def test_identical_runs_have_equal_config_hashes(tmp_path):
+    out = tmp_path / "left.jsonl"
+    hashes = []
+    for _ in range(2):
+        p = remap("extract", "--root", FIXTURE / "left", "--out", out)
+        assert p.returncode == 0, p.stderr
+        hashes.append(json.loads(Path(str(out) + ".manifest.json").read_text())["config_hashes"])
+    assert hashes[0] == hashes[1]
+
+
+def test_file_cut_after_class_keyword_is_skipped(tmp_path):
+    src = tmp_path / "src" / "main" / "p"
+    src.mkdir(parents=True)
+    (src / "A.java").write_text("package p;\npublic class A { public int f() { return 1; } }\n")
+    (src / "B.java").write_text("package p;\npublic class")
+    out = tmp_path / "snap.jsonl"
+    p = remap("extract", "--root", tmp_path, "--out", out)
+    assert p.returncode == 0, p.stderr
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert [path for path, _ in manifest["counters"]["failed_files"]] == ["src/main/p/B.java"]
+    assert manifest["counters"]["methods"] == 1
+
+
 def test_role_mismatch_is_runtime_error(pipeline, tmp_path):
     work, left, right, pairs = pipeline
     p = remap(
@@ -110,6 +133,7 @@ def test_score_with_stale_pairs_is_runtime_error(pipeline, tmp_path):
     stale_pairs = tmp_path / "stale_pairs.jsonl"
     stale_pairs.write_text(json.dumps({
         "detector": "x",
+        "format_version": 1,
         "left": {"key": "soot.Gone#f():1-5"},
         "right": {"key": "sootup.Gone#g():1-5"},
     }) + "\n")
@@ -262,6 +286,8 @@ def _main_error(capsys, *argv):
     ({"alpha": 0.5, "beta": 0.25, "theta": 0.25, "gamma": 1.0}, "gamma"),
     ({"alpha": "0.5", "beta": 0.25, "theta": 0.25}, "alpha"),
     ([0.5, 0.25, 0.25], "list"),
+    ({"absent_param": 5}, "absent_param"),
+    ({"alpha": 0, "beta": 0, "theta": 1, "renormalize_missing_optional": True}, "renormalize"),
 ])
 def test_bad_weights_file_is_usage_error(pipeline, tmp_path, capsys, weights, culprit):
     work, left, right, pairs = pipeline
@@ -273,6 +299,24 @@ def test_bad_weights_file_is_usage_error(pipeline, tmp_path, capsys, weights, cu
     )
     assert code == 2
     assert err["error"] == "usage" and culprit in err["message"]
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.parametrize("line, culprit", [
+    ("[1]", "expected a JSON object"),
+    ('{"format_version": 1, "left": {"key": "a"}}', "right.key"),
+    ('{"format_version": 2, "left": {"key": "a"}, "right": {"key": "b"}}', "format_version 2"),
+])
+def test_bad_pairs_file_is_usage_error(pipeline, tmp_path, capsys, line, culprit):
+    work, left, right, pairs = pipeline
+    bad = tmp_path / "pairs.jsonl"
+    bad.write_text(pairs.read_text().split("\n")[0] + "\n" + line + "\n")
+    code, err = _main_error(
+        capsys, "score", "--pairs", bad, "--left", left, "--right", right,
+        "--out", tmp_path / "s.jsonl",
+    )
+    assert code == 2
+    assert err["error"] == "usage" and f"line 2: {culprit}" in err["message"]
     assert not (tmp_path / "s.jsonl").exists()
 
 
@@ -315,3 +359,76 @@ def test_manifest_starts_before_the_work(pipeline, tmp_path, monkeypatch):
     assert manifest["started_at"] < called_at[0] < manifest["finished_at"]
     assert manifest["counters"]["pairs_in"] == 40
     assert manifest["outputs"] == [str(out)]
+
+
+def _ablation_argv(pipeline, tmp_path):
+    work, left, right, pairs = pipeline
+    labels = tmp_path / "labels.csv"
+    _write_labels(labels, left, right)
+    common = ["--pairs", pairs, "--left", left, "--right", right, "--rules", "soot-sootup"]
+    ablate = ["ablate", *common, "--labels", labels, "--task", "cm", "--threshold", "0.6",
+              "--out", tmp_path / "ablate.json"]
+    impact = ["impact", *common, "--out", tmp_path / "impact.json"]
+    return [str(a) for a in ablate], [str(a) for a in impact]
+
+
+def test_ablate_and_impact_measure_each_record_at_most_twice(pipeline, tmp_path, monkeypatch):
+    from collections import Counter
+
+    from remap import cli, mapper
+
+    work, left, right, pairs = pipeline
+    ablate, impact = _ablation_argv(pipeline, tmp_path)
+    calls = Counter()
+    normalize_record = mapper.normalize_record
+
+    def counted(rec, *args, **kwargs):
+        calls[rec.id] += 1
+        return normalize_record(rec, *args, **kwargs)
+
+    monkeypatch.setattr(mapper, "normalize_record", counted)
+    loaded = [json.loads(line) for line in pairs.read_text().splitlines()]
+    records = {d[side]["key"] for d in loaded for side in ("left", "right")}
+    # EXR1 measures without the renaming rules; every other mode reuses
+    # the measurement with them
+    for argv, per_record in ((ablate, 2), (impact, 2), (impact + ["--setting", "exr2"], 1)):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert set(calls) == records and set(calls.values()) == {per_record}, argv[0]
+
+
+def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path):
+    from remap import cli, evalkit, ingest, mapper
+    from remap.normalizer import SOOT_SOOTUP_RULES
+    from remap.records import load_snapshot
+    from remap.simcore import ABLATION_MODES, AblationSetting
+
+    work, left, right, pairs = pipeline
+    ablate, impact = _ablation_argv(pipeline, tmp_path)
+    assert cli.main(ablate) == 0
+    assert cli.main(impact) == 0
+
+    lsnap, rsnap = load_snapshot(left), load_snapshot(right)
+    loaded = ingest.load_pairs(pairs)
+    labels = evalkit.load_labels(tmp_path / "labels.csv")
+
+    def score(mode, threshold, task):
+        cfg = mapper.FilterConfig(
+            thres_sas=threshold, task=task, ablation=AblationSetting(mode), rules=SOOT_SOOTUP_RULES
+        )
+        return mapper.score_pairs(loaded, lsnap, rsnap, cfg)
+
+    expected = {}
+    for mode in ABLATION_MODES:
+        kept = {r.key for r in score(mode, 0.6, mapper.TASK_CODE_MAPPING) if r.kept}
+        counts, metrics = evalkit.evaluate(kept, labels, mapper.TASK_CODE_MAPPING)
+        expected[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
+    assert json.loads((tmp_path / "ablate.json").read_text()) == expected
+
+    code_types = cli._pair_code_type(loaded, lsnap, rsnap)
+    baseline = score("ALL", 0.5, mapper.TASK_GENUINE_CLONE)
+    expected = {
+        mode: evalkit.rule_impact(baseline, score(mode, 0.5, mapper.TASK_GENUINE_CLONE), code_types)
+        for mode in ("EXR1", "EXR2", "EXR3", "EXR4")
+    }
+    assert json.loads((tmp_path / "impact.json").read_text()) == expected

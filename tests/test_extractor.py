@@ -258,6 +258,18 @@ def test_unparseable_file_is_skipped_not_fatal(tmp_path):
     assert snap.summary.failed_files[0][0] == "src/main/B.java"
 
 
+@pytest.mark.parametrize("tail", ["public class", "public record", "class Inner { record"])
+def test_file_cut_after_a_type_keyword_is_skipped(tmp_path, tail):
+    good = tmp_path / "src" / "main" / "A.java"
+    good.parent.mkdir(parents=True)
+    good.write_text("package p;\npublic class A { public int f() { return 1; } }\n")
+    cut = tmp_path / "src" / "main" / "B.java"
+    cut.write_text(f"package p;\n{tail}")
+    snap = extract(tmp_path)
+    assert snap.summary.files_parsed == 1
+    assert [path for path, _ in snap.summary.failed_files] == ["src/main/B.java"]
+
+
 def test_missing_root_is_hard_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         extract(tmp_path / "nope")

@@ -13,6 +13,7 @@ from remap.simcore import (
     AblationSetting,
     SASBreakdown,
     WeightConfig,
+    aggregate,
     components,
     lcs_sim,
     masked,
@@ -140,6 +141,44 @@ def test_weight_simplex_enforced():
         WeightConfig(delta=0.1, eta=0.1, phi=0.1)
     with pytest.raises(ValueError):
         WeightConfig(alpha=-0.1, beta=0.85, theta=0.25)
+
+
+def test_policy_values_that_break_the_score_range_rejected():
+    with pytest.raises(ValueError, match="absent_param"):
+        WeightConfig(absent_param=5)
+    with pytest.raises(ValueError, match="absent_class_doc"):
+        WeightConfig(absent_class_doc=-0.5)
+    with pytest.raises(ValueError, match="renormalize"):
+        WeightConfig(alpha=0.0, beta=0.0, theta=1.0, renormalize_missing_optional=True)
+    WeightConfig(alpha=0.0, beta=0.0, theta=1.0)  # fine without renormalization
+
+
+unit = st.integers(0, 20).map(lambda i: i / 20)
+
+
+@st.composite
+def weight_configs(draw):
+    a, b = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    d, e = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    return WeightConfig(
+        alpha=min(a, b) / 20, beta=(max(a, b) - min(a, b)) / 20, theta=(20 - max(a, b)) / 20,
+        delta=min(d, e) / 20, eta=(max(d, e) - min(d, e)) / 20, phi=(20 - max(d, e)) / 20,
+        renormalize_missing_optional=draw(st.booleans()) and max(a, b) > 0,
+        absent_class_doc=draw(unit),
+        absent_param=draw(unit),
+        drop_absent_optional=draw(st.booleans()),
+    )
+
+
+@given(
+    weight_configs(),
+    st.tuples(*[st.none() | st.floats(0.0, 1.0) for _ in range(8)]),
+    st.sampled_from(("ALL", "EXR1", "EXR2", "EXR3", "EXR4")),
+)
+def test_aggregate_stays_in_unit_range(w, fields, mode):
+    b = aggregate(fields, w, mode)
+    for value in (b.sim_class, b.sim_method_header, b.sim_optional, b.sas):
+        assert 0.0 <= value <= 1.0 + 1e-12
 
 
 def test_sim_class_formula():
