@@ -1,8 +1,10 @@
 """Command-line pipeline: extract -> (pairs | ingest) -> score -> eval/tune.
 
-Every pipeline command writes a RunManifest JSON next to its output
-(tool version, argv, config hashes, input/output paths, counters), so any
-artifact can be traced back to the exact invocation that produced it.
+Every command that succeeds gets a manifest JSON next to its output (tool
+version, argv, config hash, the inputs it read with their sha256,
+counters), so any artifact can be traced back to the exact invocation
+and inputs that produced it. ``main`` writes it from the counters the
+command returns; inputs are recorded as the command resolves them.
 
 Exit codes: 0 success, 2 usage error (bad flags, missing inputs, schema
 violations), 1 runtime failure (with a machine-readable JSON error line on
@@ -17,14 +19,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
 from . import evalkit, ingest, mapper, prefilter
 from .extractor import DEFAULT_EXCLUDED_METHODS, DEFAULT_TEST_ROOTS, ExtractConfig, extract
-from .normalizer import BUNDLED_RULESETS, normalize_record, resolve_ruleset
-from .records import load_snapshot, save_snapshot
+from .normalizer import BUNDLED_RULESETS, EMPTY_RULESET, RuleSet, normalize_record
+from .records import load_snapshot, save_snapshot, sidecar_path
 from .simcore import ABLATION_MODES, AblationSetting, WeightConfig
 
 EXIT_OK = 0
@@ -38,59 +39,84 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunManifest:
-    """Created when a command starts; ``write`` records the rest once the
-    command's output exists."""
-
-    started_at: float = field(default_factory=time.time)
-
-    def write(self, out_path: Path, inputs: list, config_hashes: dict, counters: dict) -> None:
-        manifest_path = Path(str(out_path) + ".manifest.json")
-        manifest_path.write_text(
-            json.dumps(
-                {
-                    "tool_version": __version__,
-                    "command": sys.argv[1:],
-                    "inputs": [str(p) for p in inputs],
-                    "outputs": [str(out_path)],
-                    "config_hashes": config_hashes,
-                    "started_at": self.started_at,
-                    "finished_at": time.time(),
-                    "counters": counters,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _hash_config(obj) -> str:
-    if isinstance(obj, (str, Path)) and Path(obj).is_file():
-        data = Path(obj).read_bytes()
-    else:
-        data = json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(data).hexdigest()[:16]
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _args_hash(args) -> str:
     """Hash of a command's parsed arguments, without the handler function,
-    whose repr holds a memory address that differs between runs."""
-    return _hash_config({k: v for k, v in vars(args).items() if k != "func"})
+    whose repr holds a memory address that differs between runs, and
+    without the inputs the run recorded."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "inputs")}
+    data = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _require_file(path: str, what: str) -> Path:
-    p = Path(path)
+def _record_input(args, path: Path) -> Path:
+    """Note ``path`` as read by this run, with the sha256 of its bytes as
+    they are when the command resolves it (directories by path only)."""
+    args.inputs[str(path)] = _sha256(path) if path.is_file() else None
+    return path
+
+
+def _write_manifest(args, started_at: float, counters: dict) -> None:
+    out = Path(args.out)
+    _write_json(
+        Path(f"{out}.manifest.json"),
+        {
+            "tool_version": __version__,
+            "command": sys.argv[1:],
+            "inputs": list(args.inputs),
+            "input_sha256": {path: digest for path, digest in args.inputs.items() if digest},
+            "outputs": [str(out)],
+            "config_hashes": {args.command: _args_hash(args)},
+            "started_at": started_at,
+            "finished_at": time.time(),
+            "counters": counters,
+        },
+    )
+
+
+def _require_file(args, dest: str, what: str) -> Path:
+    name = getattr(args, dest)
+    p = Path(name)
     if not p.is_file():
-        raise UsageError(f"{what} not found: {path}")
-    return p
+        raise UsageError(f"{what} not found: {name}")
+    return _record_input(args, p)
+
+
+def _config_path(args, dest: str, what: str) -> Path:
+    """Resolve a config file name: as given, then under $REMAP_CONFIG_DIR."""
+    name = getattr(args, dest)
+    p = Path(name)
+    if p.is_file():
+        return _record_input(args, p)
+    config_dir = os.environ.get("REMAP_CONFIG_DIR")
+    if config_dir:
+        candidate = Path(config_dir) / name
+        if candidate.is_file():
+            return _record_input(args, candidate)
+    raise UsageError(f"{what} not found: {name}")
+
+
+def _snapshot_arg(args, dest: str, what: str):
+    path = _require_file(args, dest, what)
+    _record_input(args, sidecar_path(path))
+    return load_snapshot(path)
 
 
 def _load_two_snapshots(args):
-    left = load_snapshot(_require_file(args.left, "left snapshot"))
-    right = load_snapshot(_require_file(args.right, "right snapshot"))
+    left = _snapshot_arg(args, "left", "left snapshot")
+    right = _snapshot_arg(args, "right", "right snapshot")
     if left.role != "original" or right.role != "redesigned":
         raise UsageError(
             f"--left must be an original-role snapshot and --right a redesigned-role one "
@@ -99,30 +125,21 @@ def _load_two_snapshots(args):
     return left, right
 
 
-def _config_path(name: str, what: str) -> Path:
-    """Resolve a config file name: as given, then under $REMAP_CONFIG_DIR."""
-    p = Path(name)
-    if p.is_file():
-        return p
-    config_dir = os.environ.get("REMAP_CONFIG_DIR")
-    if config_dir:
-        candidate = Path(config_dir) / name
-        if candidate.is_file():
-            return candidate
-    raise UsageError(f"{what} not found: {name}")
-
-
-def _resolve_rules_arg(spec: str | None):
-    if spec is None:
-        return resolve_ruleset(None)
-    if spec in BUNDLED_RULESETS:
-        return BUNDLED_RULESETS[spec]
-    return resolve_ruleset(_config_path(spec, "rules file"))
+def _rules_arg(args) -> RuleSet:
+    if args.rules is None:
+        return EMPTY_RULESET
+    if args.rules in BUNDLED_RULESETS:
+        return BUNDLED_RULESETS[args.rules]
+    path = _config_path(args, "rules", "rules file")
+    try:
+        return RuleSet.load(path)
+    except ValueError as exc:  # bad JSON, a missing key, a bad pattern or order
+        raise UsageError(f"invalid rules file {path}: {exc}") from None
 
 
 def _weights_arg(args) -> WeightConfig:
-    if getattr(args, "weights", None):
-        path = _config_path(args.weights, "weights file")
+    if args.weights:
+        path = _config_path(args, "weights", "weights file")
         try:
             return WeightConfig.load(path)
         except ValueError as exc:  # bad JSON, unknown keys, off-simplex weights
@@ -131,11 +148,19 @@ def _weights_arg(args) -> WeightConfig:
 
 
 def _pairs_arg(args) -> list:
-    path = _require_file(args.pairs, "pairs file")
+    path = _require_file(args, "pairs", "pairs file")
     try:
         return ingest.load_pairs(path)
     except ValueError as exc:  # bad JSON, or a line that is not a format-1 pair
         raise UsageError(f"invalid pairs file {path}: {exc}") from None
+
+
+def _labels_arg(args) -> list:
+    return evalkit.load_labels(_require_file(args, "labels", "labels file"))
+
+
+def _scored_arg(args) -> list:
+    return mapper.load_results(_require_file(args, "scored", "scored file"))
 
 
 MAX_THRESHOLDS = 10_000
@@ -162,79 +187,62 @@ def _parse_thresholds(spec: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the counters of its manifest
 
 
-def cmd_extract(args) -> int:
-    manifest = RunManifest()
+def cmd_extract(args) -> dict:
     root = Path(args.root)
     if not root.is_dir():
         raise UsageError(f"source root not found: {args.root}")
-    test_roots = tuple(args.test_root or DEFAULT_TEST_ROOTS)
+    _record_input(args, root)
     config = ExtractConfig(
-        test_roots=test_roots,
+        test_roots=tuple(args.test_root or DEFAULT_TEST_ROOTS),
         excluded_method_names=tuple(args.exclude_method or DEFAULT_EXCLUDED_METHODS),
     )
-    snapshot = extract(
-        root,
-        test_roots=test_roots,
-        name=args.name or root.name,
-        role=args.role,
-        config=config,
-    )
-    out = Path(args.out)
-    save_snapshot(snapshot, out)
-    manifest.write(out, [root], {"extract": _args_hash(args)}, snapshot.summary.to_dict())
+    snapshot = extract(root, name=args.name or root.name, role=args.role, config=config)
+    save_snapshot(snapshot, Path(args.out))
     print(
         f"extracted {len(snapshot)} methods / {len(snapshot.class_index)} classes "
         f"from {snapshot.summary.files_parsed} files ({len(snapshot.summary.failed_files)} failed)"
     )
     for path, reason in snapshot.summary.failed_files:
         print(f"  skipped {path}: {reason}", file=sys.stderr)
-    return EXIT_OK
+    return snapshot.summary.to_dict()
 
 
-def cmd_pairs(args) -> int:
-    manifest = RunManifest()
+def cmd_pairs(args) -> dict:
     left, right = _load_two_snapshots(args)
-    out = Path(args.out)
     if args.mode == "exhaustive":
         pairs = prefilter.exhaustive_pairs(left, right, min_loc=args.min_loc)
         counters = {"pairs": len(pairs), "min_loc": args.min_loc}
     else:
-        rules = _resolve_rules_arg(args.rules)
+        rules = _rules_arg(args)
         cfg = prefilter.PrefilterConfig(
             class_sim_threshold=args.class_sim,
             line_ratio_cutoff=args.line_ratio,
             embed_threshold=args.embed_threshold,
-            embedding_provider=args.embedder,
         )
         classes = prefilter.filter_classes(left, right, rules, cfg)
         pairs = prefilter.generate_pairs(classes, left, right, cfg)
         counters = {"class_pairs": len(classes), "pairs": len(pairs)}
+    out = Path(args.out)
     prefilter.save_pairs(pairs, out)
-    manifest.write(out, [args.left, args.right], {"pairs": _args_hash(args)}, counters)
     print(f"wrote {len(pairs)} candidate pairs to {out}")
-    return EXIT_OK
+    return counters
 
 
-def cmd_ingest(args) -> int:
-    manifest = RunManifest()
+def cmd_ingest(args) -> dict:
     left, right = _load_two_snapshots(args)
-    report_path = _require_file(args.report, "detector report")
+    report_path = _require_file(args, "report", "detector report")
     if args.format == "generic":
         pairs, stats = ingest.ingest_generic(report_path, left, right)
     else:
         pairs, stats = ingest.ingest_nicad_xml(report_path, left, right)
-    out = Path(args.out)
-    prefilter.save_pairs(pairs, out)
-    manifest.write(
-        out, [args.left, args.right, report_path], {"ingest": _args_hash(args)}, stats.to_dict()
-    )
+    prefilter.save_pairs(pairs, Path(args.out))
     print(f"ingested {len(pairs)} pairs ({stats.unresolved} unresolved, {stats.duplicates} duplicates)")
     for diag in stats.diagnostics[:20]:
         print(f"  {diag}", file=sys.stderr)
-    return EXIT_OK
+    return stats.to_dict()
 
 
 def _filter_config(args) -> mapper.FilterConfig:
@@ -248,65 +256,44 @@ def _filter_config(args) -> mapper.FilterConfig:
         task=task,
         weights=_weights_arg(args),
         ablation=AblationSetting(args.ablation.upper()),
-        rules=_resolve_rules_arg(args.rules),
+        rules=_rules_arg(args),
     )
 
 
-def cmd_score(args) -> int:
-    manifest = RunManifest()
+def cmd_score(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
-    cfg = _filter_config(args)
-    results = mapper.score_pairs(pairs, left, right, cfg)
-    out = Path(args.out)
-    mapper.save_results(results, out, fmt=args.format)
+    results = mapper.score_pairs(pairs, left, right, _filter_config(args))
+    mapper.save_results(results, Path(args.out), fmt=args.format)
     summary = mapper.summarize(results)
-    manifest.write(
-        out,
-        [args.pairs, args.left, args.right],
-        {
-            "weights": _hash_config(cfg.weights.to_dict()),
-            "rules": _hash_config(cfg.rules.to_dict()),
-            "score": _hash_config({"threshold": cfg.thres_sas, "task": cfg.task, "ablation": cfg.ablation.mode}),
-        },
-        {"pairs_in": len(pairs), **summary},
-    )
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    return {"pairs_in": len(pairs), **summary}
 
 
-def cmd_eval(args) -> int:
-    manifest = RunManifest()
-    scored = mapper.load_results(_require_file(args.scored, "scored file"))
-    labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
+def cmd_eval(args) -> dict:
+    scored = _scored_arg(args)
+    labels = _labels_arg(args)
     kept = {r.key for r in scored if r.kept}
     counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
-    out = Path(args.out)
-    evalkit.save_metrics(counts, metrics, out, extra={"task": TASKS[args.task]})
-    manifest.write(
-        out,
-        [args.scored, args.labels],
-        {"eval": _args_hash(args)},
-        {"labeled": len(labels), "kept": len(kept), **counts.to_dict()},
+    _write_json(
+        Path(args.out),
+        {"task": TASKS[args.task], "confusion": counts.to_dict(), "metrics": metrics.to_dict()},
     )
     print(json.dumps(metrics.to_dict(), sort_keys=True))
-    return EXIT_OK
+    return {"labeled": len(labels), "kept": len(kept), **counts.to_dict()}
 
 
-def cmd_sweep(args) -> int:
-    manifest = RunManifest()
-    scored = mapper.load_results(_require_file(args.scored, "scored file"))
-    labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
+def cmd_sweep(args) -> dict:
+    scored = _scored_arg(args)
+    labels = _labels_arg(args)
     thresholds = _parse_thresholds(args.thresholds)
     points, best = evalkit.sweep(scored, labels, TASKS[args.task], thresholds)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "task": TASKS[args.task],
         "best_threshold": best,
         "points": [p.to_dict() for p in points],
     }
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(Path(args.out), payload)
     if args.csv:
         csv_path = Path(args.csv)
         rows = ["threshold,fpr,precision,recall,f1_pos,f1_neg,avg_f1"]
@@ -317,18 +304,15 @@ def cmd_sweep(args) -> int:
                 f"{m.f1_pos:.6f},{m.f1_neg:.6f},{m.avg_f1:.6f}"
             )
         csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    manifest.write(
-        out, [args.scored, args.labels], {"sweep": _args_hash(args)}, {"points": len(points)}
-    )
     print(json.dumps({"best_threshold": best}, sort_keys=True))
-    return EXIT_OK
+    return {"points": len(points)}
 
 
 def _ranked_under(args, left, right, pairs, modes):
     """Yield (mode, results) for each ablation mode in turn. The pairs are
     measured at most twice, with the rules and, for EXR1, without them;
     every mode ranks one of those measurements."""
-    weights, rules = _weights_arg(args), _resolve_rules_arg(args.rules)
+    weights, rules = _weights_arg(args), _rules_arg(args)
     threshold = args.threshold if args.threshold is not None else 0.5
     measured = {}
     for mode in modes:
@@ -345,27 +329,18 @@ def _ranked_under(args, left, right, pairs, modes):
         yield mode, mapper.rank(measured[renaming], cfg)
 
 
-def cmd_ablate(args) -> int:
-    manifest = RunManifest()
+def cmd_ablate(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
-    labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
+    labels = _labels_arg(args)
     report = {}
     for mode, results in _ranked_under(args, left, right, pairs, ABLATION_MODES):
         kept = {r.key for r in results if r.kept}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
         report[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.write(
-        out,
-        [args.pairs, args.labels],
-        {"ablate": _args_hash(args)},
-        {"pairs": len(pairs), "settings": len(report)},
-    )
+    _write_json(Path(args.out), report)
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
-    return EXIT_OK
+    return {"pairs": len(pairs), "settings": len(report)}
 
 
 def _pair_code_type(pairs, left, right) -> dict:
@@ -383,8 +358,7 @@ def _pair_code_type(pairs, left, right) -> dict:
     return out
 
 
-def cmd_impact(args) -> int:
-    manifest = RunManifest()
+def cmd_impact(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     code_types = _pair_code_type(pairs, left, right)
@@ -393,17 +367,14 @@ def cmd_impact(args) -> int:
     _, baseline = next(ranked)
     report = {mode: evalkit.rule_impact(baseline, excluded, code_types) for mode, excluded in ranked}
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.write(out, [args.pairs], {"impact": _args_hash(args)}, {"pairs": len(pairs)})
+    _write_json(out, report)
     print(f"wrote impact report for {', '.join(settings)} to {out}")
-    return EXIT_OK
+    return {"pairs": len(pairs)}
 
 
-def cmd_tune(args) -> int:
-    manifest = RunManifest()
-    scored = mapper.load_results(_require_file(args.scored, "scored file"))
-    labels = evalkit.load_labels(_require_file(args.labels, "labels file"))
+def cmd_tune(args) -> dict:
+    scored = _scored_arg(args)
+    labels = _labels_arg(args)
     task = TASKS[args.task]
     label_by_key = {lab.key: lab.positive(task) for lab in labels}
     training = [
@@ -416,17 +387,13 @@ def cmd_tune(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     weights.save(out)
-    manifest.write(
-        out, [args.scored, args.labels], {"tune": _args_hash(args)}, {"training": len(training)}
-    )
     print(json.dumps(weights.to_dict(), sort_keys=True))
-    return EXIT_OK
+    return {"training": len(training)}
 
 
-def cmd_normalize(args) -> int:
-    manifest = RunManifest()
-    snapshot = load_snapshot(_require_file(args.snapshot, "snapshot"))
-    rules = _resolve_rules_arg(args.rules)
+def cmd_normalize(args) -> dict:
+    snapshot = _snapshot_arg(args, "snapshot", "snapshot")
+    rules = _rules_arg(args)
     role = args.role or snapshot.role
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -450,11 +417,8 @@ def cmd_normalize(args) -> int:
                 )
                 + "\n"
             )
-    manifest.write(
-        out, [args.snapshot], {"normalize": _args_hash(args)}, {"records": len(snapshot)}
-    )
     print(f"wrote normalized details for {len(snapshot)} records to {out}")
-    return EXIT_OK
+    return {"records": len(snapshot)}
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"remap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="parse a Java tree into a method snapshot")
+    def command(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
+        return p
+
+    # options that several commands share, declared once as parent parsers
+    snapshots = argparse.ArgumentParser(add_help=False)
+    snapshots.add_argument("--left", required=True)
+    snapshots.add_argument("--right", required=True)
+    rules = argparse.ArgumentParser(add_help=False)
+    rules.add_argument("--rules", default=None, help="bundled ruleset name or JSON file")
+    scoring = argparse.ArgumentParser(add_help=False, parents=[snapshots, rules])
+    scoring.add_argument("--pairs", required=True)
+    scoring.add_argument("--threshold", type=float, default=None)
+    scoring.add_argument("--weights", default=None)
+    evaluated = argparse.ArgumentParser(add_help=False)
+    evaluated.add_argument("--scored", required=True)
+    evaluated.add_argument("--labels", required=True)
+
+    p = command("extract", cmd_extract, "parse a Java tree into a method snapshot")
     p.add_argument("--root", required=True)
     p.add_argument("--test-root", action="append", default=None,
                    help="path prefix marking test sources (repeatable; default src/test/)")
@@ -478,104 +462,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None)
     p.add_argument("--exclude-method", action="append", default=None,
                    help="method names never extracted (default: universal base-object methods)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("pairs", help="generate candidate pairs (prefilter or exhaustive)")
+    p = command("pairs", cmd_pairs, "generate candidate pairs (prefilter or exhaustive)",
+                snapshots, rules)
     p.add_argument("--mode", choices=["prefilter", "exhaustive"], required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
     p.add_argument("--class-sim", type=float, default=0.5)
     p.add_argument("--line-ratio", type=float, default=2.0)
     p.add_argument("--embed-threshold", type=float, default=0.5)
-    p.add_argument("--embedder", default="bag-of-tokens")
     p.add_argument("--min-loc", type=int, default=5)
-    p.add_argument("--rules", default=None, help="bundled ruleset name or JSON file")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pairs)
 
-    p = sub.add_parser("ingest", help="convert a detector report into candidate pairs")
+    p = command("ingest", cmd_ingest, "convert a detector report into candidate pairs", snapshots)
     p.add_argument("--format", choices=["generic", "nicad-xml"], required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("score", help="score pairs and filter by threshold")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    p = command("score", cmd_score, "score pairs and filter by threshold", scoring)
     p.add_argument("--task", choices=["gc", "cm"], default="gc")
-    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--profile", choices=["heavy-redesign", "light-redesign"],
                    default="heavy-redesign",
                    help="selects the default threshold when --threshold is not given")
-    p.add_argument("--weights", default=None)
     p.add_argument("--ablation", choices=[m.lower() for m in ABLATION_MODES], default="all")
-    p.add_argument("--rules", default=None)
     p.add_argument("--format", choices=["jsonl", "csv", "summary"], default="jsonl")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval", help="metrics against a labeled dataset")
-    p.add_argument("--scored", required=True)
-    p.add_argument("--labels", required=True)
+    p = command("eval", cmd_eval, "metrics against a labeled dataset", evaluated)
     p.add_argument("--task", choices=["gc", "cm"], required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="metrics across a threshold ladder")
-    p.add_argument("--scored", required=True)
-    p.add_argument("--labels", required=True)
+    p = command("sweep", cmd_sweep, "metrics across a threshold ladder", evaluated)
     p.add_argument("--task", choices=["gc", "cm"], required=True)
     p.add_argument("--thresholds", default="0.0:1.0:0.05",
                    help="lo:hi:step or comma-separated list")
     p.add_argument("--csv", default=None, help="also write plottable CSV")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ablate", help="metrics per ablation setting")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    p = command("ablate", cmd_ablate, "metrics per ablation setting", scoring)
     p.add_argument("--labels", required=True)
     p.add_argument("--task", choices=["gc", "cm"], required=True)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--rules", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("impact", help="per-rule impact of ablation on scores and ranks")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    p = command("impact", cmd_impact, "per-rule impact of ablation on scores and ranks", scoring)
     p.add_argument("--setting", choices=["exr1", "exr2", "exr3", "exr4"], default=None,
                    help="one exclusion setting (default: all four)")
     p.add_argument("--task", choices=["gc", "cm"], default="gc")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--rules", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_impact)
 
-    p = sub.add_parser("tune", help="grid-search component weights on labeled pairs")
-    p.add_argument("--scored", required=True)
-    p.add_argument("--labels", required=True)
+    p = command("tune", cmd_tune, "grid-search component weights on labeled pairs", evaluated)
     p.add_argument("--task", choices=["gc", "cm"], required=True)
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--k", type=int, default=None,
                    help="top-K objective size (default: number of positives)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("normalize", help="dump normalized token details for a snapshot")
+    p = command("normalize", cmd_normalize, "dump normalized token details for a snapshot", rules)
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--rules", default=None)
     p.add_argument("--role", choices=["original", "redesigned"], default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_normalize)
 
     return parser
 
@@ -586,8 +520,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
+    started_at = time.time()
+    args.inputs = {}
     try:
-        return args.func(args)
+        _write_manifest(args, started_at, args.func(args))
     except UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
@@ -597,7 +533,6 @@ def main(argv: list[str] | None = None) -> int:
         KeyError,
         ingest.IngestError,
         mapper.UnresolvedPairError,
-        prefilter.EmbeddingError,
         evalkit.PairSetMismatch,
     ) as exc:
         print(
@@ -605,6 +540,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

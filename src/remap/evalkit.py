@@ -10,7 +10,6 @@ from every calculation.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -321,10 +320,3 @@ def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> Wei
                 best_cfg = (ai / n, bi / n, ti / n, di / n, ei / n, fi / n)
     a, b, t, d, e, f = best_cfg
     return WeightConfig(alpha=a, beta=b, theta=t, delta=d, eta=e, phi=f)
-
-
-def save_metrics(counts: ConfusionCounts, metrics: MetricsReport, out: Path, extra: dict | None = None) -> None:
-    payload = {**(extra or {}), "confusion": counts.to_dict(), "metrics": metrics.to_dict()}
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

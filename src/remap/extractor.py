@@ -708,7 +708,6 @@ def parse_java_file(
 
 def extract(
     root: str | Path,
-    test_roots: tuple[str, ...] = DEFAULT_TEST_ROOTS,
     name: str | None = None,
     role: str = "original",
     config: ExtractConfig | None = None,
@@ -721,9 +720,7 @@ def extract(
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"source root does not exist: {root}")
-    config = config or ExtractConfig(test_roots=test_roots)
-    if config.test_roots != test_roots:
-        config = ExtractConfig(test_roots=test_roots, excluded_method_names=config.excluded_method_names)
+    config = config or ExtractConfig()
     summary = ExtractionSummary()
     classes: list[ClassRecord] = []
     methods: list[MethodRecord] = []

@@ -57,7 +57,16 @@ class RenameRule:
             raise ValueError(f"unknown rule scope: {self.scope!r}")
         if self.target_project not in (ROLE_ORIGINAL, ROLE_REDESIGNED):
             raise ValueError(f"unknown target project: {self.target_project!r}")
-        re.compile(self.pattern)  # fail fast on bad patterns
+        if not isinstance(self.pattern, str) or not isinstance(self.replacement, str):
+            raise ValueError(
+                f"rule pattern and replacement must be strings: {self.pattern!r}, {self.replacement!r}"
+            )
+        if type(self.order) is not int:  # a bool or a string does not sort with ints
+            raise ValueError(f"rule order must be an integer: {self.order!r}")
+        try:  # fail fast on a bad pattern, or a replacement naming a missing group
+            re.compile(self.pattern).sub(self.replacement, "")
+        except (re.error, IndexError) as exc:  # IndexError: an unknown group name
+            raise ValueError(f"bad rule {self.pattern!r} -> {self.replacement!r}: {exc}") from None
 
     def applies_to(self, field: str, record_project: str) -> bool:
         if record_project != self.target_project:
@@ -96,6 +105,12 @@ class RuleSet:
 
     @staticmethod
     def from_dict(d: dict) -> "RuleSet":
+        if not isinstance(d, dict) or not isinstance(d.get("rules"), list):
+            raise ValueError('rules must be a JSON object with a "rules" list')
+        keys = ("scope", "target", "pattern", "replacement", "order")
+        for r in d["rules"]:
+            if not isinstance(r, dict) or not all(k in r for k in keys):
+                raise ValueError(f"each rule needs the keys {', '.join(keys)}: {r!r}")
         rules = [
             RenameRule(
                 scope=r["scope"],

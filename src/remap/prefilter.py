@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .normalizer import FIELD_CLASS_NAME, RuleSet, apply_rules, tokenize
 from .records import MethodRecord, ProjectSnapshot
@@ -25,7 +24,6 @@ class PrefilterConfig:
     class_sim_threshold: float = 0.5
     line_ratio_cutoff: float = 2.0
     embed_threshold: float = 0.5
-    embedding_provider: str = "bag-of-tokens"
 
     def __post_init__(self):
         for name in ("class_sim_threshold", "embed_threshold"):
@@ -55,26 +53,18 @@ class CandidatePair:
     left: str
     right: str
     provenance: str
-    detector_meta: dict = field(default_factory=dict, compare=False, hash=False)
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.left, self.right)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "format_version": 1,
             "detector": self.provenance,
             "left": {"key": self.left},
             "right": {"key": self.right},
         }
-        if self.detector_meta:
-            d["meta"] = self.detector_meta
-        return d
-
-
-class EmbeddingError(RuntimeError):
-    pass
 
 
 def _bag_of_tokens(body_text: str) -> Counter:
@@ -93,13 +83,11 @@ def _cosine(a: Counter, b: Counter) -> float:
 
 
 class BagOfTokensEmbedder:
-    """Deterministic default: cosine of token-count vectors over body tokens.
+    """Cosine of token-count vectors over body tokens.
 
     No renaming is applied, so identical bodies always score 1 regardless of
     project role.
     """
-
-    name = "bag-of-tokens"
 
     def __init__(self):
         self._cache: dict[str, Counter] = {}
@@ -112,18 +100,6 @@ class BagOfTokensEmbedder:
         if b is None:
             b = self._cache[right.id] = _bag_of_tokens(right.body_text)
         return _cosine(a, b)
-
-
-EMBEDDERS: dict[str, Callable[[], object]] = {
-    "bag-of-tokens": BagOfTokensEmbedder,
-}
-
-
-def get_embedder(name: str):
-    factory = EMBEDDERS.get(name)
-    if factory is None:
-        raise EmbeddingError(f"unknown embedding provider: {name!r}")
-    return factory()
 
 
 def filter_classes(
@@ -163,10 +139,7 @@ def generate_pairs(
     """Pair methods within retained class pairs, dropping pairs whose line
     counts diverge (ratio >= cutoff) or whose body embeddings disagree."""
     cfg = cfg or PrefilterConfig()
-    try:
-        embedder = get_embedder(cfg.embedding_provider)
-    except EmbeddingError:
-        raise
+    embedder = BagOfTokensEmbedder()
     by_class_left: dict[str, list[MethodRecord]] = {}
     for rec in left.records:
         by_class_left.setdefault(rec.class_name, []).append(rec)
@@ -184,13 +157,7 @@ def generate_pairs(
                 ratio = max(lrec.loc, rrec.loc) / min(lrec.loc, rrec.loc)
                 if ratio >= cfg.line_ratio_cutoff:
                     continue
-                try:
-                    sim = embedder.similarity(lrec, rrec)
-                except Exception as exc:  # provider failures are hard errors
-                    raise EmbeddingError(
-                        f"embedding provider {cfg.embedding_provider!r} failed: {exc}"
-                    ) from exc
-                if sim < cfg.embed_threshold:
+                if embedder.similarity(lrec, rrec) < cfg.embed_threshold:
                     continue
                 seen.add(key)
                 out.append(CandidatePair(lrec.id, rrec.id, "prefilter"))

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: exit codes, manifests, reproducibility."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
 
@@ -302,6 +306,32 @@ def test_bad_weights_file_is_usage_error(pipeline, tmp_path, capsys, weights, cu
     assert not (tmp_path / "s.jsonl").exists()
 
 
+def _rule(**overrides):
+    rule = {"scope": "all_details", "target": "original", "pattern": "Unit", "replacement": "Stmt",
+            "order": 1}
+    return {**rule, **overrides}
+
+
+@pytest.mark.parametrize("body, culprit", [
+    ([], '"rules" list'),
+    ({"rules": [_rule(pattern="(")]}, "missing )"),
+    ({"rules": [_rule(order="1"), _rule(order=2)]}, "order must be an integer"),
+    ({"rules": [_rule(replacement="\\9")]}, "invalid group reference 9"),
+    ({"rules": [{k: v for k, v in _rule().items() if k != "target"}]}, "keys scope, target"),
+])
+def test_bad_rules_file_is_usage_error(pipeline, tmp_path, capsys, body, culprit):
+    work, left, right, pairs = pipeline
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(body))
+    code, err = _main_error(
+        capsys, "pairs", "--mode", "prefilter", "--left", left, "--right", right,
+        "--rules", path, "--out", tmp_path / "p.jsonl",
+    )
+    assert code == 2
+    assert err["error"] == "usage" and culprit in err["message"]
+    assert not (tmp_path / "p.jsonl").exists()
+
+
 @pytest.mark.parametrize("line, culprit", [
     ("[1]", "expected a JSON object"),
     ('{"format_version": 1, "left": {"key": "a"}}', "right.key"),
@@ -359,6 +389,79 @@ def test_manifest_starts_before_the_work(pipeline, tmp_path, monkeypatch):
     assert manifest["started_at"] < called_at[0] < manifest["finished_at"]
     assert manifest["counters"]["pairs_in"] == 40
     assert manifest["outputs"] == [str(out)]
+
+
+INPUT_FLAGS = {"--root", "--left", "--right", "--pairs", "--report", "--scored", "--labels",
+               "--rules", "--weights", "--snapshot"}
+
+
+def test_every_manifest_lists_the_inputs_it_read(pipeline, tmp_path):
+    import hashlib
+
+    from remap import cli
+    from remap.normalizer import SOOT_SOOTUP_RULES
+    from remap.simcore import WeightConfig
+
+    work, left, right, pairs = pipeline
+    labels, rules, weights = tmp_path / "labels.csv", tmp_path / "rules.json", tmp_path / "weights.json"
+    _write_labels(labels, left, right)
+    SOOT_SOOTUP_RULES.save(rules)
+    WeightConfig().save(weights)
+    scored = tmp_path / "scored.jsonl"
+    snaps = ["--left", left, "--right", right]
+    scoring = ["--pairs", pairs, *snaps, "--rules", rules, "--weights", weights]
+    evaluated = ["--scored", scored, "--labels", labels, "--task", "cm"]
+    commands = [
+        ["extract", "--root", FIXTURE / "left", "--out", tmp_path / "left.jsonl"],
+        ["pairs", "--mode", "prefilter", *snaps, "--rules", rules, "--out", tmp_path / "pairs.jsonl"],
+        ["ingest", "--format", "generic", "--report", FIXTURE / "pairs.jsonl", *snaps,
+         "--out", tmp_path / "ingested.jsonl"],
+        ["score", *scoring, "--out", scored],
+        ["eval", *evaluated, "--out", tmp_path / "eval.json"],
+        ["sweep", *evaluated, "--out", tmp_path / "sweep.json"],
+        ["tune", *evaluated, "--grid-step", "0.25", "--out", tmp_path / "tuned.json"],
+        ["ablate", *scoring, "--labels", labels, "--task", "cm", "--out", tmp_path / "ablate.json"],
+        ["impact", *scoring, "--out", tmp_path / "impact.json"],
+        ["normalize", "--snapshot", left, "--rules", rules, "--out", tmp_path / "norm.jsonl"],
+    ]
+    manifests, missing = {}, {}
+    for argv in commands:
+        argv = [str(a) for a in argv]
+        assert cli.main(argv) == 0, argv
+        manifest = manifests[argv[0]] = json.loads(Path(argv[-1] + ".manifest.json").read_text())
+        passed = {value for flag, value in zip(argv, argv[1:]) if flag in INPUT_FLAGS}
+        if passed - set(manifest["inputs"]):
+            missing[argv[0]] = sorted(passed - set(manifest["inputs"]))
+    assert missing == {}
+    for command, manifest in manifests.items():
+        files = [p for p in manifest["inputs"] if Path(p).is_file()]
+        assert manifest["input_sha256"] == {
+            p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in files
+        }, command
+        assert list(manifest["config_hashes"]) == [command]
+
+
+def test_input_sha256_follows_the_bytes_read(pipeline, tmp_path):
+    from remap import cli
+
+    work, left, right, pairs = pipeline
+    copy = tmp_path / "pairs.jsonl"
+    copy.write_bytes(pairs.read_bytes())
+    out = tmp_path / "s.jsonl"
+
+    def digests():
+        assert cli.main(["score", "--pairs", str(copy), "--left", str(left), "--right", str(right),
+                         "--out", str(out)]) == 0
+        return json.loads(Path(str(out) + ".manifest.json").read_text())["input_sha256"]
+
+    first, second = digests(), digests()
+    assert first == second and str(copy) in first
+    copy.write_bytes(copy.read_bytes()[:-1] + b" ")  # the last newline becomes a space
+    edited = digests()
+    assert edited[str(copy)] != first[str(copy)]
+    assert {k: v for k, v in edited.items() if k != str(copy)} == {
+        k: v for k, v in first.items() if k != str(copy)
+    }
 
 
 def _ablation_argv(pipeline, tmp_path):
@@ -432,3 +535,193 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
         for mode in ("EXR1", "EXR2", "EXR3", "EXR4")
     }
     assert json.loads((tmp_path / "impact.json").read_text()) == expected
+
+
+# -- the error contract under generated bad invocations -----------------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+NOT_STR = JSON.filter(lambda v: not isinstance(v, str))
+DELETE = object()
+
+
+def _corrupted(text: str):
+    """A JSON text cut short (never empty: an empty pairs file is valid), or
+    with a byte that is never valid UTF-8."""
+    cut = st.integers(1, len(text) - 1).map(lambda i: text[:i].encode())
+    junk = st.integers(0, len(text)).map(lambda i: text[:i].encode() + b"\xff" + text[i:].encode())
+    return cut | junk
+
+
+def _set(base: dict, path: tuple, value) -> bytes:
+    body = json.loads(json.dumps(base))
+    *parents, last = path
+    target = body
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(body).encode()
+
+
+def _bad_rules():
+    from remap.normalizer import SOOT_SOOTUP_RULES
+
+    base = SOOT_SOOTUP_RULES.to_dict()
+    bad_values = {
+        "scope": JSON.filter(lambda v: v not in ("all_details", "method_name_only")),
+        "target": JSON.filter(lambda v: v not in ("original", "redesigned")),
+        "pattern": NOT_STR | st.sampled_from(["(", "[a", "*", "a{2,1}", "\\"]),
+        "replacement": NOT_STR | st.sampled_from(["\\9", "\\g<x>", "\\"]),
+        "order": JSON.filter(lambda v: type(v) is not int),
+    }
+    index = st.integers(0, len(base["rules"]) - 1)
+    field = st.one_of(*(
+        st.tuples(index, st.just(key), values | st.just(DELETE)) for key, values in bad_values.items()
+    ))
+    return st.one_of(
+        field.map(lambda f: _set(base, ("rules", f[0], f[1]), f[2])),
+        st.tuples(index, JSON.filter(lambda v: not isinstance(v, dict))).map(
+            lambda f: _set(base, ("rules", f[0]), f[1])),
+        JSON.filter(lambda v: not (isinstance(v, dict) and isinstance(v.get("rules"), list))).map(
+            lambda v: json.dumps(v).encode()),
+        _corrupted(json.dumps(base)),
+    )
+
+
+def _bad_weights():
+    from remap.simcore import WeightConfig
+
+    base = WeightConfig().to_dict()
+    numeric = ["alpha", "beta", "theta", "delta", "eta", "phi", "absent_class_doc", "absent_param"]
+    not_number = JSON.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
+    out_of_range = st.floats(min_value=1.01) | st.floats(max_value=-0.01) | st.just(float("nan"))
+    return st.one_of(
+        st.tuples(st.sampled_from(numeric), not_number | out_of_range).map(
+            lambda f: _set(base, (f[0],), f[1])),
+        st.tuples(st.text(min_size=1, max_size=6).filter(lambda k: k not in base), JSON).map(
+            lambda f: _set(base, (f[0],), f[1])),
+        JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
+        _corrupted(json.dumps(base)),
+    )
+
+
+def _bad_pairs(line: str):
+    base = json.loads(line)
+    return st.one_of(
+        JSON.filter(lambda v: v != 1).map(lambda v: _set(base, ("format_version",), v)),
+        st.tuples(st.sampled_from(["left", "right"]), JSON.filter(lambda v: not isinstance(v, dict))
+                  | st.just(DELETE)).map(lambda f: _set(base, (f[0],), f[1])),
+        st.tuples(st.sampled_from(["left", "right"]), JSON.filter(lambda v: not isinstance(v, str))
+                  | st.just(DELETE)).map(lambda f: _set(base, (f[0], "key"), f[1])),
+        st.sampled_from(["left", "right"]).map(lambda side: _set(base, (side, "key"), "no.Such#m():1-2")),
+        JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
+        _corrupted(line),
+    )
+
+
+def _bad_thresholds():
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    outside = st.floats().filter(lambda x: not 0.0 <= x <= 1.0).map(repr)
+    word = st.text(alphabet="abcdxyz:,_ ", min_size=1, max_size=6)
+    return st.one_of(
+        st.tuples(number, number, st.floats(max_value=0.0)).map(lambda t: "%r:%r:%r" % t),
+        st.tuples(number, number, st.floats(min_value=1e-3, max_value=1.0)).filter(
+            lambda t: t[1] < t[0]).map(lambda t: "%r:%r:%r" % t),
+        st.lists(st.sampled_from(["0.5", "0.25"]), max_size=2).flatmap(
+            lambda ok: st.one_of(outside, word).map(lambda bad: ",".join([*ok, bad]))),
+    )
+
+
+@pytest.fixture(scope="module")
+def contract(pipeline, tmp_path_factory):
+    """Base argv of every command and the files they read, made once."""
+    from remap import cli
+
+    work, left, right, pairs = pipeline
+    d = tmp_path_factory.mktemp("contract")
+    labels, scored = d / "labels.csv", d / "scored.jsonl"
+    _write_labels(labels, left, right)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+                         "--out", str(scored)]) == 0
+    (d / "lonely.jsonl").write_bytes(left.read_bytes())  # a snapshot without its sidecar
+    snaps = ["--left", left, "--right", right]
+    evaluated = ["--scored", scored, "--labels", labels, "--task", "cm"]
+    argvs = {
+        "extract": ["--root", FIXTURE / "left"],
+        "pairs": ["--mode", "prefilter", *snaps],
+        "ingest": ["--format", "generic", "--report", FIXTURE / "pairs.jsonl", *snaps],
+        "score": ["--pairs", pairs, *snaps],
+        "eval": evaluated,
+        "sweep": evaluated,
+        "tune": [*evaluated, "--grid-step", "0.25"],
+        "ablate": ["--pairs", pairs, *snaps, "--labels", labels, "--task", "cm"],
+        "impact": ["--pairs", pairs, *snaps],
+        "normalize": ["--snapshot", left],
+    }
+    argvs = {cmd: [cmd, *map(str, argv), "--out", str(d / "out")] for cmd, argv in argvs.items()}
+    return d, argvs, pairs.read_text().split("\n")[0]
+
+
+def _with(argv: list, flag: str, value: str) -> list:
+    if flag in argv:
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = value
+        return argv
+    return [*argv, f"{flag}={value}"]  # a value such as "-inf" is not taken for a flag
+
+
+def _bad_invocations(first_pair_line: str):
+    """(command, flag, file bytes or None, value): the flag is set to a file
+    holding the bytes, to a file name under the test directory, or, for the
+    threshold flags, to the value itself."""
+    file_flags = {
+        "extract": ["--root"], "pairs": ["--left", "--right"],
+        "ingest": ["--report", "--left", "--right"], "score": ["--pairs", "--left", "--right"],
+        "eval": ["--scored", "--labels"], "sweep": ["--scored", "--labels"],
+        "tune": ["--scored", "--labels"], "ablate": ["--pairs", "--left", "--right", "--labels"],
+        "impact": ["--pairs", "--left", "--right"], "normalize": ["--snapshot"],
+    }
+    missing = st.sampled_from([(c, f) for c, flags in file_flags.items() for f in flags]).flatmap(
+        lambda cf: st.sampled_from(["missing/nope.json", "lonely.jsonl"] if cf[1] in (
+            "--left", "--snapshot") else ["missing/nope.json"]).map(lambda name: (*cf, None, name)))
+    return st.one_of(
+        st.tuples(st.sampled_from(["pairs", "score", "ablate", "impact", "normalize"]), st.just("--rules"),
+                  _bad_rules(), st.just(None)),
+        st.tuples(st.sampled_from(["score", "ablate", "impact"]), st.just("--weights"), _bad_weights(),
+                  st.just(None)),
+        st.tuples(st.sampled_from(["score", "ablate", "impact"]), st.just("--pairs"),
+                  _bad_pairs(first_pair_line), st.just(None)),
+        missing,
+        _bad_thresholds().map(lambda spec: ("sweep", "--thresholds", None, spec)),
+        st.floats().filter(lambda x: not 0.0 <= x <= 1.0).map(
+            lambda x: ("score", "--threshold", None, repr(x))),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_bad_invocations_exit_with_one_json_line(contract, data):
+    from remap import cli
+
+    d, argvs, first_pair_line = contract
+    command, flag, body, value = data.draw(_bad_invocations(first_pair_line))
+    if body is not None:
+        value = str(d / "bad.input")
+        Path(value).write_bytes(body)
+    elif flag not in ("--threshold", "--thresholds"):
+        value = str(d / value)
+    argv = _with(argvs[command], flag, value)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (1, 2), argv
+    assert len(lines) == 1 and "Traceback" not in err.getvalue(), lines
+    assert set(json.loads(lines[0])) == {"error", "message"}

@@ -118,7 +118,7 @@ def test_rule_order_is_total():
 
 
 def test_bad_rule_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError):
         RenameRule("all_details", "original", "(unclosed", "x", 1)
     with pytest.raises(ValueError):
         RenameRule("everything", "original", "a", "x", 1)

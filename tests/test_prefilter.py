@@ -6,12 +6,10 @@ from remap.extractor import extract
 from remap.normalizer import EMPTY_RULESET, SOOT_SOOTUP_RULES
 from remap.prefilter import (
     BagOfTokensEmbedder,
-    EmbeddingError,
     PrefilterConfig,
     exhaustive_pairs,
     filter_classes,
     generate_pairs,
-    get_embedder,
 )
 from remap.records import ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan
 
@@ -110,11 +108,6 @@ def test_embedder_properties():
     assert e.similarity(a, a) == pytest.approx(1.0)
     assert e.similarity(a, b) == pytest.approx(e.similarity(b, a))
     assert 0.0 <= e.similarity(a, b) <= 1.0
-
-
-def test_unknown_embedder_is_hard_error():
-    with pytest.raises(EmbeddingError):
-        get_embedder("nonexistent-model")
 
 
 def test_exhaustive_cross_product_and_min_loc():
