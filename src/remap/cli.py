@@ -68,13 +68,13 @@ def _record_input(args, path: Path) -> Path:
     return path
 
 
-def _write_manifest(args, started_at: float, counters: dict) -> None:
+def _write_manifest(args, argv: list[str], started_at: float, counters: dict) -> None:
     out = Path(args.out)
     _write_json(
         Path(f"{out}.manifest.json"),
         {
             "tool_version": __version__,
-            "command": sys.argv[1:],
+            "command": argv,
             "inputs": list(args.inputs),
             "input_sha256": {path: digest for path, digest in args.inputs.items() if digest},
             "outputs": [str(out)],
@@ -516,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
@@ -523,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     started_at = time.time()
     args.inputs = {}
     try:
-        _write_manifest(args, started_at, args.func(args))
+        _write_manifest(args, argv, started_at, args.func(args))
     except UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE

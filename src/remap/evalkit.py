@@ -13,8 +13,6 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .mapper import MappingResult, TASK_CODE_MAPPING, TASK_GENUINE_CLONE
 from .simcore import EPS, FIELDS, WeightConfig, policy_filled
 
@@ -283,6 +281,8 @@ def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> Wei
     with the largest minimum weight, then the lexicographically largest
     (alpha, beta, theta, delta, eta, phi) tuple.
     """
+    import numpy as np  # only the tuner needs it; every other command starts without it
+
     cfg = cfg or TunerConfig()
     if not training:
         raise ValueError("training set is empty")

@@ -66,9 +66,7 @@ class ExtractConfig:
 @dataclass
 class _ClassCtx:
     qualified_name: str
-    simple_name: str
     kind: str
-    doc: str
     anon_count: int = 0
 
 
@@ -137,33 +135,49 @@ class _FileParser:
                 out.append(_clean_doc(tok.text) if "\n" in tok.text else tok.text.strip())
         return out
 
-    def _skip_balanced(self, ci: int, open_ch: str, close_ch: str) -> int:
-        """Index just past the token matching ct[ci] == open_ch."""
+    def _close(self, ci: int, open_ch: str, close_ch: str, end: int) -> int | None:
+        """Index just past the token matching ct[ci] == open_ch, or None if
+        it does not close before end."""
         depth = 0
-        n = len(self.ct)
-        while ci < n:
-            t = self._text(ci)
+        ct = self.ct
+        for k in range(ci, end):
+            t = ct[k].text
             if t == open_ch:
                 depth += 1
             elif t == close_ch:
                 depth -= 1
                 if depth == 0:
-                    return ci + 1
-            ci += 1
-        raise JavaParseError(f"unbalanced {open_ch}{close_ch} in {self.rel_path}")
+                    return k + 1
+        return None
 
-    def _skip_annotation(self, ci: int) -> int:
-        """ct[ci] == '@'; skips @Qualified.Name and optional (...) args."""
+    def _skip_balanced(self, ci: int, open_ch: str, close_ch: str) -> int:
+        """Index just past the token matching ct[ci] == open_ch."""
+        end = self._close(ci, open_ch, close_ch, len(self.ct))
+        if end is None:
+            raise JavaParseError(f"unbalanced {open_ch}{close_ch} in {self.rel_path}")
+        return end
+
+    def _skip_name(self, ci: int) -> int:
+        """ct[ci] is an identifier; index just past Qualified.Name."""
         ci += 1
-        while ci < len(self.ct) and self.ct[ci].kind == ID:
-            ci += 1
+        while self._text(ci) == "." and self._kind(ci + 1) == ID:
+            ci += 2
+        return ci
+
+    def _skip_annotation(self, ci: int, end: int | None = None) -> int:
+        """ct[ci] == '@'; skips @Qualified.Name and optional (...) args.
+
+        Unclosed args raise, unless a bound is given: then they run to end."""
+        ci += 1
+        if self._kind(ci) == ID:
+            ci = self._skip_name(ci)
             if self._text(ci) == ".":
                 ci += 1
-            else:
-                break
-        if self._text(ci) == "(":
-            ci = self._skip_balanced(ci, "(", ")")
-        return ci
+        if self._text(ci) != "(":
+            return ci
+        if end is None:
+            return self._skip_balanced(ci, "(", ")")
+        return self._close(ci, "(", ")", end) or end
 
     # -- top level -----------------------------------------------------
 
@@ -225,9 +239,8 @@ class _FileParser:
             qualified = f"{enclosing.qualified_name}.{simple}"
         else:
             qualified = f"{self.package}.{simple}" if self.package else simple
-        doc = self._doc_before(ci)
-        ctx = _ClassCtx(qualified, simple, kind, doc)
-        self.classes.append(ClassRecord(qualified, doc, self.rel_path, kind))
+        ctx = _ClassCtx(qualified, kind)
+        self.classes.append(ClassRecord(qualified, self._doc_before(ci), self.rel_path, kind))
         j = name_i + 1
         while j < len(self.ct) and self._text(j) != "{":
             if self._text(j) == "(":  # record component list
@@ -273,10 +286,7 @@ class _FileParser:
             if self._text(i) == "(":
                 i = self._walk_expr(i, stops=(",", ";", "}", "{"), enclosing=ctx)
             if self._text(i) == "{":  # constant with a class body
-                ctx.anon_count += 1
-                sub = _ClassCtx(f"{ctx.qualified_name}$anon{ctx.anon_count}", ctx.simple_name, "class", "")
-                self.classes.append(ClassRecord(sub.qualified_name, "", self.rel_path, "class"))
-                i = self._parse_class_body(i, sub)
+                i = self._parse_anon_body(i, ctx)
             if self._text(i) == ",":
                 i += 1
                 continue
@@ -318,22 +328,13 @@ class _FileParser:
         raise JavaParseError(f"unterminated member in {ctx.qualified_name} ({self.rel_path})")
 
     def _parse_block_member(self, ms: int, brace_ci: int, ctx: _ClassCtx) -> int:
-        header = self.ct[ms:brace_ci]
-        has_parens = any(t.text == "(" for t in header)
-        if not has_parens:
-            # initializer block ('static {' or bare '{') or compact record ctor
-            locals_sink: list[tuple[str, str]] = []
-            return self._scan_block(brace_ci, ctx, locals_sink)
-        parsed = self._parse_method_header(header, ctx)
-        if parsed is None:
-            locals_sink = []
-            return self._scan_block(brace_ci, ctx, locals_sink)
-        name, return_type, params = parsed
-        is_ctor = return_type == "" and name == ctx.simple_name
-        excluded = name in self.config.excluded_method_names
+        parsed = self._parse_method_header(ms, brace_ci)
         local_vars: list[tuple[str, str]] = []
         end_ci = self._scan_block(brace_ci, ctx, local_vars) - 1  # index of '}'
-        if is_ctor or excluded or return_type == "":
+        if parsed is None:  # initializer block ('static {' or bare '{') or compact record ctor
+            return end_ci + 1
+        name, return_type, params = parsed
+        if return_type == "" or name in self.config.excluded_method_names:  # ctor or excluded
             return end_ci + 1
         start_line = self.ct[ms].line
         end_line = self.ct[end_ci].end_line
@@ -355,132 +356,64 @@ class _FileParser:
         return end_ci + 1
 
     def _parse_method_header(
-        self, header: list[Token], ctx: _ClassCtx
+        self, ms: int, brace_ci: int
     ) -> tuple[str, str, list[tuple[str, str]]] | None:
-        k = 0
-        n = len(header)
-
-        def htext(idx: int) -> str:
-            return header[idx].text if 0 <= idx < n else ""
-
-        while k < n:
-            if htext(k) == "@":
-                # skip annotation within the header copy
+        """(name, return type, params) of the header ct[ms:brace_ci], or None
+        when it has no 'name(' after its modifiers and type parameters."""
+        k = ms
+        while True:
+            t = self._text(k)
+            if t == "@":
+                k = self._skip_annotation(k, brace_ci)
+            elif t in MODIFIERS:
                 k += 1
-                while k < n and header[k].kind == ID:
-                    k += 1
-                    if htext(k) == ".":
-                        k += 1
-                    else:
-                        break
-                if htext(k) == "(":
-                    d = 0
-                    while k < n:
-                        if htext(k) == "(":
-                            d += 1
-                        elif htext(k) == ")":
-                            d -= 1
-                            if d == 0:
-                                k += 1
-                                break
-                        k += 1
-                continue
-            if htext(k) in MODIFIERS:
-                k += 1
-                continue
-            break
-        if htext(k) == "<":  # method type parameters
-            d = 0
-            while k < n:
-                if htext(k) == "<":
-                    d += 1
-                elif htext(k) == ">":
-                    d -= 1
-                    if d == 0:
-                        k += 1
-                        break
-                k += 1
+            else:
+                break
+        if self._text(k) == "<":  # method type parameters
+            k = self._close(k, "<", ">", brace_ci)
+            if k is None:
+                return None
         # first '(' after this point separates "return type + name" from params
         p = k
-        while p < n and htext(p) != "(":
+        while p < brace_ci and self.ct[p].text != "(":
             p += 1
-        if p >= n or p == k:
+        if p == brace_ci or p == k or self.ct[p - 1].kind != ID:
             return None
-        if header[p - 1].kind != ID:
-            return None
-        name = header[p - 1].text
-        return_type = _render_type(header[k:p - 1])
-        d = 0
-        q = p
-        while q < n:
-            if htext(q) == "(":
-                d += 1
-            elif htext(q) == ")":
-                d -= 1
-                if d == 0:
-                    break
-            q += 1
-        params = self._parse_params(header[p + 1:q])
-        return name, return_type, params
+        q = self._close(p, "(", ")", brace_ci)
+        params = self._parse_params(p + 1, brace_ci if q is None else q - 1)
+        return self.ct[p - 1].text, _render_type(self.ct[k:p - 1]), params
 
-    def _parse_params(self, tokens: list[Token]) -> list[tuple[str, str]]:
-        groups: list[list[Token]] = [[]]
+    def _parse_params(self, lo: int, hi: int) -> list[tuple[str, str]]:
+        """(type, name) of each parameter in ct[lo:hi]. The list is split on
+        depth-0 commas before annotations and 'final' are dropped."""
+        cuts = [lo - 1]
         depth = 0
-        for tok in tokens:
-            if tok.text in ("(", "[", "<"):
+        for k in range(lo, hi):
+            t = self.ct[k].text
+            if t in ("(", "[", "<"):
                 depth += 1
-            elif tok.text in (")", "]", ">"):
+            elif t in (")", "]", ">"):
                 depth -= 1
-            if tok.text == "," and depth == 0:
-                groups.append([])
-            else:
-                groups[-1].append(tok)
+            elif t == "," and depth == 0:
+                cuts.append(k)
+        cuts.append(hi)
         params: list[tuple[str, str]] = []
-        for group in groups:
-            # drop annotations and 'final'
+        for a, b in zip(cuts, cuts[1:]):
             toks: list[Token] = []
-            g = 0
-            while g < len(group):
-                if group[g].text == "@":
-                    g += 1
-                    while g < len(group) and group[g].kind == ID:
-                        g += 1
-                        if g < len(group) and group[g].text == ".":
-                            g += 1
-                        else:
-                            break
-                    if g < len(group) and group[g].text == "(":
-                        d = 0
-                        while g < len(group):
-                            if group[g].text == "(":
-                                d += 1
-                            elif group[g].text == ")":
-                                d -= 1
-                                if d == 0:
-                                    g += 1
-                                    break
-                            g += 1
+            g = a + 1
+            while g < b:
+                tok = self.ct[g]
+                if tok.text == "@":
+                    g = self._skip_annotation(g, b)
                     continue
-                if group[g].text == "final":
-                    g += 1
-                    continue
-                toks.append(group[g])
+                if tok.text != "final":
+                    toks.append(tok)
                 g += 1
-            if not toks:
-                continue
             # name = last ID token; trailing [] dims attach to the type
-            name_idx = None
-            for idx in range(len(toks) - 1, -1, -1):
-                if toks[idx].kind == ID:
-                    name_idx = idx
-                    break
-            if name_idx is None or name_idx == 0:
+            name_idx = max((x for x, tok in enumerate(toks) if tok.kind == ID), default=0)
+            if name_idx == 0 or toks[name_idx].text == "this":  # no type, or a receiver
                 continue
-            name = toks[name_idx].text
-            if name == "this":  # receiver parameter
-                continue
-            type_toks = toks[:name_idx] + toks[name_idx + 1:]
-            params.append((_render_type(type_toks), name))
+            params.append((_render_type(toks[:name_idx] + toks[name_idx + 1:]), toks[name_idx].text))
         return params
 
     # -- statement/expression walking ------------------------------------
@@ -494,8 +427,8 @@ class _FileParser:
             t = self._text(i)
             if t == "}":
                 return i + 1
-            if t == "new" and self._is_anon(i):
-                i = self._consume_anon(i, ctx, locals_out)
+            if t == "new" and (p := self._is_anon(i)) is not None:
+                i = self._consume_anon(p, ctx)
                 continue
             if t == "{":
                 i = self._scan_block(i, ctx, locals_out)
@@ -576,9 +509,7 @@ class _FileParser:
         if tok.text in PRIMITIVES and tok.text != "void":
             j += 1
         elif tok.kind == ID and tok.text not in _STMT_KEYWORDS:
-            j += 1
-            while self._text(j) == "." and j + 1 < n and self.ct[j + 1].kind == ID:
-                j += 2
+            j = self._skip_name(j)
         else:
             return None
         if self._text(j) == "<":
@@ -605,88 +536,54 @@ class _FileParser:
             j += 1
         return j
 
-    def _is_anon(self, i: int) -> bool:
-        """Lookahead: ct[i]=='new' starts 'new Type(...) {'."""
-        j = i + 1
+    def _is_anon(self, i: int) -> int | None:
+        """Lookahead from ct[i] == 'new': the index of the '(' of
+        'new Type(...) {', or None when no class body follows."""
+        if self._kind(i + 1) != ID:
+            return None
         n = len(self.ct)
-        if j >= n or self.ct[j].kind != ID:
-            return False
-        j += 1
-        while self._text(j) == "." and j + 1 < n and self.ct[j + 1].kind == ID:
-            j += 2
+        j = self._skip_name(i + 1)
         if self._text(j) == "<":
-            depth = 0
-            while j < n:
-                if self._text(j) == "<":
-                    depth += 1
-                elif self._text(j) == ">":
-                    depth -= 1
-                    if depth == 0:
-                        j += 1
-                        break
-                j += 1
+            j = self._close(j, "<", ">", n) or n
         if self._text(j) != "(":
-            return False
-        depth = 0
-        while j < n:
-            t = self._text(j)
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-                if depth == 0:
-                    j += 1
-                    break
-            j += 1
-        return self._text(j) == "{"
+            return None
+        return j if self._text(self._close(j, "(", ")", n) or n) == "{" else None
 
-    def _consume_anon(self, i: int, ctx: _ClassCtx, locals_out: list[tuple[str, str]]) -> int:
-        j = i + 1  # past 'new'
-        j += 1  # type name
-        n = len(self.ct)
-        while self._text(j) == "." and j + 1 < n and self.ct[j + 1].kind == ID:
-            j += 2
-        if self._text(j) == "<":
-            depth = 0
-            while j < n:
-                if self._text(j) == "<":
-                    depth += 1
-                elif self._text(j) == ">":
-                    depth -= 1
-                    if depth == 0:
-                        j += 1
-                        break
-                j += 1
-        # constructor args may themselves contain anonymous classes
-        assert self._text(j) == "("
+    def _consume_anon(self, j: int, ctx: _ClassCtx) -> int:
+        """ct[j] is the '(' found by _is_anon; parses the arguments, which may
+        themselves hold anonymous classes, then the class body."""
         depth = 1
         j += 1
+        n = len(self.ct)
         while j < n and depth > 0:
             t = self._text(j)
-            if t == "new" and self._is_anon(j):
-                j = self._consume_anon(j, ctx, locals_out)
+            if t == "new" and (p := self._is_anon(j)) is not None:
+                j = self._consume_anon(p, ctx)
                 continue
             if t == "(":
                 depth += 1
             elif t == ")":
                 depth -= 1
             j += 1
+        return self._parse_anon_body(j, ctx)
+
+    def _parse_anon_body(self, open_ci: int, ctx: _ClassCtx) -> int:
+        """Parse the anonymous class body at open_ci as ctx's next $anonN."""
         ctx.anon_count += 1
-        sub = _ClassCtx(f"{ctx.qualified_name}$anon{ctx.anon_count}", "", "class", "")
-        self.classes.append(ClassRecord(sub.qualified_name, "", self.rel_path, "class"))
-        return self._parse_class_body(j, sub)
+        name = f"{ctx.qualified_name}$anon{ctx.anon_count}"
+        self.classes.append(ClassRecord(name, "", self.rel_path, "class"))
+        return self._parse_class_body(open_ci, _ClassCtx(name, "class"))
 
     def _walk_expr(self, i: int, stops: tuple[str, ...], enclosing: _ClassCtx) -> int:
         """Walk until a stop token at depth 0; harvests anonymous classes."""
         depth = 0
         n = len(self.ct)
-        sink: list[tuple[str, str]] = []
         while i < n:
             t = self._text(i)
             if depth == 0 and t in stops:
                 return i
-            if t == "new" and self._is_anon(i):
-                i = self._consume_anon(i, enclosing, sink)
+            if t == "new" and (p := self._is_anon(i)) is not None:
+                i = self._consume_anon(p, enclosing)
                 continue
             if t in ("(", "[", "{"):
                 depth += 1

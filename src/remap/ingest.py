@@ -70,22 +70,34 @@ def _normalize_path(path: str, snapshot: ProjectSnapshot) -> str | None:
     return None
 
 
-def _resolve_fragment(frag: dict, snapshot: ProjectSnapshot) -> MethodRecord | None:
-    if "key" in frag:
-        return snapshot.resolve_key(frag["key"])
-    path = _normalize_path(frag["file"], snapshot)
+def _fragment(frag) -> str | SourceSpan:
+    """A report fragment: a method key, or a line span on the reported path.
+
+    Raises ValueError when the fragment is malformed.
+    """
+    if isinstance(frag, dict) and "key" in frag:
+        if isinstance(frag["key"], str):
+            return frag["key"]
+    elif isinstance(frag, dict) and all(k in frag for k in ("file", "start", "end")):
+        if not isinstance(frag["file"], str):
+            raise ValueError(f"fragment file {frag['file']!r} is not a string")
+        try:
+            start, end = int(frag["start"]), int(frag["end"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"fragment lines {frag['start']!r}..{frag['end']!r} are not integers"
+            ) from None
+        return SourceSpan(frag["file"], start, end)
+    raise ValueError("missing left/right fragment fields")
+
+
+def _resolve_fragment(frag: str | SourceSpan, snapshot: ProjectSnapshot) -> MethodRecord | None:
+    if isinstance(frag, str):
+        return snapshot.resolve_key(frag)
+    path = _normalize_path(frag.file_path, snapshot)
     if path is None:
         return None
-    span = SourceSpan(path, int(frag["start"]), int(frag["end"]))
-    return match_fragment(snapshot, span)
-
-
-def _fragment_dict_ok(frag) -> bool:
-    if not isinstance(frag, dict):
-        return False
-    if "key" in frag:
-        return isinstance(frag["key"], str)
-    return all(k in frag for k in ("file", "start", "end"))
+    return match_fragment(snapshot, SourceSpan(path, frag.start_line, frag.end_line))
 
 
 def ingest_generic(
@@ -107,19 +119,18 @@ def ingest_generic(
             stats.lines += 1
             try:
                 obj = json.loads(line)
-                if not (_fragment_dict_ok(obj.get("left")) and _fragment_dict_ok(obj.get("right"))):
-                    raise ValueError("missing left/right fragment fields")
+                lfrag, rfrag = _fragment(obj.get("left")), _fragment(obj.get("right"))
             except (json.JSONDecodeError, ValueError, AttributeError) as exc:
                 stats.malformed += 1
                 stats.diagnostics.append(f"line {lineno}: {exc}")
                 continue
             detector = obj.get("detector", "unknown")
-            lrec = _resolve_fragment(obj["left"], left)
-            rrec = _resolve_fragment(obj["right"], right)
+            lrec = _resolve_fragment(lfrag, left)
+            rrec = _resolve_fragment(rfrag, right)
             if lrec is None or rrec is None:
                 # reports do not always orient pairs; try the swap
-                lrec2 = _resolve_fragment(obj["right"], left)
-                rrec2 = _resolve_fragment(obj["left"], right)
+                lrec2 = _resolve_fragment(rfrag, left)
+                rrec2 = _resolve_fragment(lfrag, right)
                 if lrec2 is not None and rrec2 is not None:
                     lrec, rrec = lrec2, rrec2
             if lrec is None or rrec is None:
@@ -180,19 +191,15 @@ def ingest_nicad_xml(
             stats.malformed += 1
             continue
         stats.lines += 1
-        frags = []
         try:
-            for src in sources:
-                frags.append(
-                    (src.attrib["file"], int(src.attrib["startline"]), int(src.attrib["endline"]))
-                )
-        except (KeyError, ValueError):
+            frags = [
+                SourceSpan(src.attrib["file"], int(src.attrib["startline"]), int(src.attrib["endline"]))
+                for src in sources
+            ]
+        except (KeyError, ValueError):  # a missing attribute, a non-integer or start > end
             stats.malformed += 1
             continue
-        sides = []
-        for f, s, e in frags:
-            lp, rp = _which_side(f, left, right)
-            sides.append((lp, rp, s, e))
+        sides = [(*_which_side(f.file_path, left, right), f.start_line, f.end_line) for f in frags]
         (l0, r0, s0, e0), (l1, r1, s1, e1) = sides
         if l0 and r1 and not (r0 and l1):
             lrec = match_fragment(left, SourceSpan(l0, s0, e0))

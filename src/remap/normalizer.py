@@ -160,17 +160,6 @@ BUNDLED_RULESETS = {
 }
 
 
-def resolve_ruleset(spec: str | Path | RuleSet | None) -> RuleSet:
-    """Accept a bundled name, a JSON file path, or an already-built RuleSet."""
-    if spec is None:
-        return EMPTY_RULESET
-    if isinstance(spec, RuleSet):
-        return spec
-    if isinstance(spec, str) and spec in BUNDLED_RULESETS:
-        return BUNDLED_RULESETS[spec]
-    return RuleSet.load(spec)
-
-
 def apply_rules(text: str, field: str, record_project: str, rules: RuleSet) -> str:
     """Apply every applicable rule once, in order, as a global substitution."""
     return rules.apply(text, field, record_project)

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .lcs import lcs_length, lcs_masked, match_masks
+from .lcs import lcs_masked, match_masks
 from .normalizer import NormalizedDetails
 
 EPS = 1e-9
@@ -97,6 +97,10 @@ class WeightConfig:
                 raise ValueError(f"weight {name}={v!r} is not a number")
             if not (0.0 - EPS <= v <= 1.0 + EPS):
                 raise ValueError(f"weight {name}={v} outside [0,1]")
+        for name in ("renormalize_missing_optional", "drop_absent_optional"):
+            v = getattr(self, name)
+            if not isinstance(v, bool):
+                raise ValueError(f"{name}={v!r} is not a boolean")
         if abs(self.alpha + self.beta + self.theta - 1.0) > EPS:
             raise ValueError("alpha+beta+theta must equal 1")
         if abs(self.delta + self.eta + self.phi - 1.0) > EPS:
@@ -159,18 +163,6 @@ class SASBreakdown:
     def to_dict(self) -> dict:
         return dict(vars(self))
 
-    @staticmethod
-    def from_dict(d: dict) -> "SASBreakdown":
-        return SASBreakdown(**d)
-
-
-def lcs_sim(s1, s2) -> float | None:
-    """2*|LCS|/(n+m), or None when both sequences are empty."""
-    n, m = len(s1), len(s2)
-    if n + m == 0:
-        return None
-    return 2.0 * lcs_length(s1, s2) / (n + m)
-
 
 def masked(seq) -> tuple:
     """A token sequence with its LCS match masks, for ``masked_sim``.
@@ -181,7 +173,7 @@ def masked(seq) -> tuple:
 
 
 def masked_sim(a: tuple, b: tuple) -> float | None:
-    """``lcs_sim`` of two ``masked`` sequences."""
+    """2*|LCS|/(n+m) of two ``masked`` sequences, or None when both are empty."""
     s1, s2 = a[0], b[0]
     n, m = len(s1), len(s2)
     if n == 0 or m == 0:
@@ -275,12 +267,3 @@ def components(
     mode = (ablation or AblationSetting()).mode
     return aggregate(measure(p1, p2, class_sims(p1, p2)), w or WeightConfig(), mode)
 
-
-def sas(breakdown: SASBreakdown, w: WeightConfig | None = None) -> float:
-    """Recompute the weighted sum from an existing breakdown's components."""
-    w = w or WeightConfig()
-    optional = (breakdown.sim_local_var, breakdown.sim_method_doc, breakdown.sim_comment)
-    has_optional = not w.drop_absent_optional or any(v is not None for v in optional)
-    return _weighted_sum(
-        breakdown.sim_class, breakdown.sim_method_header, breakdown.sim_optional, has_optional, w
-    )

@@ -33,7 +33,7 @@ from remap.normalizer import (
     apply_rules,
 )
 from remap.normalizer import NormalizedDetails
-from remap.simcore import SASBreakdown, WeightConfig, components, sas
+from remap.simcore import SASBreakdown, WeightConfig, aggregate, components
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
 
@@ -94,18 +94,14 @@ def test_acceptance_component_and_score_arithmetic():
     s2 = details(class_name=["a"], class_doc=["y"])
     ok &= abs(components(s1, s2).sim_class - 1.0) <= 1e-9
 
-    def bd(c, h, o):
-        return SASBreakdown(
-            sim_class_name=None, sim_class_doc=None, sim_method_name=None,
-            sim_return_type=None, sim_param=None, sim_local_var=None,
-            sim_method_doc=None, sim_comment=None, sim_class=c,
-            sim_method_header=h, sim_optional=o, sas=0.0, ablation="ALL",
-        )
+    def score(c, h, o):
+        # class doc 0, every header field h, one present optional field o
+        return aggregate((c, 0.0, h, h, h, o, None, None), WeightConfig()).sas
 
     w = WeightConfig()
-    ok &= abs(sas(bd(0.8, 0.6, 0.4), w) - 0.65) <= 1e-9
-    ok &= abs(sas(bd(1, 1, 1), w) - 1.0) <= 1e-9
-    ok &= sas(bd(0, 0, 0), w) == 0.0
+    ok &= abs(score(0.8, 0.6, 0.4) - 0.65) <= 1e-9
+    ok &= abs(score(1, 1, 1) - 1.0) <= 1e-9
+    ok &= score(0, 0, 0) == 0.0
     ok &= (w.alpha, w.beta, w.theta) == (0.5, 0.25, 0.25)
     ok &= (w.delta, w.eta, w.phi) == (0.5, 0.35, 0.15)
     for bad in (

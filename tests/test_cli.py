@@ -252,6 +252,22 @@ def test_normalize_command(pipeline, tmp_path):
     assert "method_name" in first and "class_doc" in first
 
 
+def test_rules_resolve_by_bundled_name_and_by_path(pipeline, tmp_path):
+    from remap import cli
+    from remap.normalizer import SOOT_SOOTUP_RULES
+
+    work, left, right, _ = pipeline
+    SOOT_SOOTUP_RULES.save(tmp_path / "rules.json")
+    outputs = {}
+    for name, rules in (("bundled", ["--rules", "soot-sootup"]),
+                        ("file", ["--rules", str(tmp_path / "rules.json")]),
+                        ("none", [])):
+        out = tmp_path / f"{name}.jsonl"
+        assert cli.main(["normalize", "--snapshot", str(left), *rules, "--out", str(out)]) == 0
+        outputs[name] = out.read_text()
+    assert outputs["bundled"] == outputs["file"] != outputs["none"]
+
+
 def test_config_dir_env_var(pipeline, tmp_path, monkeypatch):
     import os
     import subprocess
@@ -292,6 +308,8 @@ def _main_error(capsys, *argv):
     ([0.5, 0.25, 0.25], "list"),
     ({"absent_param": 5}, "absent_param"),
     ({"alpha": 0, "beta": 0, "theta": 1, "renormalize_missing_optional": True}, "renormalize"),
+    ({"renormalize_missing_optional": "false"}, "renormalize_missing_optional"),
+    ({"drop_absent_optional": 0}, "drop_absent_optional"),
 ])
 def test_bad_weights_file_is_usage_error(pipeline, tmp_path, capsys, weights, culprit):
     work, left, right, pairs = pipeline
@@ -366,6 +384,24 @@ def test_sweep_zero_step_is_usage_error(pipeline, tmp_path, capsys):
         )
         assert code == 2, spec
         assert err["error"] == "usage" and spec in err["message"]
+
+
+def test_in_process_manifest_records_the_argv_passed_to_main(pipeline, tmp_path):
+    from remap import cli
+
+    work, left, right, pairs = pipeline
+    argv = ["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+            "--out", str(tmp_path / "s.jsonl")]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
+    assert manifest["command"] == argv
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    code = "import sys, remap.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_manifest_starts_before_the_work(pipeline, tmp_path, monkeypatch):

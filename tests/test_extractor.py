@@ -1,10 +1,14 @@
 """Java extraction: exclusions, spans, fragment matching, determinism."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from remap.extractor import ExtractConfig, extract, match_fragment, parse_java_file
+from remap.extractor import ExtractConfig, JavaParseError, extract, match_fragment, parse_java_file
+from remap.javalex import JavaLexError, lex
 from remap.records import SourceSpan, load_snapshot, save_snapshot
 
 
@@ -458,3 +462,93 @@ def test_snapshot_rejects_missing_class(tmp_path):
     )
     with _pytest.raises(ValueError):
         ProjectSnapshot("x", "original", "/x", [rec], [])
+
+
+def test_annotations_generics_and_final_in_header_and_params():
+    _, methods = parse(
+        """\
+        package p;
+        public class A {
+            @SuppressWarnings({"a", "b"}) @Deprecated
+            public static <K extends Comparable<K>, V> Map<K, List<V>> group(
+                    @Named("xs") final List<V> xs, java.util.function.Function<V, K> key, int... rest) {
+                return null;
+            }
+            static { int skipped = 0; }
+            @Override
+            public String toString() { return ""; }
+        }
+        """
+    )
+    (m,) = methods
+    assert (m.method_name, m.return_type) == ("group", "Map<K,List<V>>")
+    assert m.params == (
+        ("List<V>", "xs"),
+        ("java.util.function.Function<V,K>", "key"),
+        ("int...", "rest"),
+    )
+
+
+def test_annotation_args_that_do_not_close_end_at_their_parameter():
+    # the first parameter splits at the depth-0 comma inside @B( ... ), so
+    # the annotation swallows the rest of it; 'int' alone is not a parameter
+    _, methods = parse("class A { void f(int @B( ] x, ) ) { } }")
+    assert [(m.method_name, m.params) for m in methods] == [("f", ())]
+
+
+def test_nested_anonymous_classes_number_inner_first():
+    classes, methods = parse(
+        """\
+        package p;
+        class A {
+            void run() {
+                Object o = new Outer<String>(new Inner() { int a() { return 1; } }) {
+                    int b() { return 2; }
+                };
+            }
+        }
+        """
+    )
+    assert [c.qualified_name for c in classes] == ["p.A", "p.A$anon1", "p.A$anon2"]
+    assert [(m.class_name, m.method_name) for m in methods] == [
+        ("p.A$anon1", "a"), ("p.A$anon2", "b"), ("p.A", "run"),
+    ]
+
+
+# -- the crash contract under token-level mutants ----------------------------
+
+FIXTURE_JAVA = sorted(Path(__file__).parent.glob("fixtures/toy/**/*.java"))
+INSERTS = ["(", ")", "<", ">", "{", "}", "@A", ",", "final", "[]", ".", "new X() {"]
+
+
+@st.composite
+def java_mutants(draw):
+    """A fixture source with 1-3 tokens deleted, duplicated, preceded by an
+    inserted fragment, or cut off there with everything after them."""
+    source = draw(st.sampled_from(FIXTURE_JAVA)).read_text()
+    tokens = lex(source)
+    edit = st.tuples(
+        st.integers(0, len(tokens) - 1),
+        st.sampled_from(["delete", "duplicate", "insert", "truncate"]),
+        st.sampled_from(INSERTS),
+    )
+    for k, op, insert in sorted(draw(st.lists(edit, min_size=1, max_size=3)), reverse=True):
+        t = tokens[k]
+        if op == "delete":
+            source = source[:t.start] + source[t.end:]
+        elif op == "duplicate":
+            source = source[:t.end] + " " + source[t.start:t.end] + source[t.end:]
+        elif op == "insert":
+            source = source[:t.start] + insert + " " + source[t.start:]
+        else:
+            source = source[:t.start]
+    return source
+
+
+@settings(max_examples=300, deadline=None)
+@given(java_mutants())
+def test_mutated_source_parses_or_raises_a_java_error(source):
+    try:
+        parse_java_file(source, "p/A.java", False)
+    except (JavaLexError, JavaParseError):
+        pass

@@ -110,16 +110,27 @@ def test_generic_malformed_and_unknown_file(snapshots, tmp_path):
     _, left, right = snapshots
     lrec, rrec = _rec(left, "first"), _rec(right, "primary")
     report = tmp_path / "report.jsonl"
+    bad_fragments = [
+        {"oops": 1},
+        {**span_frag(lrec), "start": "x"},
+        {**span_frag(lrec), "start": 12, "end": 5},
+        {**span_frag(lrec), "start": None},
+        {**span_frag(lrec), "file": 7},
+    ]
     report.write_text(
         json.dumps({"detector": "d", "left": span_frag(lrec), "right": span_frag(rrec)})
         + "\n"
         + "not json at all\n"
-        + json.dumps({"detector": "d", "left": {"oops": 1}, "right": span_frag(rrec)})
-        + "\n"
+        + "".join(
+            json.dumps({"detector": "d", "left": frag, "right": span_frag(rrec)}) + "\n"
+            for frag in bad_fragments
+        )
     )
     pairs, stats = ingest_generic(report, left, right)
     assert len(pairs) == 1
-    assert stats.malformed == 2
+    assert stats.malformed == 6
+    assert [d.split(":")[0] for d in stats.diagnostics] == [f"line {n}" for n in range(2, 8)]
+    assert "invalid span 12..5" in stats.diagnostics[3]
 
 
 def test_generic_unresolved_fragment_counted(snapshots, tmp_path):
@@ -223,6 +234,25 @@ def test_nicad_same_project_dropped(snapshots, tmp_path):
     pairs, stats = ingest_nicad_xml(report, left, right)
     assert pairs == []
     assert stats.same_project == 1
+
+
+def test_nicad_malformed_source_is_counted(snapshots, tmp_path):
+    base, left, right = snapshots
+    lrec, rrec = _rec(left, "first"), _rec(right, "primary")
+    lfile, rfile = f"{base}/left/{lrec.span.file_path}", f"{base}/right/{rrec.span.file_path}"
+    good = nicad_clone(lfile, lrec.span.start_line, lrec.span.end_line,
+                       rfile, rrec.span.start_line, rrec.span.end_line)
+    body = "\n".join([
+        nicad_clone(lfile, lrec.span.end_line, lrec.span.start_line,
+                    rfile, rrec.span.start_line, rrec.span.end_line),
+        nicad_clone(lfile, "x", lrec.span.end_line, rfile, rrec.span.start_line, rrec.span.end_line),
+        good,
+    ])
+    report = tmp_path / "nicad.xml"
+    report.write_text(NICAD_TEMPLATE.format(body=body))
+    pairs, stats = ingest_nicad_xml(report, left, right)
+    assert [(q.left, q.right) for q in pairs] == [(lrec.id, rrec.id)]
+    assert stats.malformed == 2 and stats.resolved == 1
 
 
 def test_nicad_empty_report(snapshots, tmp_path):

@@ -14,7 +14,6 @@ from remap.normalizer import (
     apply_rules,
     normalize_doc,
     normalize_record,
-    resolve_ruleset,
     tokenize,
 )
 from remap.records import ClassRecord, MethodRecord, SourceSpan
@@ -129,8 +128,7 @@ def test_ruleset_roundtrip(tmp_path):
     SOOT_SOOTUP_RULES.save(path)
     loaded = RuleSet.load(path)
     assert loaded.to_dict() == SOOT_SOOTUP_RULES.to_dict()
-    assert resolve_ruleset("soot-sootup") is SOOT_SOOTUP_RULES
-    assert resolve_ruleset(path).name == SOOT_SOOTUP_RULES.name
+    assert loaded.name == SOOT_SOOTUP_RULES.name
 
 
 # -- doc normalization --------------------------------------------------------

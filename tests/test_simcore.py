@@ -11,14 +11,11 @@ from remap.lcs import lcs_length
 from remap.normalizer import NormalizedDetails
 from remap.simcore import (
     AblationSetting,
-    SASBreakdown,
     WeightConfig,
     aggregate,
     components,
-    lcs_sim,
     masked,
     masked_sim,
-    sas,
 )
 
 
@@ -61,6 +58,10 @@ def details(**kwargs):
     }
     base.update({k: tuple(v) for k, v in kwargs.items()})
     return NormalizedDetails(**base)
+
+
+def lcs_sim(s1, s2):
+    return masked_sim(masked(tuple(s1)), masked(tuple(s2)))
 
 
 def test_lcs_examples():
@@ -123,8 +124,7 @@ def test_lcs_length_matches_dp_oracle(pair):
     expected = dp_lcs(s1, s2)
     assert lcs_length(s1, s2) == expected
     assert lcs_length(s2, s1) == expected
-    sim = masked_sim(masked(tuple(s1)), masked(tuple(s2)))
-    assert sim == lcs_sim(s1, s2)
+    sim = lcs_sim(s1, s2)
     assert sim == (None if not s1 and not s2 else 2.0 * expected / (len(s1) + len(s2)))
 
 
@@ -256,29 +256,27 @@ def test_sim_optional_all_absent_is_zero():
     assert b.sim_optional == 0.0
 
 
-def _breakdown(sim_class, sim_header, sim_optional):
-    return SASBreakdown(
-        sim_class_name=None, sim_class_doc=None, sim_method_name=None,
-        sim_return_type=None, sim_param=None, sim_local_var=None,
-        sim_method_doc=None, sim_comment=None,
-        sim_class=sim_class, sim_method_header=sim_header,
-        sim_optional=sim_optional, sas=0.0, ablation="ALL",
-    )
+def _score(sim_class, sim_header, sim_optional):
+    """The score of fields whose components are the given three: class doc
+    0, every header field sim_header, one present optional field."""
+    fields = (sim_class, 0.0, sim_header, sim_header, sim_header, sim_optional, None, None)
+    b = aggregate(fields, WeightConfig())
+    assert (b.sim_class, b.sim_optional) == (sim_class, sim_optional)
+    assert b.sim_method_header == pytest.approx(sim_header, abs=1e-12)
+    return b.sas
 
 
 def test_sas_worked_values():
-    w = WeightConfig()
-    assert sas(_breakdown(1, 1, 1), w) == pytest.approx(1.0, abs=1e-9)
-    assert sas(_breakdown(0.8, 0.6, 0.4), w) == pytest.approx(0.65, abs=1e-9)
-    assert sas(_breakdown(0, 0, 0), w) == 0.0
+    assert _score(1, 1, 1) == pytest.approx(1.0, abs=1e-9)
+    assert _score(0.8, 0.6, 0.4) == pytest.approx(0.65, abs=1e-9)
+    assert _score(0, 0, 0) == 0.0
 
 
 def test_sas_monotone_in_components():
-    w = WeightConfig()
-    base = sas(_breakdown(0.3, 0.4, 0.5), w)
-    assert sas(_breakdown(0.4, 0.4, 0.5), w) >= base
-    assert sas(_breakdown(0.3, 0.5, 0.5), w) >= base
-    assert sas(_breakdown(0.3, 0.4, 0.6), w) >= base
+    base = _score(0.3, 0.4, 0.5)
+    assert _score(0.4, 0.4, 0.5) >= base
+    assert _score(0.3, 0.5, 0.5) >= base
+    assert _score(0.3, 0.4, 0.6) >= base
 
 
 @given(st.floats(0, 1), st.floats(0, 1))
@@ -362,7 +360,6 @@ def test_sas_matches_components_when_optional_evidence_is_absent():
     assert b.sim_optional == 0.0
     expected = (w.alpha * b.sim_class + w.beta * b.sim_method_header) / (w.alpha + w.beta)
     assert b.sas == pytest.approx(expected)
-    assert sas(b, w) == b.sas
 
 
 @given(
@@ -377,4 +374,9 @@ def test_sas_recomputes_the_breakdown_score(doc1, doc2, renormalize, drop_absent
     d2 = details(class_name=["a", "b"], method_name=["f"], return_type=["long"], method_doc=doc2)
     for mode in ("ALL", "EXR2", "EXR3", "EXR4"):
         b = components(d1, d2, w, AblationSetting(mode))
-        assert sas(b, w) == b.sas
+        optional = (b.sim_local_var, b.sim_method_doc, b.sim_comment)
+        if renormalize and drop_absent and optional == (None, None, None):
+            expected = (w.alpha * b.sim_class + w.beta * b.sim_method_header) / (w.alpha + w.beta)
+        else:
+            expected = w.alpha * b.sim_class + w.beta * b.sim_method_header + w.theta * b.sim_optional
+        assert b.sas == expected
