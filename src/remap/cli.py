@@ -26,7 +26,7 @@ from . import evalkit, ingest, mapper, prefilter
 from .extractor import DEFAULT_EXCLUDED_METHODS, DEFAULT_TEST_ROOTS, ExtractConfig, extract
 from .normalizer import BUNDLED_RULESETS, EMPTY_RULESET, RuleSet, normalize_record
 from .records import load_snapshot, save_snapshot, sidecar_path
-from .simcore import ABLATION_MODES, AblationSetting, WeightConfig
+from .simcore import ABLATION_MODES, WeightConfig
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -179,7 +179,7 @@ def _parse_thresholds(spec: str) -> list[float]:
             thresholds = [round(lo + i * step, 10) for i in range(n + 1)]
         else:
             thresholds = [float(x) for x in spec.split(",")]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite or huge step count
         raise UsageError(f"invalid --thresholds {spec!r}: {exc}") from None
     if not all(0.0 <= t <= 1.0 for t in thresholds):
         raise UsageError(f"invalid --thresholds {spec!r}: values must lie in [0,1]")
@@ -246,16 +246,14 @@ def cmd_ingest(args) -> dict:
 
 
 def _filter_config(args) -> mapper.FilterConfig:
-    task = TASKS[args.task]
     if args.threshold is not None:
         threshold = args.threshold
     else:
-        threshold = mapper.default_threshold(args.profile, task)
+        threshold = mapper.default_threshold(args.profile, TASKS[args.task])
     return mapper.FilterConfig(
         thres_sas=threshold,
-        task=task,
         weights=_weights_arg(args),
-        ablation=AblationSetting(args.ablation.upper()),
+        ablation=args.ablation.upper(),
         rules=_rules_arg(args),
     )
 
@@ -316,17 +314,11 @@ def _ranked_under(args, left, right, pairs, modes):
     threshold = args.threshold if args.threshold is not None else 0.5
     measured = {}
     for mode in modes:
-        cfg = mapper.FilterConfig(
-            thres_sas=threshold,
-            task=TASKS[args.task],
-            weights=weights,
-            ablation=AblationSetting(mode),
-            rules=rules,
-        )
-        renaming = not cfg.ablation.disables_renaming
-        if renaming not in measured:
-            measured[renaming] = list(mapper.measure_pairs(pairs, left, right, cfg.measure_rules))
-        yield mode, mapper.rank(measured[renaming], cfg)
+        cfg = mapper.FilterConfig(thres_sas=threshold, weights=weights, ablation=mode, rules=rules)
+        measure_rules = cfg.measure_rules
+        if measure_rules not in measured:
+            measured[measure_rules] = list(mapper.measure_pairs(pairs, left, right, measure_rules))
+        yield mode, mapper.rank(measured[measure_rules], cfg)
 
 
 def cmd_ablate(args) -> dict:
@@ -400,23 +392,7 @@ def cmd_normalize(args) -> dict:
     with out.open("w", encoding="utf-8") as fh:
         for rec in snapshot.records:
             details = normalize_record(rec, snapshot.class_of(rec), rules, role)
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "class_name": list(details.class_name),
-                        "class_doc": list(details.class_doc),
-                        "method_name": list(details.method_name),
-                        "return_type": list(details.return_type),
-                        "params": list(details.params),
-                        "local_vars": list(details.local_vars),
-                        "method_doc": list(details.method_doc),
-                        "comments": list(details.comments),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"id": rec.id, **vars(details)}, sort_keys=True) + "\n")
     print(f"wrote normalized details for {len(snapshot)} records to {out}")
     return {"records": len(snapshot)}
 

@@ -10,7 +10,8 @@ from every calculation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .mapper import MappingResult, TASK_CODE_MAPPING, TASK_GENUINE_CLONE
@@ -76,7 +77,7 @@ class ConfusionCounts:
     fn: int
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,7 @@ class MetricsReport:
     avg_f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "fpr": self.fpr,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1_pos": self.f1_pos,
-            "f1_neg": self.f1_neg,
-            "avg_f1": self.avg_f1,
-        }
+        return asdict(self)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -245,6 +239,10 @@ class TunerConfig:
     objective_k: int | None = None  # default: number of positives
 
     def __post_init__(self):
+        if not (math.isfinite(self.grid_step) and 0.0 < self.grid_step <= 1.0):
+            raise ValueError(f"grid_step={self.grid_step} outside (0,1]")
+        if self.objective_k is not None and self.objective_k < 1:
+            raise ValueError(f"objective_k={self.objective_k} must be at least 1")
         n = round(1.0 / self.grid_step)
         if abs(n * self.grid_step - 1.0) > EPS:
             raise ValueError(f"grid_step={self.grid_step} must divide 1 evenly")

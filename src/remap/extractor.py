@@ -646,9 +646,7 @@ def extract(
     )
 
 
-def match_fragment(
-    snapshot: ProjectSnapshot, frag: SourceSpan, counters: dict | None = None
-) -> MethodRecord | None:
+def match_fragment(snapshot: ProjectSnapshot, frag: SourceSpan) -> MethodRecord | None:
     """Bind a reported fragment to the method with maximal line-overlap Jaccard.
 
     Ties prefer the smaller span, then the earlier start line; returns None
@@ -656,8 +654,6 @@ def match_fragment(
     """
     candidates = snapshot.in_file(frag.file_path)
     if not candidates:
-        if counters is not None:
-            counters["file_not_in_snapshot"] = counters.get("file_not_in_snapshot", 0) + 1
         return None
     best: MethodRecord | None = None
     best_key: tuple[float, int, int] | None = None

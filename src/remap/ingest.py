@@ -185,19 +185,21 @@ def ingest_nicad_xml(
     except ET.ParseError as exc:
         raise IngestError(f"malformed NiCad XML: {exc}") from exc
     pairs: dict[tuple[str, str], CandidatePair] = {}
-    for clone in tree.getroot().iter("clone"):
+    for n, clone in enumerate(tree.getroot().iter("clone"), 1):
+        stats.lines += 1
         sources = clone.findall("source")
         if len(sources) != 2:
             stats.malformed += 1
+            stats.diagnostics.append(f"clone {n}: {len(sources)} sources, not 2")
             continue
-        stats.lines += 1
         try:
             frags = [
                 SourceSpan(src.attrib["file"], int(src.attrib["startline"]), int(src.attrib["endline"]))
                 for src in sources
             ]
-        except (KeyError, ValueError):  # a missing attribute, a non-integer or start > end
+        except (KeyError, ValueError) as exc:  # a missing attribute, a non-integer or start > end
             stats.malformed += 1
+            stats.diagnostics.append(f"clone {n}: bad source {exc!r}")
             continue
         sides = [(*_which_side(f.file_path, left, right), f.start_line, f.end_line) for f in frags]
         (l0, r0, s0, e0), (l1, r1, s1, e1) = sides

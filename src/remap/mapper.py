@@ -6,13 +6,14 @@ import csv
 import io
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
 from .records import ProjectSnapshot
-from .simcore import AblationSetting, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
+from .simcore import ABLATION_MODES, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
 
 TASK_GENUINE_CLONE = "genuine_clone"
 TASK_CODE_MAPPING = "code_mapping"
@@ -37,25 +38,23 @@ def default_threshold(profile: str, task: str) -> float:
 @dataclass(frozen=True)
 class FilterConfig:
     thres_sas: float = 0.5
-    task: str = TASK_GENUINE_CLONE
     weights: WeightConfig = field(default_factory=WeightConfig)
-    ablation: AblationSetting = field(default_factory=AblationSetting)
+    ablation: str = "ALL"  # one of ABLATION_MODES
     rules: RuleSet = field(default_factory=lambda: EMPTY_RULESET, compare=False, hash=False)
 
     def __post_init__(self):
         if not 0.0 <= self.thres_sas <= 1.0:
             raise ValueError(f"thres_sas={self.thres_sas} outside [0,1]")
-        if self.task not in (TASK_GENUINE_CLONE, TASK_CODE_MAPPING):
-            raise ValueError(f"unknown task: {self.task!r}")
+        if self.ablation not in ABLATION_MODES:
+            raise ValueError(f"unknown ablation mode: {self.ablation!r}")
 
     @property
     def measure_rules(self) -> RuleSet:
         """The rules to measure under: none for EXR1, which disables renaming."""
-        return EMPTY_RULESET if self.ablation.disables_renaming else self.rules
+        return EMPTY_RULESET if self.ablation == "EXR1" else self.rules
 
 
-@dataclass(frozen=True)
-class MappingResult:
+class MappingResult(NamedTuple):
     left: str
     right: str
     provenance: str
@@ -78,7 +77,7 @@ class MappingResult:
             "provenance": self.provenance,
             "kept": self.kept,
             "rank": self.rank,
-            **self.breakdown.to_dict(),
+            **self.breakdown._asdict(),
         }
 
 
@@ -130,19 +129,14 @@ def rank(measured: Iterable[tuple[CandidatePair, tuple]], cfg: FilterConfig) -> 
 
     Results are ordered by (kept first, score descending, pair key).
     """
-    weights, mode = cfg.weights, cfg.ablation.mode
+    weights, mode, threshold = cfg.weights, cfg.ablation, cfg.thres_sas
     scored = [(pair, aggregate(sims, weights, mode)) for pair, sims in measured]
-    kept = [(p, b) for p, b in scored if b.sas >= cfg.thres_sas]
-    dropped = [(p, b) for p, b in scored if b.sas < cfg.thres_sas]
-    kept.sort(key=lambda pb: (-pb[1].sas, pb[0].left, pb[0].right))
-    dropped.sort(key=lambda pb: (-pb[1].sas, pb[0].left, pb[0].right))
-    results = [
-        MappingResult(p.left, p.right, p.provenance, b, True, position)
-        for position, (p, b) in enumerate(kept, 1)
-    ]
-    results.extend(
-        MappingResult(p.left, p.right, p.provenance, b, False, None) for p, b in dropped
-    )
+    scored.sort(key=lambda pb: (pb[1].sas < threshold, -pb[1].sas, pb[0].left, pb[0].right))
+    results = []
+    for position, (p, b) in enumerate(scored, 1):
+        kept = b.sas >= threshold
+        # kept rows sort first, so a kept row's position is its rank
+        results.append(MappingResult(p.left, p.right, p.provenance, b, kept, position if kept else None))
     return results
 
 
@@ -180,8 +174,7 @@ def report(results: list[MappingResult], fmt: str = "jsonl") -> str:
         ]
         writer = csv.DictWriter(buf, fieldnames=fieldnames)
         writer.writeheader()
-        for r in results:
-            writer.writerow({k: r.to_dict()[k] for k in fieldnames})
+        writer.writerows(r.to_dict() for r in results)
         return buf.getvalue()
     if fmt == "summary":
         return json.dumps(summarize(results), sort_keys=True) + "\n"
@@ -196,7 +189,7 @@ def load_results(path: str | Path) -> list[MappingResult]:
             if not line:
                 continue
             d = json.loads(line)
-            breakdown = SASBreakdown(**{f.name: d[f.name] for f in fields(SASBreakdown)})
+            breakdown = SASBreakdown(*(d[f] for f in SASBreakdown._fields))
             out.append(
                 MappingResult(d["left"], d["right"], d["provenance"], breakdown, d["kept"], d["rank"])
             )

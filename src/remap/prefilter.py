@@ -30,7 +30,7 @@ class PrefilterConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0,1]")
-        if self.line_ratio_cutoff < 1.0:
+        if not self.line_ratio_cutoff >= 1.0:  # NaN too, which would disable the cutoff
             raise ValueError("line_ratio_cutoff must be >= 1")
 
 

@@ -138,13 +138,7 @@ class ExtractionSummary:
     classes: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "files_seen": self.files_seen,
-            "files_parsed": self.files_parsed,
-            "failed_files": [list(f) for f in self.failed_files],
-            "methods": self.methods,
-            "classes": self.classes,
-        }
+        return asdict(self)
 
 
 class ProjectSnapshot:

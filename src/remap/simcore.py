@@ -15,7 +15,7 @@ and the final score is the weighted sum
 Scoring is two steps. ``measure`` takes a pair's eight field similarities
 (``FIELDS`` order), None marking an "absent" field, one whose token
 sequences are both empty (0/0). ``aggregate`` turns them into the score
-breakdown under given weights and ablation setting. It applies the 0/0
+breakdown under given weights and ablation mode. It applies the 0/0
 policies (``policy_filled``, shared with the weight tuner) and the
 ablation overrides; no other module does. By default absent class doc
 contributes 0; two empty parameter lists agree on zero arity and score 1;
@@ -27,21 +27,25 @@ measures without the renaming rules.
 To score many pairs, ``prepare`` each record's fields (token sequences with
 their LCS match masks) once, take ``class_sims`` once per class pair, and
 ``measure`` each pair once; one measurement serves every weight config and
-every ablation setting but EXR1. ``components`` does it all for one pair.
+every ablation mode but EXR1. ``components`` does it all for one pair.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .lcs import lcs_masked, match_masks
 from .normalizer import NormalizedDetails
 
 EPS = 1e-9
 
+# ALL keeps every signal; EXR1 disables renaming during normalization;
+# EXR2 zeroes simLocalVar and simMethodHeader; EXR3 zeroes simMethodDoc and
+# simClassDoc; EXR4 zeroes simComment
 ABLATION_MODES = ("ALL", "EXR1", "EXR2", "EXR3", "EXR4")
 
 # the eight measured fields; ``SASBreakdown`` names each ``sim_<field>``
@@ -49,23 +53,6 @@ FIELDS = (
     "class_name", "class_doc", "method_name", "return_type",
     "param", "local_var", "method_doc", "comment",
 )
-
-
-@dataclass(frozen=True)
-class AblationSetting:
-    """ALL keeps every signal; EXR1 disables renaming during normalization;
-    EXR2 zeroes simLocalVar and simMethodHeader; EXR3 zeroes simMethodDoc
-    and simClassDoc; EXR4 zeroes simComment."""
-
-    mode: str = "ALL"
-
-    def __post_init__(self):
-        if self.mode not in ABLATION_MODES:
-            raise ValueError(f"unknown ablation mode: {self.mode!r}")
-
-    @property
-    def disables_renaming(self) -> bool:
-        return self.mode == "EXR1"
 
 
 @dataclass(frozen=True)
@@ -109,18 +96,7 @@ class WeightConfig:
             raise ValueError("renormalize_missing_optional needs alpha+beta > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "theta": self.theta,
-            "delta": self.delta,
-            "eta": self.eta,
-            "phi": self.phi,
-            "renormalize_missing_optional": self.renormalize_missing_optional,
-            "absent_class_doc": self.absent_class_doc,
-            "absent_param": self.absent_param,
-            "drop_absent_optional": self.drop_absent_optional,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "WeightConfig":
@@ -139,8 +115,7 @@ class WeightConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class SASBreakdown:
+class SASBreakdown(NamedTuple):
     """Every per-field similarity, the three components, and the score.
 
     Per-field values are None when the field is absent on both sides.
@@ -159,9 +134,6 @@ class SASBreakdown:
     sim_optional: float
     sas: float
     ablation: str
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def masked(seq) -> tuple:
@@ -260,10 +232,10 @@ def components(
     d1: NormalizedDetails,
     d2: NormalizedDetails,
     w: WeightConfig | None = None,
-    ablation: AblationSetting | None = None,
+    mode: str = "ALL",
 ) -> SASBreakdown:
-    """Per-field LCS similarities aggregated into the score breakdown."""
+    """Per-field LCS similarities aggregated into the score breakdown under
+    ablation ``mode``, one of ``ABLATION_MODES``."""
     p1, p2 = prepare(d1), prepare(d2)
-    mode = (ablation or AblationSetting()).mode
     return aggregate(measure(p1, p2, class_sims(p1, p2)), w or WeightConfig(), mode)
 

@@ -238,9 +238,7 @@ def test_acceptance_end_to_end_fixture():
     pairs, stats = ingest_generic(FIXTURE / "pairs.jsonl", left, right)
     assert stats.unresolved == 0 and len(pairs) == 40
 
-    cfg = FilterConfig(
-        thres_sas=0.6, task="code_mapping", rules=SOOT_SOOTUP_RULES,
-    )
+    cfg = FilterConfig(thres_sas=0.6, rules=SOOT_SOOTUP_RULES)
     results = score_pairs(pairs, left, right, cfg)
     by_key = {r.key: r for r in results}
     mapping_sas = [by_key[(l, r)].sas for l, r, _ in mappings]
@@ -275,7 +273,7 @@ def test_acceptance_end_to_end_exhaustive_summary():
     left = extract(FIXTURE / "left", role="original")
     right = extract(FIXTURE / "right", role="redesigned")
     pairs = exhaustive_pairs(left, right, min_loc=5)
-    cfg = FilterConfig(thres_sas=0.5, task="genuine_clone", rules=SOOT_SOOTUP_RULES)
+    cfg = FilterConfig(thres_sas=0.5, rules=SOOT_SOOTUP_RULES)
     results = score_pairs(pairs, left, right, cfg)
     summary = summarize(results)
     mappings, _ = _resolve_planted(left, right)

@@ -540,7 +540,7 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
     from remap import cli, evalkit, ingest, mapper
     from remap.normalizer import SOOT_SOOTUP_RULES
     from remap.records import load_snapshot
-    from remap.simcore import ABLATION_MODES, AblationSetting
+    from remap.simcore import ABLATION_MODES
 
     work, left, right, pairs = pipeline
     ablate, impact = _ablation_argv(pipeline, tmp_path)
@@ -551,23 +551,21 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
     loaded = ingest.load_pairs(pairs)
     labels = evalkit.load_labels(tmp_path / "labels.csv")
 
-    def score(mode, threshold, task):
-        cfg = mapper.FilterConfig(
-            thres_sas=threshold, task=task, ablation=AblationSetting(mode), rules=SOOT_SOOTUP_RULES
-        )
+    def score(mode, threshold):
+        cfg = mapper.FilterConfig(thres_sas=threshold, ablation=mode, rules=SOOT_SOOTUP_RULES)
         return mapper.score_pairs(loaded, lsnap, rsnap, cfg)
 
     expected = {}
     for mode in ABLATION_MODES:
-        kept = {r.key for r in score(mode, 0.6, mapper.TASK_CODE_MAPPING) if r.kept}
+        kept = {r.key for r in score(mode, 0.6) if r.kept}
         counts, metrics = evalkit.evaluate(kept, labels, mapper.TASK_CODE_MAPPING)
         expected[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
     assert json.loads((tmp_path / "ablate.json").read_text()) == expected
 
     code_types = cli._pair_code_type(loaded, lsnap, rsnap)
-    baseline = score("ALL", 0.5, mapper.TASK_GENUINE_CLONE)
+    baseline = score("ALL", 0.5)
     expected = {
-        mode: evalkit.rule_impact(baseline, score(mode, 0.5, mapper.TASK_GENUINE_CLONE), code_types)
+        mode: evalkit.rule_impact(baseline, score(mode, 0.5), code_types)
         for mode in ("EXR1", "EXR2", "EXR3", "EXR4")
     }
     assert json.loads((tmp_path / "impact.json").read_text()) == expected
@@ -671,6 +669,7 @@ def _bad_thresholds():
             lambda t: t[1] < t[0]).map(lambda t: "%r:%r:%r" % t),
         st.lists(st.sampled_from(["0.5", "0.25"]), max_size=2).flatmap(
             lambda ok: st.one_of(outside, word).map(lambda bad: ",".join([*ok, bad]))),
+        st.sampled_from(["0:inf:0.1", "0:1:1e-320"]),  # step counts that overflow
     )
 
 
@@ -713,10 +712,13 @@ def _with(argv: list, flag: str, value: str) -> list:
     return [*argv, f"{flag}={value}"]  # a value such as "-inf" is not taken for a flag
 
 
+NUMERIC_FLAGS = ("--threshold", "--thresholds", "--grid-step", "--k", "--line-ratio")
+
+
 def _bad_invocations(first_pair_line: str):
     """(command, flag, file bytes or None, value): the flag is set to a file
     holding the bytes, to a file name under the test directory, or, for the
-    threshold flags, to the value itself."""
+    numeric flags, to the value itself."""
     file_flags = {
         "extract": ["--root"], "pairs": ["--left", "--right"],
         "ingest": ["--report", "--left", "--right"], "score": ["--pairs", "--left", "--right"],
@@ -738,6 +740,9 @@ def _bad_invocations(first_pair_line: str):
         _bad_thresholds().map(lambda spec: ("sweep", "--thresholds", None, spec)),
         st.floats().filter(lambda x: not 0.0 <= x <= 1.0).map(
             lambda x: ("score", "--threshold", None, repr(x))),
+        st.sampled_from(["0", "inf", "nan", "-0.05", "2"]).map(lambda v: ("tune", "--grid-step", None, v)),
+        st.sampled_from(["0", "-5"]).map(lambda v: ("tune", "--k", None, v)),
+        st.sampled_from(["nan", "0.5"]).map(lambda v: ("pairs", "--line-ratio", None, v)),
     )
 
 
@@ -751,7 +756,7 @@ def test_bad_invocations_exit_with_one_json_line(contract, data):
     if body is not None:
         value = str(d / "bad.input")
         Path(value).write_bytes(body)
-    elif flag not in ("--threshold", "--thresholds"):
+    elif flag not in NUMERIC_FLAGS:
         value = str(d / value)
     argv = _with(argvs[command], flag, value)
     err = io.StringIO()

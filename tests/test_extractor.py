@@ -366,10 +366,8 @@ def test_match_prefers_dominant_overlap(frag_snapshot):
 
 
 def test_match_unknown_file_counts_diagnostic(frag_snapshot):
-    counters = {}
     frag = SourceSpan("p/Nope.java", 1, 3)
-    assert match_fragment(frag_snapshot, frag, counters) is None
-    assert counters["file_not_in_snapshot"] == 1
+    assert match_fragment(frag_snapshot, frag) is None
 
 
 def test_match_no_overlap_returns_none(frag_snapshot):

@@ -255,6 +255,26 @@ def test_nicad_malformed_source_is_counted(snapshots, tmp_path):
     assert stats.malformed == 2 and stats.resolved == 1
 
 
+def test_nicad_malformed_clones_are_counted_as_lines_and_located(snapshots, tmp_path):
+    base, left, right = snapshots
+    lrec, rrec = _rec(left, "first"), _rec(right, "primary")
+    lfile, rfile = f"{base}/left/{lrec.span.file_path}", f"{base}/right/{rrec.span.file_path}"
+    reversed_span = nicad_clone(lfile, lrec.span.end_line, lrec.span.start_line,
+                                rfile, rrec.span.start_line, rrec.span.end_line)
+    one_source = (
+        f'<clone nlines="5" similarity="95">\n'
+        f'  <source file="{lfile}" startline="{lrec.span.start_line}" '
+        f'endline="{lrec.span.end_line}" pcid="1"/>\n'
+        f"</clone>"
+    )
+    report = tmp_path / "nicad.xml"
+    report.write_text(NICAD_TEMPLATE.format(body=reversed_span + "\n" + one_source))
+    pairs, stats = ingest_nicad_xml(report, left, right)
+    assert pairs == []
+    assert (stats.lines, stats.malformed) == (2, 2)
+    assert [d.split(":")[0] for d in stats.diagnostics] == ["clone 1", "clone 2"]
+
+
 def test_nicad_empty_report(snapshots, tmp_path):
     _, left, right = snapshots
     report = tmp_path / "nicad.xml"

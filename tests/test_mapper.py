@@ -1,9 +1,13 @@
 """Scoring, threshold filtering, ranking, and report accounting."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from remap.extractor import extract
 from remap.mapper import (
@@ -12,6 +16,7 @@ from remap.mapper import (
     UnresolvedPairError,
     default_threshold,
     load_results,
+    rank,
     report,
     save_results,
     score_pairs,
@@ -19,7 +24,7 @@ from remap.mapper import (
 )
 from remap.normalizer import EMPTY_RULESET, SOOT_SOOTUP_RULES, normalize_record
 from remap.prefilter import CandidatePair, exhaustive_pairs
-from remap.simcore import ABLATION_MODES, AblationSetting, SASBreakdown, components
+from remap.simcore import ABLATION_MODES, SASBreakdown, WeightConfig, aggregate, components
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
 
@@ -145,16 +150,15 @@ def test_score_pairs_equals_components_per_pair(mode):
     left = extract(FIXTURE / "left", role="original")
     right = extract(FIXTURE / "right", role="redesigned")
     pairs = exhaustive_pairs(left, right)
-    ablation = AblationSetting(mode)
-    cfg = FilterConfig(thres_sas=0.6, rules=SOOT_SOOTUP_RULES, ablation=ablation)
+    cfg = FilterConfig(thres_sas=0.6, rules=SOOT_SOOTUP_RULES, ablation=mode)
     results = score_pairs(pairs, left, right, cfg)
     assert len(results) == len(pairs) == 756
-    rules = EMPTY_RULESET if ablation.disables_renaming else SOOT_SOOTUP_RULES
+    rules = EMPTY_RULESET if mode == "EXR1" else SOOT_SOOTUP_RULES
     for r in results:
         lrec, rrec = left.get(r.left), right.get(r.right)
         d1 = normalize_record(lrec, left.class_of(lrec), rules, "original")
         d2 = normalize_record(rrec, right.class_of(rrec), rules, "redesigned")
-        assert r.breakdown == components(d1, d2, cfg.weights, ablation), r.key
+        assert r.breakdown == components(d1, d2, cfg.weights, mode), r.key
 
 
 def test_unresolvable_id_is_hard_error(world):
@@ -174,12 +178,44 @@ def test_exr1_disables_renaming(world):
         pairs,
         left,
         right,
-        FilterConfig(thres_sas=0.0, rules=SOOT_SOOTUP_RULES, ablation=AblationSetting("EXR1")),
+        FilterConfig(thres_sas=0.0, rules=SOOT_SOOTUP_RULES, ablation="EXR1"),
     )
     assert {r.key for r in with_rules} == {r.key for r in exr1}
     # the fixture has no renamable identifiers, so scores should match;
     # the setting is recorded either way
     assert all(r.breakdown.ablation == "EXR1" for r in exr1)
+
+
+# a few distinct values per field, so that scores and pair keys repeat
+_measured_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["x", "y"]),
+        st.tuples(*[st.sampled_from([None, 0.0, 0.5, 1.0])] * 8),
+    ),
+    max_size=12,
+)
+
+
+@given(rows=_measured_rows, mode=st.sampled_from(ABLATION_MODES), data=st.data())
+def test_rank_keeps_at_threshold_and_orders_kept_rows_first(rows, mode, data):
+    sas = [aggregate(fields, WeightConfig(), mode).sas for _, _, fields in rows]
+    thresholds = st.floats(0.0, 1.0)
+    threshold = data.draw(st.one_of(st.sampled_from(sas), thresholds) if sas else thresholds)
+    measured = [(CandidatePair(left, right, "t"), fields) for left, right, fields in rows]
+    results = rank(measured, FilterConfig(thres_sas=threshold, ablation=mode))
+    assert sorted((r.left, r.right, r.sas) for r in results) == sorted(
+        (left, right, v) for (left, right, _), v in zip(rows, sas)
+    )
+    assert all(r.kept == (r.sas >= threshold) for r in results)
+    kept = [r for r in results if r.kept]
+    dropped = [r for r in results if not r.kept]
+    assert results == kept + dropped
+    for group in (kept, dropped):
+        order = [(-r.sas, r.left, r.right) for r in group]
+        assert order == sorted(order)
+    assert [r.rank for r in kept] == list(range(1, len(kept) + 1))
+    assert all(r.rank is None for r in dropped)
 
 
 # -- accounting ----------------------------------------------------------------
@@ -217,18 +253,30 @@ def test_summary_report_is_exact_partition():
     assert s["filt"] + (s["orig"] - s["filt"]) == s["orig"]
 
 
+CSV_COLUMNS = [
+    "left", "right", "provenance", "kept", "rank", "sas",
+    "sim_class", "sim_method_header", "sim_optional",
+    "sim_class_name", "sim_class_doc", "sim_method_name",
+    "sim_return_type", "sim_param", "sim_local_var",
+    "sim_method_doc", "sim_comment", "ablation",
+]
+
+
 def test_report_formats_roundtrip(tmp_path):
     results = fake_results(5, 2)
     jsonl = report(results, "jsonl")
     assert len(jsonl.strip().split("\n")) == 5
-    csv_text = report(results, "csv")
-    assert csv_text.startswith("left,right,")
+    rows = list(csv.reader(io.StringIO(report(results, "csv"))))
+    assert rows[0] == CSV_COLUMNS
+    assert len(rows) == 6 and all(len(row) == 18 for row in rows)
     summary = json.loads(report(results, "summary"))
     assert summary["orig"] == 5
     out = tmp_path / "scores.jsonl"
-    save_results(results, out)
-    loaded = load_results(out)
-    assert [r.to_dict() for r in loaded] == [r.to_dict() for r in results]
+    sims = dict(zip(SASBreakdown._fields[:8], (0.5, None, 1.0, 0.0, 0.25, None, 0.75, 0.125)))
+    for mode in ABLATION_MODES:
+        moded = [r._replace(breakdown=r.breakdown._replace(**sims, ablation=mode)) for r in results]
+        save_results(moded, out)
+        assert load_results(out) == moded
     with pytest.raises(ValueError):
         report(results, "yaml")
 

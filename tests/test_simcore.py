@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from remap.lcs import lcs_length
 from remap.normalizer import NormalizedDetails
 from remap.simcore import (
-    AblationSetting,
     WeightConfig,
     aggregate,
     components,
@@ -294,10 +293,9 @@ def test_ablation_exr4_ignores_comments():
     d1 = details(**common, comments=["alpha", "beta"])
     d2 = details(**common, comments=["gamma"])
     d3 = details(**common)  # no comments at all
-    exr4 = AblationSetting("EXR4")
-    b12 = components(d1, d2, ablation=exr4)
-    b13 = components(d1, d3, ablation=exr4)
-    b11 = components(d1, d1, ablation=exr4)
+    b12 = components(d1, d2, mode="EXR4")
+    b13 = components(d1, d3, mode="EXR4")
+    b11 = components(d1, d1, mode="EXR4")
     assert b12.sas == pytest.approx(b13.sas, abs=1e-9)
     assert b11.sas == pytest.approx(b12.sas, abs=1e-9)
     assert b12.sim_comment == 0.0
@@ -308,7 +306,7 @@ def test_ablation_exr2_zeroes_header_and_locals():
         class_name=["a"], method_name=["f"], return_type=["void"],
         local_vars=["x", "y"], method_doc=["d"],
     )
-    b = components(d1, d1, ablation=AblationSetting("EXR2"))
+    b = components(d1, d1, mode="EXR2")
     assert b.sim_method_header == 0.0
     assert b.sim_local_var == 0.0
     # optional mean now includes the forced zero: (0 + 1) / 2
@@ -320,7 +318,7 @@ def test_ablation_exr3_zeroes_docs():
         class_name=["a"], class_doc=["c"], method_name=["f"],
         return_type=["void"], method_doc=["d"],
     )
-    b = components(d1, d1, ablation=AblationSetting("EXR3"))
+    b = components(d1, d1, mode="EXR3")
     assert b.sim_class_doc == 0.0
     assert b.sim_method_doc == 0.0
     assert b.sim_class == b.sim_class_name
@@ -373,7 +371,7 @@ def test_sas_recomputes_the_breakdown_score(doc1, doc2, renormalize, drop_absent
     d1 = details(class_name=["a"], method_name=["f"], return_type=["int"], method_doc=doc1)
     d2 = details(class_name=["a", "b"], method_name=["f"], return_type=["long"], method_doc=doc2)
     for mode in ("ALL", "EXR2", "EXR3", "EXR4"):
-        b = components(d1, d2, w, AblationSetting(mode))
+        b = components(d1, d2, w, mode)
         optional = (b.sim_local_var, b.sim_method_doc, b.sim_comment)
         if renormalize and drop_absent and optional == (None, None, None):
             expected = (w.alpha * b.sim_class + w.beta * b.sim_method_header) / (w.alpha + w.beta)
