@@ -39,6 +39,22 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage text and exit 2,
+    so that ``main`` reports it as one JSON line. Subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _config(cls, **values):
+    """``cls(**values)`` from flag values; a value it rejects is a usage error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a value out of range
+        raise UsageError(str(exc)) from None
+
+
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -217,7 +233,8 @@ def cmd_pairs(args) -> dict:
         counters = {"pairs": len(pairs), "min_loc": args.min_loc}
     else:
         rules = _rules_arg(args)
-        cfg = prefilter.PrefilterConfig(
+        cfg = _config(
+            prefilter.PrefilterConfig,
             class_sim_threshold=args.class_sim,
             line_ratio_cutoff=args.line_ratio,
             embed_threshold=args.embed_threshold,
@@ -250,7 +267,8 @@ def _filter_config(args) -> mapper.FilterConfig:
         threshold = args.threshold
     else:
         threshold = mapper.default_threshold(args.profile, TASKS[args.task])
-    return mapper.FilterConfig(
+    return _config(
+        mapper.FilterConfig,
         thres_sas=threshold,
         weights=_weights_arg(args),
         ablation=args.ablation.upper(),
@@ -314,7 +332,9 @@ def _ranked_under(args, left, right, pairs, modes):
     threshold = args.threshold if args.threshold is not None else 0.5
     measured = {}
     for mode in modes:
-        cfg = mapper.FilterConfig(thres_sas=threshold, weights=weights, ablation=mode, rules=rules)
+        cfg = _config(
+            mapper.FilterConfig, thres_sas=threshold, weights=weights, ablation=mode, rules=rules
+        )
         measure_rules = cfg.measure_rules
         if measure_rules not in measured:
             measured[measure_rules] = list(mapper.measure_pairs(pairs, left, right, measure_rules))
@@ -374,7 +394,7 @@ def cmd_tune(args) -> dict:
         for r in scored
         if r.key in label_by_key
     ]
-    cfg = evalkit.TunerConfig(grid_step=args.grid_step, objective_k=args.k)
+    cfg = _config(evalkit.TunerConfig, grid_step=args.grid_step, objective_k=args.k)
     weights = evalkit.tune(training, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -402,7 +422,7 @@ def cmd_normalize(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="remap",
         description="Identify and rank method-level code mappings between an "
         "original and a redesigned codebase.",
@@ -490,19 +510,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_line(error: str, exc: Exception) -> None:
+    print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors already
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
+    except UsageError as exc:
+        _error_line("usage", exc)
+        return EXIT_USAGE
     started_at = time.time()
     args.inputs = {}
     try:
         _write_manifest(args, argv, started_at, args.func(args))
     except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
+        _error_line("usage", exc)
         return EXIT_USAGE
     except (
         FileNotFoundError,
@@ -512,10 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         mapper.UnresolvedPairError,
         evalkit.PairSetMismatch,
     ) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        _error_line(type(exc).__name__, exc)
         return EXIT_RUNTIME
     return EXIT_OK
 

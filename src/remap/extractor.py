@@ -645,23 +645,3 @@ def extract(
         summary=summary,
     )
 
-
-def match_fragment(snapshot: ProjectSnapshot, frag: SourceSpan) -> MethodRecord | None:
-    """Bind a reported fragment to the method with maximal line-overlap Jaccard.
-
-    Ties prefer the smaller span, then the earlier start line; returns None
-    when the file is unknown or nothing overlaps.
-    """
-    candidates = snapshot.in_file(frag.file_path)
-    if not candidates:
-        return None
-    best: MethodRecord | None = None
-    best_key: tuple[float, int, int] | None = None
-    for rec in candidates:
-        overlap = rec.span.jaccard(frag)
-        if overlap <= 0.0:
-            continue
-        key = (-overlap, rec.span.line_count, rec.span.start_line)
-        if best_key is None or key < best_key:
-            best, best_key = rec, key
-    return best

@@ -3,7 +3,8 @@
 Two formats ship: the generic JSONL interchange format (one pair per line,
 fragments given as file/line spans or method keys) and NiCad's XML clone
 report. Everything else is bridged by converting to the generic format.
-Fragments bind to methods by maximal line-overlap (see match_fragment).
+Fragments bind to methods with ``records.match_fragment``; this module only
+reads the report formats.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .extractor import match_fragment
 from .prefilter import CandidatePair
-from .records import MethodRecord, ProjectSnapshot, SourceSpan
+from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment
 
 FORMAT_VERSION = 1
 
@@ -35,39 +35,7 @@ class IngestStats:
     diagnostics: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "lines": self.lines,
-            "resolved": self.resolved,
-            "unresolved": self.unresolved,
-            "malformed": self.malformed,
-            "duplicates": self.duplicates,
-            "same_project": self.same_project,
-        }
-
-
-def _normalize_path(path: str, snapshot: ProjectSnapshot) -> str | None:
-    """Map a reported file path onto a snapshot-relative path.
-
-    Tries the path as given, strips the snapshot root when the report uses
-    absolute paths, and falls back to an unambiguous suffix match.
-    """
-    p = path.replace("\\", "/")
-    while p.startswith("./"):
-        p = p[2:]
-    if snapshot.in_file(p):
-        return p
-    root = Path(snapshot.root_path).as_posix().rstrip("/") + "/"
-    if p.startswith(root):
-        rel = p[len(root):]
-        if snapshot.in_file(rel):
-            return rel
-    candidates = [
-        f for f in snapshot.files()
-        if p == f or p.endswith("/" + f)
-    ]
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+        return {k: v for k, v in vars(self).items() if k != "diagnostics"}
 
 
 def _fragment(frag) -> str | SourceSpan:
@@ -94,10 +62,9 @@ def _fragment(frag) -> str | SourceSpan:
 def _resolve_fragment(frag: str | SourceSpan, snapshot: ProjectSnapshot) -> MethodRecord | None:
     if isinstance(frag, str):
         return snapshot.resolve_key(frag)
-    path = _normalize_path(frag.file_path, snapshot)
-    if path is None:
-        return None
-    return match_fragment(snapshot, SourceSpan(path, frag.start_line, frag.end_line))
+    # as in NiCad, match_fragment runs only on a path that resolves, so the
+    # traced call count is the number of spans bound against a known file
+    return match_fragment(snapshot, frag) if snapshot.resolve_path(frag.file_path) else None
 
 
 def ingest_generic(
@@ -159,15 +126,13 @@ def _which_side(path: str, left: ProjectSnapshot, right: ProjectSnapshot):
     exactly one snapshot root is resolved only against that side.
     """
     p = path.replace("\\", "/")
-    lroot = Path(left.root_path).as_posix().rstrip("/") + "/"
-    rroot = Path(right.root_path).as_posix().rstrip("/") + "/"
-    under_left = p.startswith(lroot)
-    under_right = p.startswith(rroot)
+    under_left = p.startswith(left.root_prefix)
+    under_right = p.startswith(right.root_prefix)
     if under_left and not under_right:
-        return _normalize_path(p, left), None
+        return left.resolve_path(p), None
     if under_right and not under_left:
-        return None, _normalize_path(p, right)
-    return _normalize_path(p, left), _normalize_path(p, right)
+        return None, right.resolve_path(p)
+    return left.resolve_path(p), right.resolve_path(p)
 
 
 def ingest_nicad_xml(
@@ -201,14 +166,11 @@ def ingest_nicad_xml(
             stats.malformed += 1
             stats.diagnostics.append(f"clone {n}: bad source {exc!r}")
             continue
-        sides = [(*_which_side(f.file_path, left, right), f.start_line, f.end_line) for f in frags]
-        (l0, r0, s0, e0), (l1, r1, s1, e1) = sides
+        (l0, r0), (l1, r1) = (_which_side(f.file_path, left, right) for f in frags)
         if l0 and r1 and not (r0 and l1):
-            lrec = match_fragment(left, SourceSpan(l0, s0, e0))
-            rrec = match_fragment(right, SourceSpan(r1, s1, e1))
+            lrec, rrec = match_fragment(left, frags[0]), match_fragment(right, frags[1])
         elif r0 and l1 and not (l0 and r1):
-            lrec = match_fragment(left, SourceSpan(l1, s1, e1))
-            rrec = match_fragment(right, SourceSpan(r0, s0, e0))
+            lrec, rrec = match_fragment(left, frags[1]), match_fragment(right, frags[0])
         elif (l0 and l1) or (r0 and r1):
             stats.same_project += 1
             continue

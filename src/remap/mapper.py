@@ -159,10 +159,13 @@ def summarize(results: list[MappingResult]) -> dict:
     return {"orig": orig, "filt": filt, "out_pct": round(out_pct, 2)}
 
 
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)  # one encoder: json.dumps builds one per call
+
+
 def report(results: list[MappingResult], fmt: str = "jsonl") -> str:
     """Serialize results as jsonl, csv, or a summary block."""
     if fmt == "jsonl":
-        return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in results)
+        return "".join(_ROW_ENCODER.encode(r.to_dict()) + "\n" for r in results)
     if fmt == "csv":
         buf = io.StringIO()
         fieldnames = [

@@ -83,6 +83,7 @@ class RuleSet:
         self._compiled = [(r, re.compile(r.pattern)) for r in self.rules]
 
     def apply(self, text: str, field: str, record_project: str) -> str:
+        """Apply every applicable rule once, in order, as a global substitution."""
         for rule, rx in self._compiled:
             if rule.applies_to(field, record_project):
                 text = rx.sub(rule.replacement, text)
@@ -160,18 +161,13 @@ BUNDLED_RULESETS = {
 }
 
 
-def apply_rules(text: str, field: str, record_project: str, rules: RuleSet) -> str:
-    """Apply every applicable rule once, in order, as a global substitution."""
-    return rules.apply(text, field, record_project)
-
-
 _INLINE_TAG = re.compile(r"\{@\w+\s*([^{}]*)\}")
 _HTML_TAG = re.compile(r"</?[A-Za-z][^<>]*>")
 _HTML_ENTITY = re.compile(r"&#?\w+;")
 _URL = re.compile(r"(?:https?://|www\.)\S+")
 
 
-def normalize_doc(text: str, contractions: dict[str, str] | None = None) -> str:
+def normalize_doc(text: str) -> str:
     """Reduce a docstring/comment to comparable description text.
 
     Inline doc tags keep their payload ({@link Path} -> Path), HTML markup,
@@ -179,7 +175,6 @@ def normalize_doc(text: str, contractions: dict[str, str] | None = None) -> str:
     """
     if not text:
         return ""
-    contractions = DEFAULT_CONTRACTIONS if contractions is None else contractions
     # inline tags may nest one level ({@code {@link X}}), so iterate
     prev = None
     while prev != text:
@@ -190,7 +185,7 @@ def normalize_doc(text: str, contractions: dict[str, str] | None = None) -> str:
     lines = [ln for ln in text.split("\n") if not ln.strip().lower().startswith("todo")]
     text = "\n".join(lines)
     text = _URL.sub(" ", text)
-    for short, full in contractions.items():
+    for short, full in DEFAULT_CONTRACTIONS.items():
         text = re.sub(re.escape(short), full, text, flags=re.IGNORECASE)
     return text
 
@@ -222,7 +217,7 @@ class NormalizedDetails:
 
 
 def _norm_field(text: str, field: str, project: str, rules: RuleSet) -> list[str]:
-    text = apply_rules(text, field, project, rules)
+    text = rules.apply(text, field, project)
     if field in DOC_FIELDS:
         text = normalize_doc(text)
     return tokenize(text)

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .normalizer import FIELD_CLASS_NAME, RuleSet, apply_rules, tokenize
+from .normalizer import FIELD_CLASS_NAME, RuleSet, tokenize
 from .records import MethodRecord, ProjectSnapshot
 from .simcore import masked, masked_sim
 
@@ -114,7 +114,7 @@ def filter_classes(
 
     def names(snapshot: ProjectSnapshot) -> list[tuple[str, tuple]]:
         return [
-            (name, masked(tuple(tokenize(apply_rules(name, FIELD_CLASS_NAME, snapshot.role, rules)))))
+            (name, masked(tuple(tokenize(rules.apply(name, FIELD_CLASS_NAME, snapshot.role)))))
             for name in sorted(snapshot.class_index)
         ]
 
@@ -168,16 +168,11 @@ def generate_pairs(
 def exhaustive_pairs(
     left: ProjectSnapshot, right: ProjectSnapshot, min_loc: int = 5
 ) -> list[CandidatePair]:
-    """Full cross product of methods at or above the minimum line count."""
-    lrecs = [r for r in left.records if r.loc >= min_loc]
-    rrecs = [r for r in right.records if r.loc >= min_loc]
-    out = [
-        CandidatePair(lrec.id, rrec.id, "exhaustive")
-        for lrec in lrecs
-        for rrec in rrecs
-    ]
-    out.sort(key=lambda p: (p.left, p.right))
-    return out
+    """Full cross product of methods at or above the minimum line count,
+    in (left, right) id order."""
+    lids = sorted(r.id for r in left.records if r.loc >= min_loc)
+    rids = sorted(r.id for r in right.records if r.loc >= min_loc)
+    return [CandidatePair(lid, rid, "exhaustive") for lid in lids for rid in rids]
 
 
 def save_pairs(pairs: list[CandidatePair], out: Path) -> None:

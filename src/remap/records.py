@@ -4,6 +4,9 @@ A ProjectSnapshot is the parsed view of one Java source tree: every concrete
 method as a MethodRecord plus a ClassRecord index. Snapshots are written as
 JSON Lines (one method per line) with a sidecar JSON file holding project
 metadata and the class index, so every later stage can run from files alone.
+Detector reports bind to methods here too: ``ProjectSnapshot.resolve_path``
+maps a reported file path onto the snapshot, and ``match_fragment`` binds a
+reported line span.
 """
 
 from __future__ import annotations
@@ -31,18 +34,6 @@ class SourceSpan:
     @property
     def line_count(self) -> int:
         return self.end_line - self.start_line + 1
-
-    def jaccard(self, other: "SourceSpan") -> float:
-        """Line-range Jaccard overlap; 0.0 when files differ."""
-        if self.file_path != other.file_path:
-            return 0.0
-        lo = max(self.start_line, other.start_line)
-        hi = min(self.end_line, other.end_line)
-        inter = max(0, hi - lo + 1)
-        if inter == 0:
-            return 0.0
-        union = self.line_count + other.line_count - inter
-        return inter / union
 
 
 @dataclass(frozen=True)
@@ -179,6 +170,7 @@ class ProjectSnapshot:
             self._by_file.setdefault(r.span.file_path, []).append(r)
             self._by_sig.setdefault(r.signature_key, []).append(r)
             self._by_short.setdefault(f"{r.class_name}#{r.method_name}", []).append(r)
+        self.root_prefix = Path(root_path).as_posix().rstrip("/") + "/"
 
     @property
     def project_id(self) -> str:
@@ -196,8 +188,22 @@ class ProjectSnapshot:
     def in_file(self, file_path: str) -> list[MethodRecord]:
         return self._by_file.get(file_path, [])
 
-    def files(self) -> list[str]:
-        return list(self._by_file)
+    def resolve_path(self, path: str) -> str | None:
+        """Map a reported file path onto an indexed, root-relative file path.
+
+        Tries the path as given, then the path below the snapshot root, then
+        the one indexed file the path ends with (after a ``/``). Returns
+        None when no file matches or the suffix match is ambiguous.
+        """
+        p = path.replace("\\", "/")
+        while p.startswith("./"):
+            p = p[2:]
+        if p in self._by_file:
+            return p
+        if p.startswith(self.root_prefix) and p[len(self.root_prefix):] in self._by_file:
+            return p[len(self.root_prefix):]
+        suffixes = [p[i + 1:] for i, c in enumerate(p) if c == "/" and p[i + 1:] in self._by_file]
+        return suffixes[0] if len(suffixes) == 1 else None
 
     def resolve_key(self, key: str) -> MethodRecord | None:
         """Resolve a full id, a signature key, or a class#method key.
@@ -221,6 +227,29 @@ class ProjectSnapshot:
             "classes": [c.to_dict() for c in sorted(self.class_index.values(), key=lambda c: c.qualified_name)],
             "summary": self.summary.to_dict(),
         }
+
+
+def match_fragment(snapshot: ProjectSnapshot, frag: SourceSpan) -> MethodRecord | None:
+    """Bind a reported span to the method with maximal line-overlap Jaccard.
+
+    The span's path is resolved with ``snapshot.resolve_path``. Ties prefer
+    the smaller span, then the earlier start line; returns None when the
+    file is unknown or nothing overlaps.
+    """
+    path = snapshot.resolve_path(frag.file_path)
+    if path is None:
+        return None
+    best: MethodRecord | None = None
+    best_key: tuple[float, int, int] | None = None
+    for rec in snapshot.in_file(path):
+        inter = min(rec.span.end_line, frag.end_line) - max(rec.span.start_line, frag.start_line) + 1
+        if inter <= 0:
+            continue
+        overlap = inter / (rec.span.line_count + frag.line_count - inter)
+        key = (-overlap, rec.span.line_count, rec.span.start_line)
+        if best_key is None or key < best_key:
+            best, best_key = rec, key
+    return best
 
 
 def sidecar_path(records_path: Path) -> Path:

@@ -30,7 +30,6 @@ from remap.normalizer import (
     FIELD_METHOD_NAME,
     FINDBUGS_SPOTBUGS_RULES,
     SOOT_SOOTUP_RULES,
-    apply_rules,
 )
 from remap.normalizer import NormalizedDetails
 from remap.simcore import SASBreakdown, WeightConfig, aggregate, components
@@ -119,22 +118,22 @@ def test_acceptance_component_and_score_arithmetic():
 def test_acceptance_rename_rule_fidelity():
     soot, fb = SOOT_SOOTUP_RULES, FINDBUGS_SPOTBUGS_RULES
     checks = [
-        apply_rules("setName", FIELD_METHOD_NAME, "original", soot) == "withName",
+        soot.apply("setName", FIELD_METHOD_NAME, "original") == "withName",
         # row-level behavior of the compound Box rule
-        apply_rules("UnitBox", FIELD_CLASS_NAME, "original", soot) == "Stmt",
-        "StmtBox" not in apply_rules("UnitBox", FIELD_CLASS_NAME, "original", soot),
-        apply_rules("UnitBoxes", FIELD_CLASS_NAME, "original", soot) == "Stmts",
-        apply_rules("Unit", FIELD_CLASS_NAME, "original", soot) == "Stmt",
-        apply_rules("BodyTransformer", FIELD_CLASS_NAME, "original", soot) == "BodyInterceptor",
-        apply_rules("BasicBlock", FIELD_CLASS_NAME, "redesigned", soot) == "Block",
-        apply_rules("Const", FIELD_CLASS_NAME, "redesigned", fb) == "Constants",
-        apply_rules("spotbugsTestCases", FIELD_CLASS_NAME, "redesigned", fb) == "findbugsTestCases",
+        soot.apply("UnitBox", FIELD_CLASS_NAME, "original") == "Stmt",
+        "StmtBox" not in soot.apply("UnitBox", FIELD_CLASS_NAME, "original"),
+        soot.apply("UnitBoxes", FIELD_CLASS_NAME, "original") == "Stmts",
+        soot.apply("Unit", FIELD_CLASS_NAME, "original") == "Stmt",
+        soot.apply("BodyTransformer", FIELD_CLASS_NAME, "original") == "BodyInterceptor",
+        soot.apply("BasicBlock", FIELD_CLASS_NAME, "redesigned") == "Block",
+        fb.apply("Const", FIELD_CLASS_NAME, "redesigned") == "Constants",
+        fb.apply("spotbugsTestCases", FIELD_CLASS_NAME, "redesigned") == "findbugsTestCases",
         # project-role gating
-        apply_rules("BasicBlock", FIELD_CLASS_NAME, "original", soot) == "BasicBlock",
-        apply_rules("Unit", FIELD_CLASS_NAME, "redesigned", soot) == "Unit",
-        apply_rules("Const", FIELD_CLASS_NAME, "original", fb) == "Const",
+        soot.apply("BasicBlock", FIELD_CLASS_NAME, "original") == "BasicBlock",
+        soot.apply("Unit", FIELD_CLASS_NAME, "redesigned") == "Unit",
+        fb.apply("Const", FIELD_CLASS_NAME, "original") == "Const",
         # scope gating: the wither rule only fires on method names
-        apply_rules("setName", FIELD_CLASS_NAME, "original", soot) == "setName",
+        soot.apply("setName", FIELD_CLASS_NAME, "original") == "setName",
     ]
     corpus = [
         "setName", "setPhaseName", "UnitBox", "UnitBoxes", "UseBox", "ValueBoxes",
@@ -146,8 +145,8 @@ def test_acceptance_rename_rule_fidelity():
         for field in (FIELD_METHOD_NAME, FIELD_CLASS_NAME):
             for role in ("original", "redesigned"):
                 for rules in (soot, fb):
-                    once = apply_rules(text, field, role, rules)
-                    idempotent &= apply_rules(once, field, role, rules) == once
+                    once = rules.apply(text, field, role)
+                    idempotent &= rules.apply(once, field, role) == once
     report("Bundled rename rule fidelity", all(checks) and idempotent)
 
 

@@ -704,11 +704,11 @@ def contract(pipeline, tmp_path_factory):
     return d, argvs, pairs.read_text().split("\n")[0]
 
 
-def _with(argv: list, flag: str, value: str) -> list:
+def _with(argv: list, flag: str, value: str | None) -> list:
+    """argv with the flag set to value, or left out when value is None."""
     if flag in argv:
-        argv = list(argv)
-        argv[argv.index(flag) + 1] = value
-        return argv
+        i = argv.index(flag)
+        return [*argv[:i], *([] if value is None else [flag, value]), *argv[i + 2:]]
     return [*argv, f"{flag}={value}"]  # a value such as "-inf" is not taken for a flag
 
 
@@ -718,7 +718,8 @@ NUMERIC_FLAGS = ("--threshold", "--thresholds", "--grid-step", "--k", "--line-ra
 def _bad_invocations(first_pair_line: str):
     """(command, flag, file bytes or None, value): the flag is set to a file
     holding the bytes, to a file name under the test directory, or, for the
-    numeric flags, to the value itself."""
+    numeric flags, to the value itself. A value of None leaves a required
+    flag out."""
     file_flags = {
         "extract": ["--root"], "pairs": ["--left", "--right"],
         "ingest": ["--report", "--left", "--right"], "score": ["--pairs", "--left", "--right"],
@@ -743,6 +744,10 @@ def _bad_invocations(first_pair_line: str):
         st.sampled_from(["0", "inf", "nan", "-0.05", "2"]).map(lambda v: ("tune", "--grid-step", None, v)),
         st.sampled_from(["0", "-5"]).map(lambda v: ("tune", "--k", None, v)),
         st.sampled_from(["nan", "0.5"]).map(lambda v: ("pairs", "--line-ratio", None, v)),
+        st.sampled_from([(c, f) for c, flags in file_flags.items() for f in flags]).map(
+            lambda cf: (*cf, None, None)),
+        st.sampled_from(list(file_flags)).map(lambda c: (c, "--bogus", None, "x")),
+        st.just(("score", "--threshold", None, "abc")),
     )
 
 
@@ -756,13 +761,14 @@ def test_bad_invocations_exit_with_one_json_line(contract, data):
     if body is not None:
         value = str(d / "bad.input")
         Path(value).write_bytes(body)
-    elif flag not in NUMERIC_FLAGS:
+    elif value is not None and flag not in NUMERIC_FLAGS:
         value = str(d / value)
     argv = _with(argvs[command], flag, value)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     lines = err.getvalue().splitlines()
-    assert code in (1, 2), argv
+    usage = flag in NUMERIC_FLAGS or flag == "--bogus" or value is None  # a bad flag, not a bad file
+    assert code == 2 if usage else code in (1, 2), argv
     assert len(lines) == 1 and "Traceback" not in err.getvalue(), lines
     assert set(json.loads(lines[0])) == {"error", "message"}

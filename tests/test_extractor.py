@@ -1,4 +1,4 @@
-"""Java extraction: exclusions, spans, fragment matching, determinism."""
+"""Java extraction: exclusions, spans, determinism."""
 
 import textwrap
 from pathlib import Path
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remap.extractor import ExtractConfig, JavaParseError, extract, match_fragment, parse_java_file
+from remap.extractor import ExtractConfig, JavaParseError, extract, parse_java_file
 from remap.javalex import JavaLexError, lex
-from remap.records import SourceSpan, load_snapshot, save_snapshot
+from remap.records import load_snapshot, save_snapshot
 
 
 def parse(source, rel="p/A.java", is_test=False, config=None):
@@ -314,65 +314,6 @@ def test_snapshot_roundtrip(tmp_path):
     assert loaded.project_id == "redesigned:demo"
     assert [r.to_dict() for r in loaded.records] == [r.to_dict() for r in snap.records]
     assert loaded.class_index.keys() == snap.class_index.keys()
-
-
-# -- fragment matching ---------------------------------------------------------
-
-
-FRAG_SOURCE = """\
-package p;
-public class A {
-    public int first(int x) {
-        int a = x;
-        a += 1;
-        a += 2;
-        a += 3;
-        a += 4;
-        a += 5;
-        return a;
-    }
-    public int second(int x) {
-        int b = x;
-        b *= 2;
-        b *= 3;
-        b *= 4;
-        b *= 5;
-        b *= 6;
-        return b;
-    }
-}
-"""
-
-
-@pytest.fixture
-def frag_snapshot(tmp_path):
-    (tmp_path / "p").mkdir()
-    (tmp_path / "p" / "A.java").write_text(FRAG_SOURCE)
-    return extract(tmp_path)
-
-
-def test_match_exact_span(frag_snapshot):
-    first = frag_snapshot.records[0]
-    frag = SourceSpan(first.span.file_path, first.span.start_line, first.span.end_line)
-    assert match_fragment(frag_snapshot, frag).id == first.id
-
-
-def test_match_prefers_dominant_overlap(frag_snapshot):
-    first, second = frag_snapshot.records
-    # fragment straddles both methods, 80% of it inside the first
-    frag = SourceSpan(first.span.file_path, first.span.start_line + 2, second.span.start_line + 1)
-    got = match_fragment(frag_snapshot, frag)
-    assert got.id == first.id
-
-
-def test_match_unknown_file_counts_diagnostic(frag_snapshot):
-    frag = SourceSpan("p/Nope.java", 1, 3)
-    assert match_fragment(frag_snapshot, frag) is None
-
-
-def test_match_no_overlap_returns_none(frag_snapshot):
-    frag = SourceSpan("p/A.java", 1, 2)  # class header, before any method
-    assert match_fragment(frag_snapshot, frag) is None
 
 
 def test_generics_with_double_closer_and_text_block():

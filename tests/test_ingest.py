@@ -220,6 +220,35 @@ def test_nicad_cross_project_pair(snapshots, tmp_path):
     assert stats.same_project == 0
 
 
+def test_nicad_path_below_one_root_binds_only_on_that_side(snapshots, tmp_path):
+    base, left, right = snapshots
+    first, second = _rec(left, "first"), _rec(left, "second")
+    primary, secondary = _rec(right, "primary"), _rec(right, "secondary")
+    rel = first.span.file_path  # both trees share this layout
+    lpath, rpath = f"{base}/left/{rel}", f"{base}/right/{rel}"
+    # each rooted path also ends with the other side's file, and the
+    # relative path names a file on both sides
+    assert right.resolve_path(lpath) == left.resolve_path(rpath) == rel
+    assert left.resolve_path(rel) == right.resolve_path(rel) == rel
+    xml = NICAD_TEMPLATE.format(
+        body=nicad_clone(
+            lpath, first.span.start_line, first.span.end_line,
+            rel, secondary.span.start_line, secondary.span.end_line,
+        )
+        + nicad_clone(
+            rpath, primary.span.start_line, primary.span.end_line,
+            rel, second.span.start_line, second.span.end_line,
+        )
+    )
+    report = tmp_path / "nicad.xml"
+    report.write_text(xml)
+    pairs, stats = ingest_nicad_xml(report, left, right)
+    assert sorted((q.left, q.right) for q in pairs) == sorted(
+        [(first.id, secondary.id), (second.id, primary.id)]
+    )
+    assert (stats.resolved, stats.same_project, stats.unresolved) == (2, 0, 0)
+
+
 def test_nicad_same_project_dropped(snapshots, tmp_path):
     base, left, right = snapshots
     a, b = _rec(left, "first"), _rec(left, "second")

@@ -11,7 +11,6 @@ from remap.normalizer import (
     SOOT_SOOTUP_RULES,
     RenameRule,
     RuleSet,
-    apply_rules,
     normalize_doc,
     normalize_record,
     tokenize,
@@ -20,11 +19,11 @@ from remap.records import ClassRecord, MethodRecord, SourceSpan
 
 
 def any_detail(text, project, rules):
-    return apply_rules(text, FIELD_CLASS_NAME, project, rules)
+    return rules.apply(text, FIELD_CLASS_NAME, project)
 
 
 def method_name(text, project, rules):
-    return apply_rules(text, FIELD_METHOD_NAME, project, rules)
+    return rules.apply(text, FIELD_METHOD_NAME, project)
 
 
 # -- bundled rule behavior ---------------------------------------------------

@@ -112,10 +112,12 @@ def test_embedder_properties():
 
 def test_exhaustive_cross_product_and_min_loc():
     lrecs = [method("p.A", f"f{i}", 6, start=1 + 10 * i) for i in range(3)]
-    rrecs = [method("p.B", f"g{i}", 6, start=1 + 10 * i) for i in range(4)]
+    # file order (g3 first) differs from id order (g0 first)
+    rrecs = [method("p.B", f"g{3 - i}", 6, start=1 + 10 * i) for i in range(4)]
     left = snapshot("original", ["p.A"], lrecs)
     right = snapshot("redesigned", ["p.B"], rrecs)
-    assert len(exhaustive_pairs(left, right, min_loc=5)) == 12
+    keys = [(p.left, p.right) for p in exhaustive_pairs(left, right, min_loc=5)]
+    assert len(keys) == 12 and keys == sorted(keys)
     short = snapshot("redesigned", ["p.B"], rrecs + [method("p.B", "tiny", 4, start=100)])
     assert len(exhaustive_pairs(left, short, min_loc=5)) == 12  # 4-LOC method excluded
     empty = snapshot("redesigned", ["p.B"], [])
