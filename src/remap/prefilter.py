@@ -67,16 +67,17 @@ class CandidatePair:
         }
 
 
-def _bag_of_tokens(body_text: str) -> Counter:
-    return Counter(tokenize(body_text))
+def _bag_of_tokens(body_text: str) -> tuple[Counter, float]:
+    """A body's token counts and their Euclidean norm."""
+    counts = Counter(tokenize(body_text))
+    return counts, math.sqrt(sum(c * c for c in counts.values()))
 
 
-def _cosine(a: Counter, b: Counter) -> float:
-    if not a or not b:
-        return 1.0 if not a and not b else 0.0
-    dot = sum(cnt * b[tok] for tok, cnt in a.items())
-    na = math.sqrt(sum(c * c for c in a.values()))
-    nb = math.sqrt(sum(c * c for c in b.values()))
+def _cosine(a: tuple[Counter, float], b: tuple[Counter, float]) -> float:
+    (ca, na), (cb, nb) = a, b
+    if not ca or not cb:
+        return 1.0 if not ca and not cb else 0.0
+    dot = sum(cnt * cb[tok] for tok, cnt in ca.items())
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -90,7 +91,7 @@ class BagOfTokensEmbedder:
     """
 
     def __init__(self):
-        self._cache: dict[str, Counter] = {}
+        self._cache: dict[str, tuple[Counter, float]] = {}
 
     def similarity(self, left: MethodRecord, right: MethodRecord) -> float:
         a = self._cache.get(left.id)
@@ -102,15 +103,37 @@ class BagOfTokensEmbedder:
         return _cosine(a, b)
 
 
+def _elements(tokens) -> list[tuple[str, int]]:
+    """A token sequence as a set: the k-th occurrence of a token is
+    ``(token, k)``, so multiset overlap is set overlap."""
+    seen: Counter = Counter()
+    out = []
+    for tok in tokens:
+        out.append((tok, seen[tok]))
+        seen[tok] += 1
+    return out
+
+
 def filter_classes(
     left: ProjectSnapshot,
     right: ProjectSnapshot,
     rules: RuleSet,
     cfg: PrefilterConfig | None = None,
+    counters: dict | None = None,
 ) -> list[ClassPair]:
     """Retain cross-product class pairs whose normalized qualified names
-    reach the similarity threshold."""
+    reach the similarity threshold, in (left, right) name order.
+
+    A similarity join: a pair of n and m tokens reaches t only if its LCS,
+    and so its count of shared tokens, reaches the least k with
+    2k/(n+m) >= t (overlap filter), and that k is at most min(n, m) (length
+    filter). Right names are indexed by token; each left name probes the
+    index with the prefix of its tokens, rarest first, that must hold a
+    shared one, and only the candidates that pass the length filter get an
+    LCS. ``counters``, when given, receives ``class_pairs_scored``.
+    """
     cfg = cfg or PrefilterConfig()
+    t = cfg.class_sim_threshold
 
     def names(snapshot: ProjectSnapshot) -> list[tuple[str, tuple]]:
         return [
@@ -118,15 +141,45 @@ def filter_classes(
             for name in sorted(snapshot.class_index)
         ]
 
-    right_names = names(right)
+    left_names, right_names = names(left), names(right)
+    right_lengths = sorted({len(rm[0]) for _, rm in right_names})
+    # the least LCS that reaches t, in masked_sim's own arithmetic, so no
+    # float edge can drop a pair; None when even min(n, m) falls short, and
+    # no entry for two empty names, which masked_sim gives no similarity
+    least_lcs = {
+        (n, m): next((k for k in range(min(n, m) + 1) if 2.0 * k / (n + m) >= t), None)
+        for n in {len(lm[0]) for _, lm in left_names}
+        for m in right_lengths
+        if n + m
+    }
+    index: dict[tuple[str, int], list[int]] = {}
+    for j, (_, rm) in enumerate(right_names):
+        for el in _elements(rm[0]):
+            index.setdefault(el, []).append(j)
+
     retained: list[ClassPair] = []
-    for lname, lm in names(left):
-        for rname, rm in right_names:
-            sim = masked_sim(lm, rm)
-            if sim is None:
+    scored = 0
+    for lname, lm in left_names:
+        n = len(lm[0])
+        # the shortest admissible right name needs the fewest shared tokens
+        overlap = next((k for m in right_lengths if (k := least_lcs.get((n, m))) is not None), None)
+        if overlap is None:
+            continue
+        if overlap == 0:  # t == 0 keeps zero-similarity pairs too
+            candidates = range(len(right_names))
+        else:  # any n - overlap + 1 of the n elements include one of `overlap` shared ones
+            elements = sorted(_elements(lm[0]), key=lambda el: (len(index.get(el, ())), el))
+            candidates = sorted({j for el in elements[: n - overlap + 1] for j in index.get(el, ())})
+        for j in candidates:
+            rname, rm = right_names[j]
+            if least_lcs.get((n, len(rm[0]))) is None:
                 continue
-            if sim >= cfg.class_sim_threshold:
+            scored += 1
+            sim = masked_sim(lm, rm)
+            if sim >= t:
                 retained.append(ClassPair(lname, rname, sim))
+    if counters is not None:
+        counters["class_pairs_scored"] = scored
     return retained
 
 

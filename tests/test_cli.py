@@ -217,6 +217,8 @@ def test_eval_sweep_tune_ablate_impact(pipeline, tmp_path):
     assert p.returncode == 0, p.stderr
     weights = json.loads((tmp_path / "weights.json").read_text())
     assert abs(weights["alpha"] + weights["beta"] + weights["theta"] - 1.0) < 1e-9
+    counters = json.loads((tmp_path / "weights.json.manifest.json").read_text())["counters"]
+    assert counters["grid_points"] == 15 and counters["weight_configs"] == 225  # step 1/4
 
     p = remap("ablate", "--pairs", pairs, "--left", left, "--right", right,
               "--labels", labels, "--task", "cm", "--threshold", "0.6",
@@ -241,6 +243,23 @@ def test_pairs_command_exhaustive(pipeline, tmp_path):
               "--min-loc", "5", "--out", out)
     assert p.returncode == 0, p.stderr
     assert len(out.read_text().strip().split("\n")) == 756
+
+
+def test_prefilter_manifest_counts_scored_class_pairs(pipeline, tmp_path):
+    from remap import cli
+    from remap.records import load_snapshot
+
+    work, left, right, _ = pipeline
+    product = len(load_snapshot(left).class_index) * len(load_snapshot(right).class_index)
+    counters = {}
+    for class_sim in ("0.5", "0"):
+        out = tmp_path / f"pairs.{class_sim}.jsonl"
+        argv = ["pairs", "--mode", "prefilter", "--left", str(left), "--right", str(right),
+                "--rules", "soot-sootup", "--class-sim", class_sim, "--out", str(out)]
+        assert cli.main(argv) == 0
+        counters[class_sim] = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+    assert counters["0.5"]["class_pairs"] <= counters["0.5"]["class_pairs_scored"] <= product
+    assert counters["0"]["class_pairs_scored"] == counters["0"]["class_pairs"] == product
 
 
 def test_normalize_command(pipeline, tmp_path):

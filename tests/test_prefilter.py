@@ -1,17 +1,27 @@
 """Class-level pre-filtering and pair generation."""
 
+import math
+from collections import Counter
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remap.extractor import extract
-from remap.normalizer import EMPTY_RULESET, SOOT_SOOTUP_RULES
+from remap.normalizer import EMPTY_RULESET, FIELD_CLASS_NAME, SOOT_SOOTUP_RULES, tokenize
 from remap.prefilter import (
     BagOfTokensEmbedder,
+    ClassPair,
     PrefilterConfig,
     exhaustive_pairs,
     filter_classes,
     generate_pairs,
 )
 from remap.records import ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan
+from remap.simcore import masked, masked_sim
+
+FIXTURE = Path(__file__).parent / "fixtures" / "toy"
 
 
 def method(cls, name, loc, body="", file="F.java", start=1, is_test=False):
@@ -75,6 +85,65 @@ def test_raising_threshold_never_adds_pairs():
         assert kept[hi] <= kept[lo]
 
 
+def _full_scan(left, right, rules, t):
+    """Reference: an LCS for every left x right class-name pair."""
+
+    def names(snapshot):
+        return [
+            (name, masked(tuple(tokenize(rules.apply(name, FIELD_CLASS_NAME, snapshot.role)))))
+            for name in sorted(snapshot.class_index)
+        ]
+
+    right_names = names(right)
+    retained = []
+    for lname, lm in names(left):
+        for rname, rm in right_names:
+            sim = masked_sim(lm, rm)
+            if sim is not None and sim >= t:
+                retained.append(ClassPair(lname, rname, sim))
+    return retained
+
+
+# few segments, so that names share and repeat tokens; "Unit" and "Box" meet
+# the renaming rules, and "_" alone tokenizes to nothing
+_WORD = st.lists(st.sampled_from(["Soot", "Up", "Unit", "Stmt", "Box", "A", "_"]), min_size=1, max_size=3)
+_CLASS_NAMES = st.lists(
+    st.lists(_WORD.map("".join), min_size=1, max_size=4).map(".".join), max_size=8, unique=True
+)
+# every similarity is 2k/(n+m) for some k <= (n+m)/2
+_EXACT_SIMS = st.integers(1, 16).flatmap(lambda s: st.integers(0, s // 2).map(lambda k: 2 * k / s))
+
+
+@given(
+    left_names=_CLASS_NAMES,
+    right_names=_CLASS_NAMES,
+    rules=st.sampled_from([EMPTY_RULESET, SOOT_SOOTUP_RULES]),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), _EXACT_SIMS),
+)
+@settings(max_examples=300, deadline=None)
+def test_filter_classes_matches_full_scan(left_names, right_names, rules, t):
+    left = snapshot("original", left_names, [])
+    right = snapshot("redesigned", right_names, [])
+    counters = {}
+    got = filter_classes(left, right, rules, PrefilterConfig(class_sim_threshold=t), counters)
+    assert got == _full_scan(left, right, rules, t)
+    assert len(got) <= counters["class_pairs_scored"] <= len(left_names) * len(right_names)
+
+
+def test_filter_classes_keeps_pairs_at_a_float_edge():
+    # 0.56 * 25 == 14.000000000000002 in floats, yet 2*7/25 == 0.56 exactly:
+    # a bound taken as ceil(t*(n+m)/2) asks for 8 shared tokens, not 7
+    shared = "a.b.c.d.e.f.g"
+    left = snapshot("original", ["v.w.x.y.z." + shared, shared], [])
+    right = snapshot("redesigned", [shared + ".h.i.j.k.l.m", shared + ".h.i.j.k.l.m.n.o.p.q.r"], [])
+    got = filter_classes(left, right, EMPTY_RULESET, PrefilterConfig(class_sim_threshold=0.56))
+    assert [(c.left, c.right, c.name_sim) for c in got] == [
+        (shared, shared + ".h.i.j.k.l.m", 0.7),
+        (shared, shared + ".h.i.j.k.l.m.n.o.p.q.r", 0.56),  # 7 + 18 tokens
+        ("v.w.x.y.z." + shared, shared + ".h.i.j.k.l.m", 0.56),  # 12 + 13 tokens
+    ]
+
+
 def test_line_ratio_cutoff_is_inclusive():
     left = snapshot("original", ["p.A"], [method("p.A", "f", 10, body="a b c")])
     right_discard = snapshot("redesigned", ["p.A"], [method("p.A", "g", 20, body="a b c")])
@@ -108,6 +177,23 @@ def test_embedder_properties():
     assert e.similarity(a, a) == pytest.approx(1.0)
     assert e.similarity(a, b) == pytest.approx(e.similarity(b, a))
     assert 0.0 <= e.similarity(a, b) <= 1.0
+
+
+def test_embedder_equals_uncached_cosine():
+    def cosine(x, y):
+        a, b = Counter(tokenize(x.body_text)), Counter(tokenize(y.body_text))
+        if not a or not b:
+            return 1.0 if not a and not b else 0.0
+        dot = sum(cnt * b[tok] for tok, cnt in a.items())
+        return dot / (math.sqrt(sum(c * c for c in a.values())) * math.sqrt(sum(c * c for c in b.values())))
+
+    e = BagOfTokensEmbedder()
+    recs = extract(FIXTURE / "left", role="original").records + \
+        extract(FIXTURE / "right", role="redesigned").records
+    recs.append(method("p.Empty", "f", 1, body="{}"))  # tokenizes to nothing
+    for a in recs:
+        for b in recs:
+            assert e.similarity(a, b) == cosine(a, b)  # bit-identical, not approx
 
 
 def test_exhaustive_cross_product_and_min_loc():
