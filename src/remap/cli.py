@@ -124,10 +124,23 @@ def _config_path(args, dest: str, what: str) -> Path:
     raise UsageError(f"{what} not found: {name}")
 
 
+def _read_file(args, dest: str, what: str, read, find=_require_file):
+    """``read`` the file that ``dest`` names, as ``find`` resolves it. A
+    ValueError (bad JSON, a bad field, value or line) is a usage error that
+    names the file."""
+    path = find(args, dest, what)
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise UsageError(f"invalid {what} {path}: {exc}") from None
+
+
 def _snapshot_arg(args, dest: str, what: str):
-    path = _require_file(args, dest, what)
-    _record_input(args, sidecar_path(path))
-    return load_snapshot(path)
+    def read(path: Path):
+        _record_input(args, sidecar_path(path))
+        return load_snapshot(path)  # a ValueError: a bad records line, role or class index
+
+    return _read_file(args, dest, what, read)
 
 
 def _load_two_snapshots(args):
@@ -146,37 +159,25 @@ def _rules_arg(args) -> RuleSet:
         return EMPTY_RULESET
     if args.rules in BUNDLED_RULESETS:
         return BUNDLED_RULESETS[args.rules]
-    path = _config_path(args, "rules", "rules file")
-    try:
-        return RuleSet.load(path)
-    except ValueError as exc:  # bad JSON, a missing key, a bad pattern or order
-        raise UsageError(f"invalid rules file {path}: {exc}") from None
+    return _read_file(args, "rules", "rules file", RuleSet.load, _config_path)
 
 
 def _weights_arg(args) -> WeightConfig:
     if args.weights:
-        path = _config_path(args, "weights", "weights file")
-        try:
-            return WeightConfig.load(path)
-        except ValueError as exc:  # bad JSON, unknown keys, off-simplex weights
-            raise UsageError(f"invalid weights file {path}: {exc}") from None
+        return _read_file(args, "weights", "weights file", WeightConfig.load, _config_path)
     return WeightConfig()
 
 
 def _pairs_arg(args) -> list:
-    path = _require_file(args, "pairs", "pairs file")
-    try:
-        return ingest.load_pairs(path)
-    except ValueError as exc:  # bad JSON, or a line that is not a format-1 pair
-        raise UsageError(f"invalid pairs file {path}: {exc}") from None
+    return _read_file(args, "pairs", "pairs file", ingest.load_pairs)
 
 
 def _labels_arg(args) -> list:
-    return evalkit.load_labels(_require_file(args, "labels", "labels file"))
+    return _read_file(args, "labels", "labels file", evalkit.load_labels)
 
 
 def _scored_arg(args) -> list:
-    return mapper.load_results(_require_file(args, "scored", "scored file"))
+    return _read_file(args, "scored", "scored file", mapper.load_results)
 
 
 MAX_THRESHOLDS = 10_000

@@ -50,22 +50,45 @@ class LabeledPair:
         raise ValueError(f"unknown task: {task!r}")
 
 
+_LABEL_COLUMNS = ("left_key", "right_key", "clone_type", "is_code_mapping")
+
+
+def _label_from_row(row: dict) -> LabeledPair:
+    missing = [c for c in _LABEL_COLUMNS if row[c] is None]
+    if missing:
+        raise ValueError(f"the row has no {', '.join(missing)}")
+    return LabeledPair(
+        left=row["left_key"],
+        right=row["right_key"],
+        clone_type=row["clone_type"],
+        is_code_mapping=row["is_code_mapping"].strip().lower() in ("true", "1", "yes"),
+        code_type=row.get("code_type") or "production",
+        source_tools=frozenset(t for t in (row.get("tools") or "").split(";") if t),
+    )
+
+
 def load_labels(path: str | Path) -> list[LabeledPair]:
     """Read the labeled dataset CSV
-    (left_key,right_key,clone_type,is_code_mapping,code_type,tools)."""
+    (left_key,right_key,clone_type,is_code_mapping,code_type,tools).
+
+    Raises ValueError naming the line of a header that lacks one of the
+    first four columns, or of a row that has no value for one or holds an
+    unknown clone type.
+    """
     out = []
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                LabeledPair(
-                    left=row["left_key"],
-                    right=row["right_key"],
-                    clone_type=row["clone_type"],
-                    is_code_mapping=row["is_code_mapping"].strip().lower() in ("true", "1", "yes"),
-                    code_type=row.get("code_type", "production") or "production",
-                    source_tools=frozenset(t for t in (row.get("tools") or "").split(";") if t),
-                )
-            )
+        reader = csv.DictReader(fh)
+        try:
+            missing = [c for c in _LABEL_COLUMNS if c not in (reader.fieldnames or _LABEL_COLUMNS)]
+            if missing:  # an empty file has no header, and no rows either
+                raise ValueError(f"line 1: the header lacks {', '.join(missing)}")
+            for row in reader:
+                try:
+                    out.append(_label_from_row(row))
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # a field over the csv module's size limit, in the row after line_num
+            raise ValueError(f"line {reader.line_num + 1}: {exc}") from None
     return out
 
 

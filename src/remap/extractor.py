@@ -113,9 +113,6 @@ class _FileParser:
     def _kind(self, ci: int) -> str | None:
         return self.ct[ci].kind if 0 <= ci < len(self.ct) else None
 
-    def _slice_lines(self, start_line: int, end_line: int) -> str:
-        return "\n".join(self.lines[start_line - 1:end_line])
-
     def _doc_before(self, ci: int) -> str:
         """Doc comment immediately preceding code token ci (trivia only between)."""
         sp = self.ct_pos[ci]
@@ -349,7 +346,7 @@ class _FileParser:
                 method_doc=self._doc_before(ms),
                 inline_comments=tuple(self._comments_between(brace_ci, end_ci)),
                 span=span,
-                body_text=self._slice_lines(start_line, end_line),
+                body_text="\n".join(self.lines[start_line - 1:end_line]),
                 is_test=self.is_test,
             )
         )

@@ -8,7 +8,8 @@ shape (see extractor.py for the exclusions that make this viable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 ID = "id"
 NUM = "num"
@@ -20,9 +21,25 @@ DOC_COMMENT = "doc_comment"
 
 COMMENT_KINDS = frozenset({LINE_COMMENT, BLOCK_COMMENT, DOC_COMMENT})
 
-# Multi-char operators that must stay single tokens for structural parsing.
-# '>>' is intentionally split so nested generics close one '>' at a time.
-_MULTI = ("->", "...", "::")
+# Token kinds as alternatives, tried in order. In a string a backslash escapes
+# any character, a newline too. An identifier starts at a letter, '_', '$' or a
+# numeric character that is not a decimal digit, such as '²' (invalid Java
+# outside literals). A number runs on through '.' only before a digit or a float
+# suffix. '>>' is two tokens, so nested generics close one '>' at a time. An
+# opening '/*', '"""', '"' or "'" that no earlier alternative closes is an error.
+_TOKEN = re.compile(r'''
+    (?P<space>\s+)
+  | //(?P<line_comment>[^\n]*)
+  | /\*(?P<block_comment>.*?)\*/
+  | (?P<text_block>""".*?""")
+  | (?P<str>(?!""")"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+  | (?P<id>(?:[^\W\d]|\$)[\w$]*)
+  | (?P<num>\d(?:\w|\.(?=[\dfFdDeE]))*)
+  | (?P<unterminated>/\*|"""|["'])
+  | (?P<punct>->|\.\.\.|::|.)
+''', re.VERBOSE | re.DOTALL)
+
+_UNTERMINATED = {"/*": "block comment", '"""': "text block", '"': "string literal", "'": "char literal"}
 
 
 class JavaLexError(ValueError):
@@ -31,8 +48,7 @@ class JavaLexError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int       # 1-based line of the first character
@@ -45,117 +61,30 @@ class Token:
         return self.kind in COMMENT_KINDS
 
 
-def _is_id_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
-
-
-def _is_id_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
-
-
 def lex(source: str) -> list[Token]:
-    """Tokenize Java source; raises JavaLexError on unterminated literals."""
+    """Tokenize Java source; raises JavaLexError on unterminated literals.
+
+    Only '\\n' outside string and char literals advances the line count.
+    """
     tokens: list[Token] = []
-    i = 0
     line = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
+    # The last alternative matches any character, so the matches tile the source.
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "space":
+            line += m[0].count("\n")
             continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n:
-            nxt = source[i + 1]
-            if nxt == "/":
-                j = source.find("\n", i)
-                if j == -1:
-                    j = n
-                tokens.append(Token(LINE_COMMENT, source[i + 2:j], line, line, i, j))
-                i = j
-                continue
-            if nxt == "*":
-                j = source.find("*/", i + 2)
-                if j == -1:
-                    raise JavaLexError("unterminated block comment", line)
-                body = source[i + 2:j]
-                kind = DOC_COMMENT if body.startswith("*") and body != "*" else BLOCK_COMMENT
-                end_line = line + source.count("\n", i, j + 2)
-                tokens.append(Token(kind, body.lstrip("*"), line, end_line, i, j + 2))
-                line = end_line
-                i = j + 2
-                continue
-        if ch == '"':
-            if source.startswith('"""', i):
-                j = source.find('"""', i + 3)
-                if j == -1:
-                    raise JavaLexError("unterminated text block", line)
-                end = j + 3
-                end_line = line + source.count("\n", i, end)
-                tokens.append(Token(STR, source[i:end], line, end_line, i, end))
-                line = end_line
-                i = end
-                continue
-            j = i + 1
-            while j < n:
-                if source[j] == "\\":
-                    j += 2
-                    continue
-                if source[j] == '"':
-                    break
-                if source[j] == "\n":
-                    raise JavaLexError("unterminated string literal", line)
-                j += 1
-            else:
-                raise JavaLexError("unterminated string literal", line)
-            tokens.append(Token(STR, source[i:j + 1], line, line, i, j + 1))
-            i = j + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if source[j] == "\\":
-                    j += 2
-                    continue
-                if source[j] == "'":
-                    break
-                if source[j] == "\n":
-                    raise JavaLexError("unterminated char literal", line)
-                j += 1
-            else:
-                raise JavaLexError("unterminated char literal", line)
-            tokens.append(Token(STR, source[i:j + 1], line, line, i, j + 1))
-            i = j + 1
-            continue
-        if _is_id_start(ch):
-            j = i + 1
-            while j < n and _is_id_part(source[j]):
-                j += 1
-            tokens.append(Token(ID, source[i:j], line, line, i, j))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            # good enough for numeric literals incl. hex, underscores, suffixes
-            while j < n and (source[j].isalnum() or source[j] in "._xXbBlLfFdDeE"):
-                if source[j] == "." and not (j + 1 < n and (source[j + 1].isdigit() or source[j + 1] in "fFdDeE")):
-                    break
-                j += 1
-            tokens.append(Token(NUM, source[i:j], line, line, i, j))
-            i = j
-            continue
-        matched = False
-        for op in _MULTI:
-            if source.startswith(op, i):
-                tokens.append(Token(PUNCT, op, line, line, i, i + len(op)))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        tokens.append(Token(PUNCT, ch, line, line, i, i + 1))
-        i += 1
+        if kind == "unterminated":
+            raise JavaLexError(f"unterminated {_UNTERMINATED[m[0]]}", line)
+        text = m[kind]
+        end_line = line
+        if kind == "text_block":
+            kind, end_line = STR, line + text.count("\n")
+        elif kind == BLOCK_COMMENT:
+            end_line = line + text.count("\n")
+            if text.startswith("*") and text != "*":
+                kind = DOC_COMMENT
+            text = text.lstrip("*")
+        tokens.append(Token(kind, text, line, end_line, *m.span()))
+        line = end_line
     return tokens

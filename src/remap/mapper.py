@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
-from .records import ProjectSnapshot
+from .records import ProjectSnapshot, check_fields
 from .simcore import ABLATION_MODES, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
 
 TASK_GENUINE_CLONE = "genuine_clone"
@@ -184,14 +184,30 @@ def report(results: list[MappingResult], fmt: str = "jsonl") -> str:
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
+_RESULT_FIELDS = {
+    "left": (str,), "right": (str,), "provenance": (str,), "kept": (bool,), "rank": (int, type(None)),
+    **dict.fromkeys(SASBreakdown._fields[:8], (float, int, type(None))),  # per-field sims, None if absent
+    **dict.fromkeys(SASBreakdown._fields[8:12], (float, int)), "ablation": (str,),
+}
+
+
 def load_results(path: str | Path) -> list[MappingResult]:
+    """Read jsonl rows that ``report`` wrote.
+
+    Raises ValueError naming the first line that is not JSON or lacks a
+    field of ``MappingResult.to_dict`` with its JSON type.
+    """
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
+            try:
+                d = json.loads(line)
+                check_fields(d, _RESULT_FIELDS)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             breakdown = SASBreakdown(*(d[f] for f in SASBreakdown._fields))
             out.append(
                 MappingResult(d["left"], d["right"], d["provenance"], breakdown, d["kept"], d["rank"])

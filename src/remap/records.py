@@ -13,10 +13,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 ROLE_ORIGINAL = "original"
 ROLE_REDESIGNED = "redesigned"
+
+
+def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
+    """Raise ValueError unless obj is a dict whose every listed key holds a
+    value of exactly one of the key's types (so a bool is not an int)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    for key, types in fields.items():
+        if key not in obj or type(obj[key]) not in types:
+            raise ValueError(f"{key} is missing or not {' or '.join(t.__name__ for t in types)}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +77,9 @@ class MethodRecord:
     body_text: str
     is_test: bool
 
-    @property
+    @cached_property
     def id(self) -> str:
-        types = ",".join(t for t, _ in self.params)
-        return f"{self.class_name}#{self.method_name}({types}):{self.span.start_line}-{self.span.end_line}"
+        return f"{self.signature_key}:{self.span.start_line}-{self.span.end_line}"
 
     @property
     def signature_key(self) -> str:
@@ -102,10 +112,18 @@ class MethodRecord:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "MethodRecord":
-        span = SourceSpan(
-            d["span"]["file_path"], d["span"]["start_line"], d["span"]["end_line"]
-        )
+    def from_dict(d) -> "MethodRecord":
+        """The record ``to_dict`` wrote; raises ValueError naming the first
+        field that is missing or of the wrong JSON type."""
+        check_fields(d, _RECORD_FIELDS)
+        span = d["span"]
+        check_fields(span, _SPAN_FIELDS)
+        for key in ("params", "local_vars"):
+            if not all(type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
+                       for p in d[key]):
+                raise ValueError(f"{key} holds an entry that is not a [type, name] pair of strings")
+        if not all(type(c) is str for c in d["inline_comments"]):
+            raise ValueError("inline_comments holds an entry that is not a string")
         return MethodRecord(
             class_name=d["class_name"],
             method_name=d["method_name"],
@@ -114,10 +132,18 @@ class MethodRecord:
             local_vars=tuple((v[0], v[1]) for v in d["local_vars"]),
             method_doc=d["method_doc"],
             inline_comments=tuple(d["inline_comments"]),
-            span=span,
+            span=SourceSpan(span["file_path"], span["start_line"], span["end_line"]),
             body_text=d["body_text"],
-            is_test=bool(d["is_test"]),
+            is_test=d["is_test"],
         )
+
+
+_RECORD_FIELDS = {
+    **dict.fromkeys(("class_name", "method_name", "return_type", "method_doc", "body_text"), (str,)),
+    **dict.fromkeys(("params", "local_vars", "inline_comments"), (list,)),
+    "span": (dict,), "is_test": (bool,),
+}
+_SPAN_FIELDS = {"file_path": (str,), "start_line": (int,), "end_line": (int,)}
 
 
 @dataclass
@@ -270,6 +296,11 @@ def save_snapshot(snapshot: ProjectSnapshot, out: Path) -> None:
 
 
 def load_snapshot(records_path: Path) -> ProjectSnapshot:
+    """Read a snapshot that ``save_snapshot`` wrote.
+
+    Raises ValueError naming the first records line that is not JSON or not
+    a method record.
+    """
     records_path = Path(records_path)
     side = sidecar_path(records_path)
     if not records_path.exists():
@@ -278,22 +309,23 @@ def load_snapshot(records_path: Path) -> ProjectSnapshot:
         raise FileNotFoundError(f"snapshot sidecar not found: {side}")
     records = []
     with records_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(MethodRecord.from_dict(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     meta = json.loads(side.read_text(encoding="utf-8"))
     classes = [
         ClassRecord(c["qualified_name"], c["class_doc"], c["file_path"], c["kind"])
         for c in meta["classes"]
     ]
-    summary = ExtractionSummary(**{
-        "files_seen": meta["summary"]["files_seen"],
-        "files_parsed": meta["summary"]["files_parsed"],
-        "failed_files": [tuple(f) for f in meta["summary"]["failed_files"]],
-        "methods": meta["summary"]["methods"],
-        "classes": meta["summary"]["classes"],
-    })
+    s = meta["summary"]
+    summary = ExtractionSummary(
+        s["files_seen"], s["files_parsed"], [tuple(f) for f in s["failed_files"]], s["methods"], s["classes"]
+    )
     return ProjectSnapshot(
         name=meta["name"],
         role=meta["role"],

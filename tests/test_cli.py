@@ -387,6 +387,77 @@ def test_bad_pairs_file_is_usage_error(pipeline, tmp_path, capsys, line, culprit
     assert not (tmp_path / "s.jsonl").exists()
 
 
+@pytest.fixture(scope="module")
+def scored(pipeline, tmp_path_factory):
+    """A scored file and a labels file of the fixture pipeline."""
+    from remap import cli
+
+    work, left, right, pairs = pipeline
+    d = tmp_path_factory.mktemp("scored")
+    scores, labels = d / "scores.jsonl", d / "labels.csv"
+    _write_labels(labels, left, right)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+                         "--out", str(scores)]) == 0
+    return scores, labels
+
+
+@pytest.mark.parametrize("line, culprit", [
+    ("[1]", "expected a JSON object, not list"),
+    ('{"left": "a"}', "right is missing"),
+    ("not json", "Expecting value"),
+])
+def test_bad_scored_file_is_usage_error(scored, tmp_path, capsys, line, culprit):
+    scores, labels = scored
+    bad = tmp_path / "scores.jsonl"
+    bad.write_text(scores.read_text().split("\n")[0] + "\n" + line + "\n")
+    code, err = _main_error(capsys, "eval", "--scored", bad, "--labels", labels, "--task", "cm",
+                            "--out", tmp_path / "e.json")
+    assert code == 2
+    assert err["error"] == "usage" and f"line 2: {culprit}" in err["message"]
+
+
+def test_scored_row_fields_keep_their_json_types(scored, tmp_path, capsys):
+    scores, labels = scored
+    row = json.loads(scores.read_text().split("\n")[0])
+    for field, value in [("kept", 1), ("rank", 1.0), ("sas", None), ("sim_param", "0.5"), ("ablation", None)]:
+        (tmp_path / "s.jsonl").write_text(json.dumps({**row, field: value}) + "\n")
+        code, err = _main_error(capsys, "eval", "--scored", tmp_path / "s.jsonl", "--labels", labels,
+                                "--task", "cm", "--out", tmp_path / "e.json")
+        assert code == 2 and f"line 1: {field} is missing or not" in err["message"], field
+
+
+@pytest.mark.parametrize("text, culprit", [
+    ("left_key,right_key,clone_type,is_code_mapping\na,b,T1\n", "line 2: the row has no is_code_mapping"),
+    ("left_key,right_key,clone_type,is_code_mapping,code_type\na,b,T1,true\nx\n",
+     "line 3: the row has no right_key, clone_type, is_code_mapping"),
+    ("left_key,right_key,is_code_mapping\na,b,true\n", "line 1: the header lacks clone_type"),
+    ('left_key,right_key,clone_type,is_code_mapping\n"' + "x" * 200_000 + '",b,T1,true\n',
+     "line 2: field larger than field limit"),
+])
+def test_bad_labels_file_is_usage_error(scored, tmp_path, capsys, text, culprit):
+    scores, labels = scored
+    bad = tmp_path / "labels.csv"
+    bad.write_text(text)
+    code, err = _main_error(capsys, "eval", "--scored", scores, "--labels", bad, "--task", "cm",
+                            "--out", tmp_path / "e.json")
+    assert code == 2
+    assert err["error"] == "usage" and culprit in err["message"]
+
+
+def test_bad_snapshot_line_is_usage_error(pipeline, tmp_path, capsys):
+    work, left, right, pairs = pipeline
+    bad = tmp_path / "left.jsonl"
+    lines = left.read_text().splitlines()
+    bad.write_text("\n".join(lines) + "\n[1]\n")
+    (tmp_path / "left.classes.json").write_bytes(left.with_suffix(".classes.json").read_bytes())
+    code, err = _main_error(capsys, "pairs", "--mode", "exhaustive", "--left", bad, "--right", right,
+                            "--out", tmp_path / "p.jsonl")
+    assert code == 2
+    assert err["error"] == "usage"
+    assert f"invalid left snapshot {bad}: line {len(lines) + 1}: expected a JSON object" in err["message"]
+
+
 def test_sweep_zero_step_is_usage_error(pipeline, tmp_path, capsys):
     work, left, right, pairs = pipeline
     from remap import cli
@@ -678,6 +749,70 @@ def _bad_pairs(line: str):
     )
 
 
+def _not_of(*types):
+    """A JSON value whose type is none of the given ones."""
+    return JSON.filter(lambda v: type(v) not in types)
+
+
+def _bad_scored(line: str):
+    """A good scored row, then a row that is not one."""
+    base = json.loads(line)
+    text, number = (str,), (float, int)
+    types = {"left": text, "right": text, "provenance": text, "ablation": text, "kept": (bool,),
+             "rank": (int, type(None)), "sim_class": number, "sim_method_header": number,
+             "sim_optional": number, "sas": number}
+    types.update({f: (*number, type(None)) for f in base if f.startswith("sim_") and f not in types})
+    bad = st.one_of(
+        st.sampled_from(sorted(types)).flatmap(
+            lambda f: (_not_of(*types[f]) | st.just(DELETE)).map(lambda v: _set(base, (f,), v))),
+        JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
+        _corrupted(line),
+    )
+    return bad.map(lambda b: line.encode() + b"\n" + b + b"\n")
+
+
+def _bad_labels(text: str):
+    """The labels file with a row of too few fields, under a header of four or
+    more columns; a header without one of the first four columns; or a byte
+    that is not UTF-8."""
+    header, *rows = text.splitlines()
+    columns = header.split(",")
+    short_row = st.lists(st.text(alphabet="abT1 ", min_size=1, max_size=4), min_size=1, max_size=3).map(",".join)
+    return st.one_of(
+        st.tuples(st.integers(4, len(columns)), st.integers(0, len(rows)), short_row).map(
+            lambda t: "\n".join([",".join(columns[:t[0]]), *rows[:t[1]], t[2], *rows[t[1]:]]).encode()),
+        st.integers(0, 3).map(lambda i: "\n".join([",".join(columns[:i] + columns[i + 1:]), *rows]).encode()),
+        st.integers(0, len(text)).map(lambda i: text[:i].encode() + b"\xff" + text[i:].encode()),
+    )
+
+
+def _bad_snapshot(lines: list[str]):
+    """The snapshot's records with one line replaced by one that is not a
+    method record."""
+    base = json.loads(lines[0])
+    text = (str,)
+    types = {"class_name": text, "method_name": text, "return_type": text, "method_doc": text,
+             "body_text": text, "params": (list,), "local_vars": (list,), "inline_comments": (list,),
+             "span": (dict,), "is_test": (bool,)}
+    span_types = {"file_path": text, "start_line": (int,), "end_line": (int,)}
+    not_a_pair = JSON.filter(lambda v: not (isinstance(v, list) and len(v) == 2 and all(
+        isinstance(x, str) for x in v)))
+    bad = st.one_of(
+        st.sampled_from(sorted(types)).flatmap(
+            lambda f: (_not_of(*types[f]) | st.just(DELETE)).map(lambda v: _set(base, (f,), v))),
+        st.sampled_from(sorted(span_types)).flatmap(
+            lambda f: (_not_of(*span_types[f]) | st.just(DELETE)).map(lambda v: _set(base, ("span", f), v))),
+        st.integers(1, 5).map(lambda k: _set(base, ("span", "start_line"), base["span"]["end_line"] + k)),
+        st.tuples(st.sampled_from(["params", "local_vars"]), not_a_pair).map(
+            lambda f: _set(base, (f[0],), [*base[f[0]], f[1]])),
+        NOT_STR.map(lambda v: _set(base, ("inline_comments",), [*base["inline_comments"], v])),
+        JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
+        _corrupted(lines[0]),
+    )
+    return st.tuples(st.integers(0, len(lines) - 1), bad).map(
+        lambda t: "\n".join(lines[:t[0]]).encode() + b"\n" + t[1] + b"\n" + "\n".join(lines[t[0] + 1:]).encode())
+
+
 def _bad_thresholds():
     number = st.floats(allow_nan=False, allow_infinity=False)
     outside = st.floats().filter(lambda x: not 0.0 <= x <= 1.0).map(repr)
@@ -705,6 +840,7 @@ def contract(pipeline, tmp_path_factory):
         assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
                          "--out", str(scored)]) == 0
     (d / "lonely.jsonl").write_bytes(left.read_bytes())  # a snapshot without its sidecar
+    (d / "bad.input.classes.json").write_bytes(left.with_suffix(".classes.json").read_bytes())
     snaps = ["--left", left, "--right", right]
     evaluated = ["--scored", scored, "--labels", labels, "--task", "cm"]
     argvs = {
@@ -720,7 +856,9 @@ def contract(pipeline, tmp_path_factory):
         "normalize": ["--snapshot", left],
     }
     argvs = {cmd: [cmd, *map(str, argv), "--out", str(d / "out")] for cmd, argv in argvs.items()}
-    return d, argvs, pairs.read_text().split("\n")[0]
+    bases = {"pairs": pairs.read_text().split("\n")[0], "scored": scored.read_text().split("\n")[0],
+             "labels": labels.read_text(), "snapshot": left.read_text().splitlines()}
+    return d, argvs, bases
 
 
 def _with(argv: list, flag: str, value: str | None) -> list:
@@ -732,9 +870,10 @@ def _with(argv: list, flag: str, value: str | None) -> list:
 
 
 NUMERIC_FLAGS = ("--threshold", "--thresholds", "--grid-step", "--k", "--line-ratio")
+SNAPSHOT_FLAGS = ("--left", "--right", "--snapshot")
 
 
-def _bad_invocations(first_pair_line: str):
+def _bad_invocations(bases: dict):
     """(command, flag, file bytes or None, value): the flag is set to a file
     holding the bytes, to a file name under the test directory, or, for the
     numeric flags, to the value itself. A value of None leaves a required
@@ -755,7 +894,14 @@ def _bad_invocations(first_pair_line: str):
         st.tuples(st.sampled_from(["score", "ablate", "impact"]), st.just("--weights"), _bad_weights(),
                   st.just(None)),
         st.tuples(st.sampled_from(["score", "ablate", "impact"]), st.just("--pairs"),
-                  _bad_pairs(first_pair_line), st.just(None)),
+                  _bad_pairs(bases["pairs"]), st.just(None)),
+        st.tuples(st.sampled_from(["eval", "sweep", "tune"]), st.just("--scored"), _bad_scored(bases["scored"]),
+                  st.just(None)),
+        st.tuples(st.sampled_from(["eval", "sweep", "tune", "ablate"]), st.just("--labels"),
+                  _bad_labels(bases["labels"]), st.just(None)),
+        st.tuples(st.sampled_from([(c, f) for c, flags in file_flags.items() for f in flags
+                                   if f in SNAPSHOT_FLAGS]), _bad_snapshot(bases["snapshot"])).map(
+            lambda t: (*t[0], t[1], None)),
         missing,
         _bad_thresholds().map(lambda spec: ("sweep", "--thresholds", None, spec)),
         st.floats().filter(lambda x: not 0.0 <= x <= 1.0).map(
@@ -775,8 +921,8 @@ def _bad_invocations(first_pair_line: str):
 def test_bad_invocations_exit_with_one_json_line(contract, data):
     from remap import cli
 
-    d, argvs, first_pair_line = contract
-    command, flag, body, value = data.draw(_bad_invocations(first_pair_line))
+    d, argvs, bases = contract
+    command, flag, body, value = data.draw(_bad_invocations(bases))
     if body is not None:
         value = str(d / "bad.input")
         Path(value).write_bytes(body)
@@ -788,6 +934,7 @@ def test_bad_invocations_exit_with_one_json_line(contract, data):
         code = cli.main(argv)
     lines = err.getvalue().splitlines()
     usage = flag in NUMERIC_FLAGS or flag == "--bogus" or value is None  # a bad flag, not a bad file
-    assert code == 2 if usage else code in (1, 2), argv
+    bad_line = body is not None and flag in ("--scored", "--labels", *SNAPSHOT_FLAGS)  # a malformed line
+    assert code == 2 if usage or bad_line else code in (1, 2), argv
     assert len(lines) == 1 and "Traceback" not in err.getvalue(), lines
     assert set(json.loads(lines[0])) == {"error", "message"}

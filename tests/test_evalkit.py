@@ -111,6 +111,27 @@ def test_labels_csv_roundtrip(tmp_path):
     assert labels[1].code_type == "test"
 
 
+@pytest.mark.parametrize("text, culprit", [
+    ("left_key,right_key,clone_type,is_code_mapping\na,b,T1\n", "line 2: the row has no is_code_mapping"),
+    ('left_key,right_key,clone_type,is_code_mapping\na,b,T2,true\n"c\nd",e,T9,false\n',
+     "line 4: unknown clone type: 'T9'"),  # a quoted field spans lines 3-4
+    ("left_key,right_key,clone_type,is_code_mapping\na,b,non_clone,true\n", "line 2: a / b: code mappings"),
+    ("left_key,clone_type\n", "line 1: the header lacks right_key, is_code_mapping"),
+])
+def test_labels_csv_names_the_bad_line(tmp_path, text, culprit):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_labels(path)
+    assert str(exc.value).startswith(culprit)
+
+
+def test_empty_labels_csv_holds_no_labels(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("")
+    assert load_labels(path) == []
+
+
 # -- sweep ----------------------------------------------------------------------
 
 

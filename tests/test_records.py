@@ -1,5 +1,7 @@
 """Fragment binding: reported paths and spans resolved against a snapshot."""
 
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remap.extractor import extract
-from remap.records import ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan, match_fragment
+from remap.records import (
+    ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan, load_snapshot, match_fragment, save_snapshot,
+)
 
 FRAG_SOURCE = """\
 package p;
@@ -125,3 +129,41 @@ def test_match_resolves_the_reported_path(frag_snapshot):
     first = frag_snapshot.records[0]
     frag = SourceSpan(f"{frag_snapshot.root_path}/p/A.java", first.span.start_line, first.span.end_line)
     assert match_fragment(frag_snapshot, frag).id == first.id
+
+
+# -- records: the cached id, and reading a record back ------------------------
+
+
+def test_record_id_is_computed_once(frag_snapshot):
+    rec = frag_snapshot.records[0]
+    assert rec.id is rec.id
+    assert rec.id == f"{rec.signature_key}:{rec.span.start_line}-{rec.span.end_line}" == "p.A#first(int):3-11"
+    fresh = MethodRecord.from_dict(rec.to_dict())
+    assert "id" not in vars(fresh)  # not computed yet
+    assert fresh == rec and hash(fresh) == hash(rec)
+    assert json.dumps(fresh.to_dict(), sort_keys=True) == json.dumps(rec.to_dict(), sort_keys=True)
+    assert "id" in vars(fresh) and fresh.id == rec.id
+
+
+@pytest.mark.parametrize("change, culprit", [
+    (lambda d: [d], "expected a JSON object, not list"),
+    (lambda d: {**d, "method_doc": 5}, "method_doc is missing or not str"),
+    (lambda d: {k: v for k, v in d.items() if k != "body_text"}, "body_text is missing"),
+    (lambda d: {**d, "is_test": 1}, "is_test is missing or not bool"),
+    (lambda d: {**d, "span": {**d["span"], "end_line": True}}, "end_line is missing or not int"),
+    (lambda d: {**d, "span": {**d["span"], "start_line": 99}}, "invalid span 99..11"),
+    (lambda d: {**d, "params": [["int"]]}, "params holds an entry that is not a [type, name] pair"),
+    (lambda d: {**d, "local_vars": "ab"}, "local_vars is missing or not list"),
+    (lambda d: {**d, "inline_comments": [None]}, "inline_comments holds an entry that is not a string"),
+])
+def test_from_dict_rejects_what_to_dict_never_writes(frag_snapshot, change, culprit):
+    with pytest.raises(ValueError, match=re.escape(culprit)):
+        MethodRecord.from_dict(change(frag_snapshot.records[0].to_dict()))
+
+
+def test_load_snapshot_names_the_bad_line(frag_snapshot, tmp_path):
+    out = tmp_path / "snap.jsonl"
+    save_snapshot(frag_snapshot, out)
+    out.write_text(out.read_text() + "\n{}\n")
+    with pytest.raises(ValueError, match="^line 4: class_name is missing"):
+        load_snapshot(out)
