@@ -26,7 +26,7 @@ from . import evalkit, ingest, mapper, prefilter
 from .extractor import DEFAULT_EXCLUDED_METHODS, DEFAULT_TEST_ROOTS, ExtractConfig, extract
 from .normalizer import BUNDLED_RULESETS, EMPTY_RULESET, RuleSet, normalize_record
 from .records import load_snapshot, save_snapshot, sidecar_path
-from .simcore import ABLATION_MODES, WeightConfig
+from .simcore import ABLATION_MODES, WeightConfig, aggregate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -264,14 +264,19 @@ def cmd_ingest(args) -> dict:
     return stats.to_dict()
 
 
+def _threshold(args) -> float:
+    """``--threshold``, or the default of ``--profile`` for ``--task``."""
+    if args.threshold is None:
+        return mapper.default_threshold(args.profile, TASKS[args.task])
+    if not 0.0 <= args.threshold <= 1.0:
+        raise UsageError(f"--threshold {args.threshold} outside [0,1]")
+    return args.threshold
+
+
 def _filter_config(args) -> mapper.FilterConfig:
-    if args.threshold is not None:
-        threshold = args.threshold
-    else:
-        threshold = mapper.default_threshold(args.profile, TASKS[args.task])
     return _config(
         mapper.FilterConfig,
-        thres_sas=threshold,
+        thres_sas=_threshold(args),
         weights=_weights_arg(args),
         ablation=args.ablation.upper(),
         rules=_rules_arg(args),
@@ -326,30 +331,28 @@ def cmd_sweep(args) -> dict:
     return {"points": len(points)}
 
 
-def _ranked_under(args, left, right, pairs, modes):
-    """Yield (mode, results) for each ablation mode in turn. The pairs are
-    measured at most twice, with the rules and, for EXR1, without them;
-    every mode ranks one of those measurements."""
+def _score_columns(args, left, right, pairs, modes):
+    """Yield (mode, the score of every pair under mode, in pair order) for
+    each ablation mode in turn. The pairs are measured once per rule set,
+    with the rules and, for EXR1, without them; every mode aggregates one
+    of those measurements."""
     weights, rules = _weights_arg(args), _rules_arg(args)
-    threshold = args.threshold if args.threshold is not None else 0.5
     measured = {}
     for mode in modes:
-        cfg = _config(
-            mapper.FilterConfig, thres_sas=threshold, weights=weights, ablation=mode, rules=rules
-        )
-        measure_rules = cfg.measure_rules
-        if measure_rules not in measured:
-            measured[measure_rules] = list(mapper.measure_pairs(pairs, left, right, measure_rules))
-        yield mode, mapper.rank(measured[measure_rules], cfg)
+        mode_rules = mapper.measure_rules(rules, mode)
+        if mode_rules not in measured:
+            measured[mode_rules] = [sims for _, sims in mapper.measure_pairs(pairs, left, right, mode_rules)]
+        yield mode, [aggregate(sims, weights, mode).sas for sims in measured[mode_rules]]
 
 
 def cmd_ablate(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     labels = _labels_arg(args)
+    threshold = _threshold(args)
     report = {}
-    for mode, results in _ranked_under(args, left, right, pairs, ABLATION_MODES):
-        kept = {r.key for r in results if r.kept}
+    for mode, scores in _score_columns(args, left, right, pairs, ABLATION_MODES):
+        kept = {pair.key for pair, s in zip(pairs, scores) if s >= threshold}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
         report[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
     _write_json(Path(args.out), report)
@@ -361,14 +364,8 @@ def _pair_code_type(pairs, left, right) -> dict:
     out = {}
     for p in pairs:
         lrec, rrec = left.get(p.left), right.get(p.right)
-        if lrec is None or rrec is None:
-            continue
-        if lrec.is_test and rrec.is_test:
-            out[(p.left, p.right)] = "test"
-        elif not lrec.is_test and not rrec.is_test:
-            out[(p.left, p.right)] = "production"
-        else:
-            out[(p.left, p.right)] = "mixed"
+        if lrec is not None and rrec is not None:
+            out[p.key] = "mixed" if lrec.is_test != rrec.is_test else "test" if lrec.is_test else "production"
     return out
 
 
@@ -377,9 +374,12 @@ def cmd_impact(args) -> dict:
     pairs = _pairs_arg(args)
     code_types = _pair_code_type(pairs, left, right)
     settings = [args.setting.upper()] if args.setting else ["EXR1", "EXR2", "EXR3", "EXR4"]
-    ranked = _ranked_under(args, left, right, pairs, ["ALL", *settings])
-    _, baseline = next(ranked)
-    report = {mode: evalkit.rule_impact(baseline, excluded, code_types) for mode, excluded in ranked}
+    keys = [p.key for p in pairs]
+    columns = _score_columns(args, left, right, pairs, ["ALL", *settings])
+    baseline = dict(zip(keys, next(columns)[1]))  # a repeated pair collapses to one key
+    report = {
+        mode: evalkit.rule_impact(baseline, dict(zip(keys, scores)), code_types) for mode, scores in columns
+    }
     out = Path(args.out)
     _write_json(out, report)
     print(f"wrote impact report for {', '.join(settings)} to {out}")
@@ -447,8 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     rules.add_argument("--rules", default=None, help="bundled ruleset name or JSON file")
     scoring = argparse.ArgumentParser(add_help=False, parents=[snapshots, rules])
     scoring.add_argument("--pairs", required=True)
-    scoring.add_argument("--threshold", type=float, default=None)
     scoring.add_argument("--weights", default=None)
+    thresholded = argparse.ArgumentParser(add_help=False)
+    thresholded.add_argument("--threshold", type=float, default=None)
+    thresholded.add_argument("--profile", choices=["heavy-redesign", "light-redesign"],
+                             default="heavy-redesign",
+                             help="selects the default threshold when --threshold is not given")
     evaluated = argparse.ArgumentParser(add_help=False)
     evaluated.add_argument("--scored", required=True)
     evaluated.add_argument("--labels", required=True)
@@ -474,11 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["generic", "nicad-xml"], required=True)
     p.add_argument("--report", required=True)
 
-    p = command("score", cmd_score, "score pairs and filter by threshold", scoring)
+    p = command("score", cmd_score, "score pairs and filter by threshold", scoring, thresholded)
     p.add_argument("--task", choices=["gc", "cm"], default="gc")
-    p.add_argument("--profile", choices=["heavy-redesign", "light-redesign"],
-                   default="heavy-redesign",
-                   help="selects the default threshold when --threshold is not given")
     p.add_argument("--ablation", choices=[m.lower() for m in ABLATION_MODES], default="all")
     p.add_argument("--format", choices=["jsonl", "csv", "summary"], default="jsonl")
 
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:step or comma-separated list")
     p.add_argument("--csv", default=None, help="also write plottable CSV")
 
-    p = command("ablate", cmd_ablate, "metrics per ablation setting", scoring)
+    p = command("ablate", cmd_ablate, "metrics per ablation setting", scoring, thresholded)
     p.add_argument("--labels", required=True)
     p.add_argument("--task", choices=["gc", "cm"], required=True)
 
@@ -542,7 +543,6 @@ def main(argv: list[str] | None = None) -> int:
         KeyError,
         ingest.IngestError,
         mapper.UnresolvedPairError,
-        evalkit.PairSetMismatch,
     ) as exc:
         _error_line(type(exc).__name__, exc)
         return EXIT_RUNTIME

@@ -195,47 +195,41 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# rule impact between two ablation runs
+# rule impact between two ablation score columns
 
 
-class PairSetMismatch(RuntimeError):
-    pass
-
-
-def _ranks(results: list[MappingResult]) -> dict[PairKey, int]:
-    ordered = sorted(results, key=lambda r: (-r.sas, r.left, r.right))
-    return {r.key: i for i, r in enumerate(ordered, 1)}
+def _ranks(scores: dict[PairKey, float], keys: list[PairKey]) -> dict[PairKey, int]:
+    ordered = sorted(keys, key=lambda k: (-scores[k], k))
+    return {k: i for i, k in enumerate(ordered, 1)}
 
 
 def rule_impact(
-    scored_all: list[MappingResult],
-    scored_ex: list[MappingResult],
+    scores_all: dict[PairKey, float],
+    scores_ex: dict[PairKey, float],
     code_type_of: dict[PairKey, str] | None = None,
 ) -> dict:
-    """Compare a full run against one exclusion run over the same pairs.
+    """Compare a full run's scores against one exclusion run's, both
+    keyed by the same pairs.
 
     Per code-type group: how many pairs' scores changed, the signed score
     change of largest magnitude, and the signed rank change (full-run rank
-    minus exclusion-run rank) of largest magnitude.
+    minus exclusion-run rank, ranking by score descending, then by pair
+    key) of largest magnitude.
     """
-    all_by_key = {r.key: r for r in scored_all}
-    ex_by_key = {r.key: r for r in scored_ex}
-    if set(all_by_key) != set(ex_by_key):
-        raise PairSetMismatch("the two runs cover different pair sets")
     groups: dict[str, list[PairKey]] = {}
-    for key in all_by_key:
+    for key in scores_all:
         group = code_type_of.get(key, "all") if code_type_of else "all"
         groups.setdefault(group, []).append(key)
     report = {}
     for group in sorted(groups):
         keys = groups[group]
-        ranks_all = _ranks([all_by_key[k] for k in keys])
-        ranks_ex = _ranks([ex_by_key[k] for k in keys])
+        ranks_all = _ranks(scores_all, keys)
+        ranks_ex = _ranks(scores_ex, keys)
         affected = 0
         max_sas_delta = 0.0
         max_rank_delta = 0
         for key in sorted(keys):
-            sas_delta = all_by_key[key].sas - ex_by_key[key].sas
+            sas_delta = scores_all[key] - scores_ex[key]
             if abs(sas_delta) > EPS:
                 affected += 1
             if abs(sas_delta) > abs(max_sas_delta) + EPS:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .prefilter import CandidatePair
-from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment
+from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment, read_jsonl
 
 FORMAT_VERSION = 1
 
@@ -209,14 +209,4 @@ def load_pairs(path: str | Path) -> list[CandidatePair]:
     Raises ValueError naming the first line that is not a format-1 pair
     object with ``left.key`` and ``right.key`` strings.
     """
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(_pair_from_json(json.loads(line)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return out
+    return read_jsonl(path, _pair_from_json)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
-from .records import ProjectSnapshot, check_fields
+from .records import ProjectSnapshot, check_fields, read_jsonl
 from .simcore import ABLATION_MODES, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
 
 TASK_GENUINE_CLONE = "genuine_clone"
@@ -35,6 +35,12 @@ def default_threshold(profile: str, task: str) -> float:
         raise ValueError(f"no default threshold for profile={profile!r} task={task!r}")
 
 
+def measure_rules(rules: RuleSet, mode: str) -> RuleSet:
+    """The rules to measure under in ablation ``mode``: none for EXR1,
+    which disables renaming; ``rules`` for every other mode."""
+    return EMPTY_RULESET if mode == "EXR1" else rules
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     thres_sas: float = 0.5
@@ -47,11 +53,6 @@ class FilterConfig:
             raise ValueError(f"thres_sas={self.thres_sas} outside [0,1]")
         if self.ablation not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode: {self.ablation!r}")
-
-    @property
-    def measure_rules(self) -> RuleSet:
-        """The rules to measure under: none for EXR1, which disables renaming."""
-        return EMPTY_RULESET if self.ablation == "EXR1" else self.rules
 
 
 class MappingResult(NamedTuple):
@@ -147,8 +148,8 @@ def score_pairs(
     cfg: FilterConfig,
 ) -> list[MappingResult]:
     """Normalize, score, threshold, and rank every candidate pair: ``rank``
-    of ``measure_pairs`` under ``cfg``'s rules."""
-    return rank(measure_pairs(pairs, left, right, cfg.measure_rules), cfg)
+    of ``measure_pairs`` under the ``measure_rules`` of ``cfg``."""
+    return rank(measure_pairs(pairs, left, right, measure_rules(cfg.rules, cfg.ablation)), cfg)
 
 
 def summarize(results: list[MappingResult]) -> dict:
@@ -191,28 +192,19 @@ _RESULT_FIELDS = {
 }
 
 
+def _result_from_json(d) -> MappingResult:
+    check_fields(d, _RESULT_FIELDS)
+    breakdown = SASBreakdown(*(d[f] for f in SASBreakdown._fields))
+    return MappingResult(d["left"], d["right"], d["provenance"], breakdown, d["kept"], d["rank"])
+
+
 def load_results(path: str | Path) -> list[MappingResult]:
     """Read jsonl rows that ``report`` wrote.
 
     Raises ValueError naming the first line that is not JSON or lacks a
     field of ``MappingResult.to_dict`` with its JSON type.
     """
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-                check_fields(d, _RESULT_FIELDS)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            breakdown = SASBreakdown(*(d[f] for f in SASBreakdown._fields))
-            out.append(
-                MappingResult(d["left"], d["right"], d["provenance"], breakdown, d["kept"], d["rank"])
-            )
-    return out
+    return read_jsonl(path, _result_from_json)
 
 
 def save_results(results: list[MappingResult], out: Path, fmt: str = "jsonl") -> None:

@@ -165,6 +165,10 @@ _INLINE_TAG = re.compile(r"\{@\w+\s*([^{}]*)\}")
 _HTML_TAG = re.compile(r"</?[A-Za-z][^<>]*>")
 _HTML_ENTITY = re.compile(r"&#?\w+;")
 _URL = re.compile(r"(?:https?://|www\.)\S+")
+# one group per contraction: the group that matched picks the expansion, as
+# a case-folded match (say "doeſn't") need not lowercase to a key
+_CONTRACTION = re.compile("|".join(f"({re.escape(short)})" for short in DEFAULT_CONTRACTIONS), re.IGNORECASE)
+_EXPANSIONS = tuple(DEFAULT_CONTRACTIONS.values())
 
 
 def normalize_doc(text: str) -> str:
@@ -185,9 +189,7 @@ def normalize_doc(text: str) -> str:
     lines = [ln for ln in text.split("\n") if not ln.strip().lower().startswith("todo")]
     text = "\n".join(lines)
     text = _URL.sub(" ", text)
-    for short, full in DEFAULT_CONTRACTIONS.items():
-        text = re.sub(re.escape(short), full, text, flags=re.IGNORECASE)
-    return text
+    return _CONTRACTION.sub(lambda m: _EXPANSIONS[m.lastindex - 1], text)
 
 
 _WORD_SEGMENT = re.compile(r"[A-Z]+[0-9]*(?![a-z])|[A-Za-z][a-z0-9]*|[0-9]+")

@@ -30,6 +30,30 @@ def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
             raise ValueError(f"{key} is missing or not {' or '.join(t.__name__ for t in types)}")
 
 
+def _string_pairs(values: list) -> bool:
+    """Whether every entry is a two-string JSON list."""
+    return all(type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str for v in values)
+
+
+def read_jsonl(path: str | Path, parse) -> list:
+    """``parse`` of each non-blank line's JSON value, in file order.
+
+    Raises ValueError naming the first line that is not JSON or that
+    ``parse`` rejects with a ValueError.
+    """
+    out = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return out
+
+
 @dataclass(frozen=True)
 class SourceSpan:
     """Inclusive 1-based line range within a file."""
@@ -119,8 +143,7 @@ class MethodRecord:
         span = d["span"]
         check_fields(span, _SPAN_FIELDS)
         for key in ("params", "local_vars"):
-            if not all(type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
-                       for p in d[key]):
+            if not _string_pairs(d[key]):
                 raise ValueError(f"{key} holds an entry that is not a [type, name] pair of strings")
         if not all(type(c) is str for c in d["inline_comments"]):
             raise ValueError("inline_comments holds an entry that is not a string")
@@ -144,6 +167,12 @@ _RECORD_FIELDS = {
     "span": (dict,), "is_test": (bool,),
 }
 _SPAN_FIELDS = {"file_path": (str,), "start_line": (int,), "end_line": (int,)}
+_SIDECAR_FIELDS = {
+    **dict.fromkeys(("name", "role", "root_path"), (str,)), "classes": (list,), "summary": (dict,),
+}
+_CLASS_FIELDS = dict.fromkeys(("qualified_name", "class_doc", "file_path", "kind"), (str,))
+_SUMMARY_FIELDS = {**dict.fromkeys(("files_seen", "files_parsed", "methods", "classes"), (int,)),
+                   "failed_files": (list,)}
 
 
 @dataclass
@@ -299,7 +328,8 @@ def load_snapshot(records_path: Path) -> ProjectSnapshot:
     """Read a snapshot that ``save_snapshot`` wrote.
 
     Raises ValueError naming the first records line that is not JSON or not
-    a method record.
+    a method record, or naming the sidecar when it is not JSON or lacks a
+    field of its own, of a class entry or of the summary.
     """
     records_path = Path(records_path)
     side = sidecar_path(records_path)
@@ -307,30 +337,21 @@ def load_snapshot(records_path: Path) -> ProjectSnapshot:
         raise FileNotFoundError(f"snapshot not found: {records_path}")
     if not side.exists():
         raise FileNotFoundError(f"snapshot sidecar not found: {side}")
-    records = []
-    with records_path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(MethodRecord.from_dict(json.loads(line)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    meta = json.loads(side.read_text(encoding="utf-8"))
-    classes = [
-        ClassRecord(c["qualified_name"], c["class_doc"], c["file_path"], c["kind"])
-        for c in meta["classes"]
-    ]
-    s = meta["summary"]
+    records = read_jsonl(records_path, MethodRecord.from_dict)
+    try:  # the sidecar's shape is that of ``to_sidecar_dict``
+        meta = json.loads(side.read_text(encoding="utf-8"))
+        check_fields(meta, _SIDECAR_FIELDS)
+        for c in meta["classes"]:
+            check_fields(c, _CLASS_FIELDS)
+        s = meta["summary"]
+        check_fields(s, _SUMMARY_FIELDS)
+        if not _string_pairs(s["failed_files"]):
+            raise ValueError("failed_files holds an entry that is not a [path, reason] pair of strings")
+    except ValueError as exc:
+        raise ValueError(f"sidecar {side}: {exc}") from None
+    classes = [ClassRecord(c["qualified_name"], c["class_doc"], c["file_path"], c["kind"])
+               for c in meta["classes"]]
     summary = ExtractionSummary(
         s["files_seen"], s["files_parsed"], [tuple(f) for f in s["failed_files"]], s["methods"], s["classes"]
     )
-    return ProjectSnapshot(
-        name=meta["name"],
-        role=meta["role"],
-        root_path=meta["root_path"],
-        records=records,
-        classes=classes,
-        summary=summary,
-    )
+    return ProjectSnapshot(meta["name"], meta["role"], meta["root_path"], records, classes, summary)

@@ -458,6 +458,27 @@ def test_bad_snapshot_line_is_usage_error(pipeline, tmp_path, capsys):
     assert f"invalid left snapshot {bad}: line {len(lines) + 1}: expected a JSON object" in err["message"]
 
 
+@pytest.mark.parametrize("edit, culprit", [
+    (lambda meta: [1], "expected a JSON object, not list"),
+    (lambda meta: {k: v for k, v in meta.items() if k != "classes"}, "classes is missing or not list"),
+    (lambda meta: {**meta, "summary": {**meta["summary"], "failed_files": [["a.java", 3]]}},
+     "failed_files holds an entry that is not a [path, reason] pair of strings"),
+    (lambda meta: {**meta, "classes": [{**meta["classes"][0], "kind": None}, *meta["classes"][1:]]},
+     "kind is missing or not str"),
+])
+def test_bad_snapshot_sidecar_is_usage_error(pipeline, tmp_path, capsys, edit, culprit):
+    work, left, right, pairs = pipeline
+    bad = tmp_path / "left.jsonl"
+    bad.write_bytes(left.read_bytes())
+    meta = json.loads(left.with_suffix(".classes.json").read_text())
+    (tmp_path / "left.classes.json").write_text(json.dumps(edit(meta)))
+    code, err = _main_error(capsys, "pairs", "--mode", "exhaustive", "--left", bad, "--right", right,
+                            "--out", tmp_path / "p.jsonl")
+    assert code == 2
+    assert err["error"] == "usage"
+    assert f"invalid left snapshot {bad}: sidecar {tmp_path / 'left.classes.json'}: {culprit}" in err["message"]
+
+
 def test_sweep_zero_step_is_usage_error(pipeline, tmp_path, capsys):
     work, left, right, pairs = pipeline
     from remap import cli
@@ -633,32 +654,67 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
     from remap.simcore import ABLATION_MODES
 
     work, left, right, pairs = pipeline
+    lsnap, rsnap = load_snapshot(left), load_snapshot(right)
+    lines = pairs.read_text().splitlines(keepends=True)
+    repeated = tmp_path / "repeated.jsonl"  # one pair twice in a row, another at the end too
+    repeated.write_text("".join([lines[0], *lines[:3], *lines[3:], lines[2]]))
+    for pairs_file, settings in ((pairs, []), (repeated, []), (pairs, ["--setting", "exr2"])):
+        ablate, impact = _ablation_argv((work, left, right, pairs_file), tmp_path)
+        assert cli.main(ablate) == 0
+        assert cli.main(impact + settings) == 0
+
+        loaded = ingest.load_pairs(pairs_file)
+        labels = evalkit.load_labels(tmp_path / "labels.csv")
+
+        def score(mode, threshold):
+            cfg = mapper.FilterConfig(thres_sas=threshold, ablation=mode, rules=SOOT_SOOTUP_RULES)
+            return mapper.score_pairs(loaded, lsnap, rsnap, cfg)
+
+        expected = {}
+        for mode in ABLATION_MODES:
+            kept = {r.key for r in score(mode, 0.6) if r.kept}
+            counts, metrics = evalkit.evaluate(kept, labels, mapper.TASK_CODE_MAPPING)
+            expected[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
+        assert json.loads((tmp_path / "ablate.json").read_text()) == expected, pairs_file
+
+        code_types = cli._pair_code_type(loaded, lsnap, rsnap)
+        baseline = {r.key: r.sas for r in score("ALL", 0.5)}
+        expected = {
+            mode: evalkit.rule_impact(baseline, {r.key: r.sas for r in score(mode, 0.5)}, code_types)
+            for mode in (["EXR2"] if settings else ["EXR1", "EXR2", "EXR3", "EXR4"])
+        }
+        assert json.loads((tmp_path / "impact.json").read_text()) == expected, (pairs_file, settings)
+
+
+def test_ablate_and_impact_neither_rank_nor_build_results(pipeline, tmp_path, monkeypatch):
+    from remap import cli, mapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ablate and impact aggregate score columns")
+
     ablate, impact = _ablation_argv(pipeline, tmp_path)
+    monkeypatch.setattr(mapper, "rank", refuse)
+    monkeypatch.setattr(mapper, "MappingResult", refuse)
     assert cli.main(ablate) == 0
     assert cli.main(impact) == 0
+    assert set(json.loads((tmp_path / "impact.json").read_text())) == {"EXR1", "EXR2", "EXR3", "EXR4"}
 
-    lsnap, rsnap = load_snapshot(left), load_snapshot(right)
-    loaded = ingest.load_pairs(pairs)
-    labels = evalkit.load_labels(tmp_path / "labels.csv")
 
-    def score(mode, threshold):
-        cfg = mapper.FilterConfig(thres_sas=threshold, ablation=mode, rules=SOOT_SOOTUP_RULES)
-        return mapper.score_pairs(loaded, lsnap, rsnap, cfg)
+def test_ablate_takes_the_threshold_that_score_takes(pipeline, tmp_path):
+    from remap import cli
 
-    expected = {}
-    for mode in ABLATION_MODES:
-        kept = {r.key for r in score(mode, 0.6) if r.kept}
-        counts, metrics = evalkit.evaluate(kept, labels, mapper.TASK_CODE_MAPPING)
-        expected[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
-    assert json.loads((tmp_path / "ablate.json").read_text()) == expected
-
-    code_types = cli._pair_code_type(loaded, lsnap, rsnap)
-    baseline = score("ALL", 0.5)
-    expected = {
-        mode: evalkit.rule_impact(baseline, score(mode, 0.5), code_types)
-        for mode in ("EXR1", "EXR2", "EXR3", "EXR4")
-    }
-    assert json.loads((tmp_path / "impact.json").read_text()) == expected
+    work, left, right, pairs = pipeline
+    labels = tmp_path / "labels.csv"
+    _write_labels(labels, left, right)
+    common = ["--pairs", pairs, "--left", left, "--right", right, "--rules", "soot-sootup", "--task", "cm"]
+    for flags in ([], ["--profile", "light-redesign"], ["--threshold", "0.35"]):
+        scored, metrics, ablate = tmp_path / "scored.jsonl", tmp_path / "eval.json", tmp_path / "ablate.json"
+        for argv in (["score", *common, *flags, "--out", scored],
+                     ["eval", "--scored", scored, "--labels", labels, "--task", "cm", "--out", metrics],
+                     ["ablate", *common, *flags, "--labels", labels, "--out", ablate]):
+            assert cli.main([str(a) for a in argv]) == 0, argv
+        evaluated = json.loads(metrics.read_text())["confusion"]
+        assert json.loads(ablate.read_text())["ALL"]["confusion"] == evaluated, flags
 
 
 # -- the error contract under generated bad invocations -----------------------
@@ -669,6 +725,8 @@ JSON = st.recursive(
     max_leaves=6,
 )
 NOT_STR = JSON.filter(lambda v: not isinstance(v, str))
+NOT_A_PAIR = JSON.filter(lambda v: not (isinstance(v, list) and len(v) == 2 and all(
+    isinstance(x, str) for x in v)))
 DELETE = object()
 
 
@@ -795,15 +853,13 @@ def _bad_snapshot(lines: list[str]):
              "body_text": text, "params": (list,), "local_vars": (list,), "inline_comments": (list,),
              "span": (dict,), "is_test": (bool,)}
     span_types = {"file_path": text, "start_line": (int,), "end_line": (int,)}
-    not_a_pair = JSON.filter(lambda v: not (isinstance(v, list) and len(v) == 2 and all(
-        isinstance(x, str) for x in v)))
     bad = st.one_of(
         st.sampled_from(sorted(types)).flatmap(
             lambda f: (_not_of(*types[f]) | st.just(DELETE)).map(lambda v: _set(base, (f,), v))),
         st.sampled_from(sorted(span_types)).flatmap(
             lambda f: (_not_of(*span_types[f]) | st.just(DELETE)).map(lambda v: _set(base, ("span", f), v))),
         st.integers(1, 5).map(lambda k: _set(base, ("span", "start_line"), base["span"]["end_line"] + k)),
-        st.tuples(st.sampled_from(["params", "local_vars"]), not_a_pair).map(
+        st.tuples(st.sampled_from(["params", "local_vars"]), NOT_A_PAIR).map(
             lambda f: _set(base, (f[0],), [*base[f[0]], f[1]])),
         NOT_STR.map(lambda v: _set(base, ("inline_comments",), [*base["inline_comments"], v])),
         JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
@@ -811,6 +867,30 @@ def _bad_snapshot(lines: list[str]):
     )
     return st.tuples(st.integers(0, len(lines) - 1), bad).map(
         lambda t: "\n".join(lines[:t[0]]).encode() + b"\n" + t[1] + b"\n" + "\n".join(lines[t[0] + 1:]).encode())
+
+
+def _bad_sidecar(text: str):
+    """The snapshot's sidecar with one field, class entry field or summary
+    field of the wrong JSON type or left out."""
+    base = json.loads(text)
+    top = {"name": (str,), "role": (str,), "root_path": (str,), "classes": (list,), "summary": (dict,)}
+    counts = ("files_seen", "files_parsed", "methods", "classes")
+    summary = {**dict.fromkeys(counts, (int,)), "failed_files": (list,)}
+    entries = [(i, f) for i in range(len(base["classes"]))
+               for f in ("qualified_name", "class_doc", "file_path", "kind")]
+    return st.one_of(
+        st.sampled_from(sorted(top)).flatmap(
+            lambda f: (_not_of(*top[f]) | st.just(DELETE)).map(lambda v: _set(base, (f,), v))),
+        st.sampled_from(sorted(summary)).flatmap(
+            lambda f: (_not_of(*summary[f]) | st.just(DELETE)).map(lambda v: _set(base, ("summary", f), v))),
+        st.sampled_from(entries).flatmap(
+            lambda e: (_not_of(str) | st.just(DELETE)).map(lambda v: _set(base, ("classes", *e), v))),
+        st.tuples(st.integers(0, len(base["classes"]) - 1), JSON.filter(lambda v: not isinstance(v, dict))).map(
+            lambda t: _set(base, ("classes", t[0]), t[1])),
+        NOT_A_PAIR.map(lambda v: _set(base, ("summary", "failed_files"), [v])),
+        JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
+        _corrupted(text.strip()),
+    )
 
 
 def _bad_thresholds():
@@ -840,7 +920,6 @@ def contract(pipeline, tmp_path_factory):
         assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
                          "--out", str(scored)]) == 0
     (d / "lonely.jsonl").write_bytes(left.read_bytes())  # a snapshot without its sidecar
-    (d / "bad.input.classes.json").write_bytes(left.with_suffix(".classes.json").read_bytes())
     snaps = ["--left", left, "--right", right]
     evaluated = ["--scored", scored, "--labels", labels, "--task", "cm"]
     argvs = {
@@ -857,7 +936,8 @@ def contract(pipeline, tmp_path_factory):
     }
     argvs = {cmd: [cmd, *map(str, argv), "--out", str(d / "out")] for cmd, argv in argvs.items()}
     bases = {"pairs": pairs.read_text().split("\n")[0], "scored": scored.read_text().split("\n")[0],
-             "labels": labels.read_text(), "snapshot": left.read_text().splitlines()}
+             "labels": labels.read_text(), "snapshot": left.read_text().splitlines(),
+             "sidecar": left.with_suffix(".classes.json").read_text()}
     return d, argvs, bases
 
 
@@ -877,7 +957,8 @@ def _bad_invocations(bases: dict):
     """(command, flag, file bytes or None, value): the flag is set to a file
     holding the bytes, to a file name under the test directory, or, for the
     numeric flags, to the value itself. A value of None leaves a required
-    flag out."""
+    flag out. For a snapshot flag the bytes may be a (records, sidecar)
+    pair; otherwise the snapshot's own sidecar goes next to them."""
     file_flags = {
         "extract": ["--root"], "pairs": ["--left", "--right"],
         "ingest": ["--report", "--left", "--right"], "score": ["--pairs", "--left", "--right"],
@@ -902,10 +983,13 @@ def _bad_invocations(bases: dict):
         st.tuples(st.sampled_from([(c, f) for c, flags in file_flags.items() for f in flags
                                    if f in SNAPSHOT_FLAGS]), _bad_snapshot(bases["snapshot"])).map(
             lambda t: (*t[0], t[1], None)),
+        st.tuples(st.sampled_from([(c, f) for c, flags in file_flags.items() for f in flags
+                                   if f in SNAPSHOT_FLAGS]), _bad_sidecar(bases["sidecar"])).map(
+            lambda t: (*t[0], ("\n".join(bases["snapshot"]).encode(), t[1]), None)),
         missing,
         _bad_thresholds().map(lambda spec: ("sweep", "--thresholds", None, spec)),
-        st.floats().filter(lambda x: not 0.0 <= x <= 1.0).map(
-            lambda x: ("score", "--threshold", None, repr(x))),
+        st.tuples(st.sampled_from(["score", "ablate"]), st.floats().filter(lambda x: not 0.0 <= x <= 1.0)).map(
+            lambda t: (t[0], "--threshold", None, repr(t[1]))),
         st.sampled_from(["0", "inf", "nan", "-0.05", "2"]).map(lambda v: ("tune", "--grid-step", None, v)),
         st.sampled_from(["0", "-5"]).map(lambda v: ("tune", "--k", None, v)),
         st.sampled_from(["nan", "0.5"]).map(lambda v: ("pairs", "--line-ratio", None, v)),
@@ -925,7 +1009,9 @@ def test_bad_invocations_exit_with_one_json_line(contract, data):
     command, flag, body, value = data.draw(_bad_invocations(bases))
     if body is not None:
         value = str(d / "bad.input")
-        Path(value).write_bytes(body)
+        records, sidecar = body if isinstance(body, tuple) else (body, bases["sidecar"].encode())
+        Path(value).write_bytes(records)
+        Path(value + ".classes.json").write_bytes(sidecar)
     elif value is not None and flag not in NUMERIC_FLAGS:
         value = str(d / value)
     argv = _with(argvs[command], flag, value)

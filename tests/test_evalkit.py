@@ -5,7 +5,6 @@ import pytest
 from remap.evalkit import (
     ConfusionCounts,
     LabeledPair,
-    PairSetMismatch,
     TrainingExample,
     TunerConfig,
     evaluate,
@@ -171,8 +170,13 @@ def test_kept_sets_antitone_over_ladder():
 # -- rule impact ------------------------------------------------------------------
 
 
+def scores(*values):
+    """A score column keyed by the pairs of ``label``."""
+    return {(f"l{i:03d}", f"r{i:03d}"): v for i, v in enumerate(values)}
+
+
 def test_impact_noop_setting():
-    runs = [result(i, 0.5 + 0.1 * i) for i in range(3)]
+    runs = scores(0.5, 0.6, 0.7)
     report = rule_impact(runs, runs)
     assert report["all"] == {
         "pairs": 3, "affected": 0, "max_sas_change": 0.0, "max_rank_change": 0,
@@ -181,27 +185,26 @@ def test_impact_noop_setting():
 
 def test_impact_rank_flip():
     # disabling a signal flips ranks 1 and 2
-    before = [result(0, 0.9), result(1, 0.8), result(2, 0.1)]
-    after = [result(0, 0.7), result(1, 0.8), result(2, 0.1)]
-    report = rule_impact(before, after)
+    report = rule_impact(scores(0.9, 0.8, 0.1), scores(0.7, 0.8, 0.1))
     assert report["all"]["affected"] == 1
     assert report["all"]["max_sas_change"] == pytest.approx(0.2)
     assert abs(report["all"]["max_rank_change"]) == 1
 
 
 def test_impact_grouped_by_code_type():
-    before = [result(0, 0.9), result(1, 0.5)]
-    after = [result(0, 0.4), result(1, 0.5)]
     groups = {("l000", "r000"): "production", ("l001", "r001"): "test"}
-    report = rule_impact(before, after, groups)
+    report = rule_impact(scores(0.9, 0.5), scores(0.4, 0.5), groups)
     assert report["production"]["affected"] == 1
     assert report["test"]["affected"] == 0
     assert report["production"]["max_sas_change"] == pytest.approx(0.5)
 
 
-def test_impact_pair_mismatch_is_hard_error():
-    with pytest.raises(PairSetMismatch):
-        rule_impact([result(0, 0.5)], [result(1, 0.5)])
+def test_impact_ranks_equal_scores_by_pair_key():
+    # full run: l000 ranks 1, l001 ranks 2 on the key; the exclusion run
+    # swaps them, and the first key in order holds the reported change
+    report = rule_impact(scores(0.5, 0.5), scores(0.4, 0.5))
+    assert report["all"]["max_rank_change"] == -1
+    assert report["all"]["max_sas_change"] == pytest.approx(0.1)
 
 
 # -- tuner ------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Renaming rules, doc normalization, and tokenization."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remap.normalizer import (
+    DEFAULT_CONTRACTIONS,
     FIELD_CLASS_NAME,
     FIELD_METHOD_NAME,
     FINDBUGS_SPOTBUGS_RULES,
@@ -142,6 +145,33 @@ def test_contractions_expanded():
     assert "does not" in normalize_doc("doesn't")
     assert "doesn" not in normalize_doc("doesn't")
     assert "will not" in normalize_doc("it won't work")
+    assert normalize_doc("DOESN'T doeſn't ısn't") == "does not does not is not"
+
+
+def reference_expand(text: str) -> str:
+    """Contraction expansion as ``normalize_doc`` did it before one compiled
+    pattern: a case-insensitive substitution per contraction, in order."""
+    for short, full in DEFAULT_CONTRACTIONS.items():
+        text = re.sub(re.escape(short), full, text, flags=re.IGNORECASE)
+    return text
+
+
+# letters that fold onto contraction letters under IGNORECASE (long s,
+# dotless i) or lowercase to two characters (dotted I)
+_FOLDS = {"s": "sSſ", "i": "iIıİ"}
+_contraction = st.sampled_from(list(DEFAULT_CONTRACTIONS)).flatmap(
+    lambda short: st.tuples(*(st.sampled_from(_FOLDS.get(c, c + c.upper())) for c in short)).map("".join))
+# no markup, URL or newline, and every text starts "x ", so contraction
+# expansion is the only step of normalize_doc that can change it
+_doc_text = st.lists(
+    _contraction | st.text(alphabet="doesntcawirhulDOESNTCAWIRHUL' ſıİ\u0307", max_size=8), max_size=8
+).map(lambda parts: "x " + "".join(parts))
+
+
+@given(text=_doc_text)
+@settings(max_examples=500)
+def test_contraction_expansion_equals_one_substitution_per_contraction(text):
+    assert normalize_doc(text) == reference_expand(text)
 
 
 def test_urls_removed():
