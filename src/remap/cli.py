@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -184,13 +185,15 @@ MAX_THRESHOLDS = 10_000
 
 
 def _parse_thresholds(spec: str) -> list[float]:
-    """``lo:hi:step`` or a comma-separated list, every value in [0,1]."""
+    """``lo:hi:step`` or a comma-separated list: strictly ascending, every
+    value in [0,1]. A range holds lo plus every whole step that fits below
+    hi (a last step short of hi by under 1e-9 steps still counts)."""
     try:
         if ":" in spec:
             lo, hi, step = (float(x) for x in spec.split(":"))
             if not step > 0 or not hi >= lo:
                 raise ValueError("need step > 0 and hi >= lo")
-            n = round((hi - lo) / step)
+            n = math.floor((hi - lo) / step + 1e-9)
             if n >= MAX_THRESHOLDS:
                 raise ValueError(f"more than {MAX_THRESHOLDS} thresholds")
             thresholds = [round(lo + i * step, 10) for i in range(n + 1)]
@@ -200,6 +203,8 @@ def _parse_thresholds(spec: str) -> list[float]:
         raise UsageError(f"invalid --thresholds {spec!r}: {exc}") from None
     if not all(0.0 <= t <= 1.0 for t in thresholds):
         raise UsageError(f"invalid --thresholds {spec!r}: values must lie in [0,1]")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise UsageError(f"invalid --thresholds {spec!r}: values must be strictly ascending")
     return thresholds
 
 
@@ -489,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep", cmd_sweep, "metrics across a threshold ladder", evaluated)
     p.add_argument("--task", choices=["gc", "cm"], required=True)
     p.add_argument("--thresholds", default="0.0:1.0:0.05",
-                   help="lo:hi:step or comma-separated list")
+                   help="lo:hi:step (lo, lo+step, ... while <= hi) or a strictly "
+                        "ascending comma-separated list; values in [0,1]")
     p.add_argument("--csv", default=None, help="also write plottable CSV")
 
     p = command("ablate", cmd_ablate, "metrics per ablation setting", scoring, thresholded)

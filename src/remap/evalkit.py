@@ -309,11 +309,7 @@ def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> Wei
     order = np.argsort(np.array([f"{ex.key[0]}\x00{ex.key[1]}" for ex in training]))
     examples = [training[i] for i in order]
 
-    # the 0/0 policies of WeightConfig(), which the returned config carries
-    policies = WeightConfig()
-    filled = np.array(
-        [policy_filled(tuple(ex.fields[name] for name in FIELDS), policies)[:5] for ex in examples]
-    )
+    filled = np.array([policy_filled(tuple(ex.fields[name] for name in FIELDS)) for ex in examples])
     sim_class, mn, rt, pm, sim_opt = filled.T
     labels = np.array([1 if ex.label else 0 for ex in examples])
     tiebreak = np.arange(len(examples))  # already in key order

@@ -15,14 +15,14 @@ and the final score is the weighted sum
 Scoring is two steps. ``measure`` takes a pair's eight field similarities
 (``FIELDS`` order), None marking an "absent" field, one whose token
 sequences are both empty (0/0). ``aggregate`` turns them into the score
-breakdown under given weights and ablation mode. It applies the 0/0
-policies (``policy_filled``, shared with the weight tuner) and the
-ablation overrides; no other module does. By default absent class doc
-contributes 0; two empty parameter lists agree on zero arity and score 1;
-absent optional fields drop out of the mean (all absent -> 0). EXR2-EXR4
-override field values after measurement, uniformly for every pair, so
-pairs differing only in an ablated field score identically. EXR1 instead
-measures without the renaming rules.
+breakdown under given weights and ablation mode. It applies the fixed
+0/0 rules (``policy_filled``, shared with the weight tuner) and the
+ablation overrides; no other module does. An absent class name, class doc,
+method name or return type counts as 0; two empty parameter lists agree on
+zero arity and score 1; absent optional fields drop out of the mean (all
+absent -> 0). EXR2-EXR4 override field values after measurement, uniformly
+for every pair, so pairs differing only in an ablated field score
+identically. EXR1 instead measures without the renaming rules.
 
 To score many pairs, ``prepare`` each record's fields (token sequences with
 their LCS match masks) once, take ``class_sims`` once per class pair, and
@@ -65,35 +65,18 @@ class WeightConfig:
     delta: float = 0.5
     eta: float = 0.35
     phi: float = 0.15
-    # optional alternative when no optional evidence exists:
-    # score = (alpha*simClass + beta*simMethodHeader) / (alpha + beta)
-    renormalize_missing_optional: bool = False
-    # 0/0 policies: absent class doc contributes this value; two empty
-    # parameter lists score this value; absent optional fields either drop
-    # out of the mean or count as zero
-    absent_class_doc: float = 0.0
-    absent_param: float = 1.0
-    drop_absent_optional: bool = True
 
     def __post_init__(self):
-        # the absent values stand in for similarities, so they share the
-        # weights' range; outside it a score could leave [0,1]
-        for name in ("alpha", "beta", "theta", "delta", "eta", "phi", "absent_class_doc", "absent_param"):
+        for name in ("alpha", "beta", "theta", "delta", "eta", "phi"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"weight {name}={v!r} is not a number")
             if not (0.0 - EPS <= v <= 1.0 + EPS):
                 raise ValueError(f"weight {name}={v} outside [0,1]")
-        for name in ("renormalize_missing_optional", "drop_absent_optional"):
-            v = getattr(self, name)
-            if not isinstance(v, bool):
-                raise ValueError(f"{name}={v!r} is not a boolean")
         if abs(self.alpha + self.beta + self.theta - 1.0) > EPS:
             raise ValueError("alpha+beta+theta must equal 1")
         if abs(self.delta + self.eta + self.phi - 1.0) > EPS:
             raise ValueError("delta+eta+phi must equal 1")
-        if self.renormalize_missing_optional and not self.alpha + self.beta > 0:
-            raise ValueError("renormalize_missing_optional needs alpha+beta > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -182,33 +165,20 @@ def measure(p1: tuple, p2: tuple, class_pair: tuple[float | None, float | None])
     return class_pair + tuple(map(masked_sim, p1[2:], p2[2:]))
 
 
-def policy_filled(fields: tuple, w: WeightConfig) -> tuple:
-    """(simClass, simMethodName, simReturnType, simParam, simOptional,
-    has_optional) of ``measure``d fields under ``w``'s 0/0 policies;
-    has_optional is False when simOptional averaged nothing."""
+def policy_filled(fields: tuple) -> tuple:
+    """(simClass, simMethodName, simReturnType, simParam, simOptional) of
+    ``measure``d fields under the 0/0 rules."""
     cls_name, cls_doc, m_name, r_type, param, local_var, method_doc, comment = fields
     cn = cls_name if cls_name is not None else 0.0
-    cd = cls_doc if cls_doc is not None else w.absent_class_doc
-    if w.drop_absent_optional:
-        optional = [v for v in (local_var, method_doc, comment) if v is not None]
-    else:
-        optional = [v if v is not None else 0.0 for v in (local_var, method_doc, comment)]
+    cd = cls_doc if cls_doc is not None else 0.0
+    optional = [v for v in (local_var, method_doc, comment) if v is not None]
     return (
         cn + (1.0 - cn) * cd,
         m_name if m_name is not None else 0.0,
         r_type if r_type is not None else 0.0,
-        param if param is not None else w.absent_param,  # zero-arity agreement
+        param if param is not None else 1.0,  # zero-arity agreement
         math.fsum(optional) / len(optional) if optional else 0.0,
-        bool(optional),
     )
-
-
-def _weighted_sum(
-    sim_class: float, sim_header: float, sim_optional: float, has_optional: bool, w: WeightConfig
-) -> float:
-    if w.renormalize_missing_optional and not has_optional:
-        return (w.alpha * sim_class + w.beta * sim_header) / (w.alpha + w.beta)
-    return w.alpha * sim_class + w.beta * sim_header + w.theta * sim_optional
 
 
 def aggregate(fields: tuple, w: WeightConfig, mode: str = "ALL") -> SASBreakdown:
@@ -222,9 +192,9 @@ def aggregate(fields: tuple, w: WeightConfig, mode: str = "ALL") -> SASBreakdown
     elif mode == "EXR2":
         local_var = 0.0
     fields = (cls_name, cls_doc, m_name, r_type, param, local_var, method_doc, comment)
-    sim_class, m, r, p, sim_optional, has_optional = policy_filled(fields, w)
+    sim_class, m, r, p, sim_optional = policy_filled(fields)
     sim_header = 0.0 if mode == "EXR2" else w.delta * m + w.eta * r + w.phi * p
-    score = _weighted_sum(sim_class, sim_header, sim_optional, has_optional, w)
+    score = w.alpha * sim_class + w.beta * sim_header + w.theta * sim_optional
     return SASBreakdown(*fields, sim_class, sim_header, sim_optional, score, mode)
 
 

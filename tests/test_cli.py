@@ -216,6 +216,7 @@ def test_eval_sweep_tune_ablate_impact(pipeline, tmp_path):
               "--grid-step", "0.25", "--out", tmp_path / "weights.json")
     assert p.returncode == 0, p.stderr
     weights = json.loads((tmp_path / "weights.json").read_text())
+    assert set(weights) == {"alpha", "beta", "theta", "delta", "eta", "phi"}
     assert abs(weights["alpha"] + weights["beta"] + weights["theta"] - 1.0) < 1e-9
     counters = json.loads((tmp_path / "weights.json.manifest.json").read_text())["counters"]
     assert counters["grid_points"] == 15 and counters["weight_configs"] == 225  # step 1/4
@@ -325,10 +326,17 @@ def _main_error(capsys, *argv):
     ({"alpha": 0.5, "beta": 0.25, "theta": 0.25, "gamma": 1.0}, "gamma"),
     ({"alpha": "0.5", "beta": 0.25, "theta": 0.25}, "alpha"),
     ([0.5, 0.25, 0.25], "list"),
+    # the former 0/0 policy keys are not weights: one alone, or all four as in
+    # the ten-key file that tune wrote before the 0/0 rules were fixed
     ({"absent_param": 5}, "absent_param"),
     ({"alpha": 0, "beta": 0, "theta": 1, "renormalize_missing_optional": True}, "renormalize"),
     ({"renormalize_missing_optional": "false"}, "renormalize_missing_optional"),
     ({"drop_absent_optional": 0}, "drop_absent_optional"),
+    ({"alpha": 0.4, "beta": 0.3, "theta": 0.3, "delta": 0.4, "eta": 0.3, "phi": 0.3,
+      "renormalize_missing_optional": False, "absent_class_doc": 0.0, "absent_param": 1.0,
+      "drop_absent_optional": True},
+     "unknown weight keys: absent_class_doc, absent_param, drop_absent_optional, "
+     "renormalize_missing_optional"),
 ])
 def test_bad_weights_file_is_usage_error(pipeline, tmp_path, capsys, weights, culprit):
     work, left, right, pairs = pipeline
@@ -488,13 +496,33 @@ def test_sweep_zero_step_is_usage_error(pipeline, tmp_path, capsys):
     assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
                      "--out", str(scores)]) == 0
     capsys.readouterr()
-    for spec in ("0:1:0", "1:0:0.1", "0:1:x", "0.5,1.5", "0:1:1e-9"):
+    for spec in ("0:1:0", "1:0:0.1", "0:1:x", "0.5,1.5", "0:1:1e-9", "0.5,0.2", "0.5,0.5"):
         code, err = _main_error(
             capsys, "sweep", "--scored", scores, "--labels", labels, "--task", "cm",
             "--thresholds", spec, "--out", tmp_path / "sweep.json",
         )
         assert code == 2, spec
         assert err["error"] == "usage" and spec in err["message"]
+
+
+def test_sweep_range_stops_at_hi(pipeline, tmp_path):
+    work, left, right, pairs = pipeline
+    from remap import cli
+
+    scores, labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
+    _write_labels(labels, left, right)
+    assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+                     "--out", str(scores)]) == 0
+    for spec, expected in [
+        ("0:0.5:0.3", [0.0, 0.3]),  # a second step would pass hi
+        ("0.5:1:0.3", [0.5, 0.8]),
+        ("0:1:0.05", [i / 20 for i in range(21)]),  # 1/0.05 is a hair over 20
+        ("0.1:0.7:0.2", [0.1, 0.3, 0.5, 0.7]),  # 0.6/0.2 is a hair under 3
+    ]:
+        assert cli.main(["sweep", "--scored", str(scores), "--labels", str(labels), "--task", "cm",
+                         "--thresholds", spec, "--out", str(tmp_path / "sweep.json")]) == 0
+        points = json.loads((tmp_path / "sweep.json").read_text())["points"]
+        assert [p["threshold"] for p in points] == expected, spec
 
 
 def test_in_process_manifest_records_the_argv_passed_to_main(pipeline, tmp_path):
@@ -780,7 +808,7 @@ def _bad_weights():
     from remap.simcore import WeightConfig
 
     base = WeightConfig().to_dict()
-    numeric = ["alpha", "beta", "theta", "delta", "eta", "phi", "absent_class_doc", "absent_param"]
+    numeric = ["alpha", "beta", "theta", "delta", "eta", "phi"]
     not_number = JSON.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
     out_of_range = st.floats(min_value=1.01) | st.floats(max_value=-0.01) | st.just(float("nan"))
     return st.one_of(
@@ -904,6 +932,8 @@ def _bad_thresholds():
         st.lists(st.sampled_from(["0.5", "0.25"]), max_size=2).flatmap(
             lambda ok: st.one_of(outside, word).map(lambda bad: ",".join([*ok, bad]))),
         st.sampled_from(["0:inf:0.1", "0:1:1e-320"]),  # step counts that overflow
+        st.lists(st.sampled_from(["0", "0.25", "0.5", "1"]), min_size=2, max_size=4).filter(
+            lambda ts: any(float(b) <= float(a) for a, b in zip(ts, ts[1:]))).map(",".join),
     )
 
 

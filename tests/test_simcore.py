@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from remap.lcs import lcs_length
 from remap.normalizer import NormalizedDetails
 from remap.simcore import (
+    ABLATION_MODES,
     WeightConfig,
     aggregate,
     components,
@@ -142,19 +143,6 @@ def test_weight_simplex_enforced():
         WeightConfig(alpha=-0.1, beta=0.85, theta=0.25)
 
 
-def test_policy_values_that_break_the_score_range_rejected():
-    with pytest.raises(ValueError, match="absent_param"):
-        WeightConfig(absent_param=5)
-    with pytest.raises(ValueError, match="absent_class_doc"):
-        WeightConfig(absent_class_doc=-0.5)
-    with pytest.raises(ValueError, match="renormalize"):
-        WeightConfig(alpha=0.0, beta=0.0, theta=1.0, renormalize_missing_optional=True)
-    WeightConfig(alpha=0.0, beta=0.0, theta=1.0)  # fine without renormalization
-
-
-unit = st.integers(0, 20).map(lambda i: i / 20)
-
-
 @st.composite
 def weight_configs(draw):
     a, b = draw(st.integers(0, 20)), draw(st.integers(0, 20))
@@ -162,10 +150,6 @@ def weight_configs(draw):
     return WeightConfig(
         alpha=min(a, b) / 20, beta=(max(a, b) - min(a, b)) / 20, theta=(20 - max(a, b)) / 20,
         delta=min(d, e) / 20, eta=(max(d, e) - min(d, e)) / 20, phi=(20 - max(d, e)) / 20,
-        renormalize_missing_optional=draw(st.booleans()) and max(a, b) > 0,
-        absent_class_doc=draw(unit),
-        absent_param=draw(unit),
-        drop_absent_optional=draw(st.booleans()),
     )
 
 
@@ -341,40 +325,14 @@ def test_all_scores_bounded():
     assert not math.isnan(b.sas)
 
 
-def test_renormalize_toggle():
-    w = WeightConfig(renormalize_missing_optional=True)
-    d1 = details(class_name=["a"], method_name=["f"], return_type=["void"])
-    b = components(d1, d1, w)
-    # no optional evidence: score over class+header weights only
-    expected = (0.5 * 1.0 + 0.25 * 1.0) / 0.75
-    assert b.sas == pytest.approx(expected)
-
-
-def test_sas_matches_components_when_optional_evidence_is_absent():
-    w = WeightConfig(renormalize_missing_optional=True)
-    d1 = details(class_name=["a", "b"], method_name=["f"], return_type=["void"])
-    d2 = details(class_name=["a", "c"], method_name=["g"], return_type=["void"])
-    b = components(d1, d2, w)
-    assert b.sim_optional == 0.0
-    expected = (w.alpha * b.sim_class + w.beta * b.sim_method_header) / (w.alpha + w.beta)
-    assert b.sas == pytest.approx(expected)
-
-
 @given(
     st.lists(st.sampled_from("abc"), max_size=4),
     st.lists(st.sampled_from("abc"), max_size=4),
-    st.booleans(),
-    st.booleans(),
+    weight_configs(),
 )
-def test_sas_recomputes_the_breakdown_score(doc1, doc2, renormalize, drop_absent):
-    w = WeightConfig(renormalize_missing_optional=renormalize, drop_absent_optional=drop_absent)
+def test_sas_recomputes_the_breakdown_score(doc1, doc2, w):
     d1 = details(class_name=["a"], method_name=["f"], return_type=["int"], method_doc=doc1)
     d2 = details(class_name=["a", "b"], method_name=["f"], return_type=["long"], method_doc=doc2)
-    for mode in ("ALL", "EXR2", "EXR3", "EXR4"):
+    for mode in ABLATION_MODES:
         b = components(d1, d2, w, mode)
-        optional = (b.sim_local_var, b.sim_method_doc, b.sim_comment)
-        if renormalize and drop_absent and optional == (None, None, None):
-            expected = (w.alpha * b.sim_class + w.beta * b.sim_method_header) / (w.alpha + w.beta)
-        else:
-            expected = w.alpha * b.sim_class + w.beta * b.sim_method_header + w.theta * b.sim_optional
-        assert b.sas == expected
+        assert b.sas == w.alpha * b.sim_class + w.beta * b.sim_method_header + w.theta * b.sim_optional
