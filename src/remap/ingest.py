@@ -3,7 +3,12 @@
 Two formats ship: the generic JSONL interchange format (one pair per line,
 fragments given as file/line spans or method keys) and NiCad's XML clone
 report. Everything else is bridged by converting to the generic format.
-Fragments bind to methods with ``records.match_fragment``; this module only
+Each format has a reader that yields one clone at a time; one loop binds
+what both readers yield, so both formats follow one orientation rule: a
+span whose path lies below exactly one snapshot root binds only on that
+side, a pair binds as reported, else swapped, two fragments that bind only
+within one snapshot are dropped as ``same_project``, and anything else is
+``unresolved``. Spans bind with ``records.match_fragment``; this module only
 reads the report formats.
 """
 
@@ -38,6 +43,13 @@ class IngestStats:
         return {k: v for k, v in vars(self).items() if k != "diagnostics"}
 
 
+def _detector(obj: dict) -> str:
+    detector = obj.get("detector", "unknown")
+    if not isinstance(detector, str):
+        raise ValueError(f"detector {detector!r} is not a string")
+    return detector
+
+
 def _fragment(frag) -> str | SourceSpan:
     """A report fragment: a method key, or a line span on the reported path.
 
@@ -49,90 +61,112 @@ def _fragment(frag) -> str | SourceSpan:
     elif isinstance(frag, dict) and all(k in frag for k in ("file", "start", "end")):
         if not isinstance(frag["file"], str):
             raise ValueError(f"fragment file {frag['file']!r} is not a string")
-        try:
-            start, end = int(frag["start"]), int(frag["end"])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(
-                f"fragment lines {frag['start']!r}..{frag['end']!r} are not integers"
-            ) from None
-        return SourceSpan(frag["file"], start, end)
+        if not (type(frag["start"]) is int and type(frag["end"]) is int):
+            raise ValueError(f"fragment lines {frag['start']!r}..{frag['end']!r} are not integers")
+        return SourceSpan(frag["file"], frag["start"], frag["end"])
     raise ValueError("missing left/right fragment fields")
 
 
-def _resolve_fragment(frag: str | SourceSpan, snapshot: ProjectSnapshot) -> MethodRecord | None:
+def _generic_clones(path: Path):
+    """(``line N``, two fragments or the error, detector) per non-blank line."""
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+                frags, detector = (_fragment(obj.get("left")), _fragment(obj.get("right"))), _detector(obj)
+            except ValueError as exc:  # json.JSONDecodeError included
+                frags, detector = exc, None
+            yield f"line {lineno}", frags, detector
+
+
+def _nicad_clones(path: Path):
+    """(``clone N``, two spans or the error, ``"nicad"``) per <clone> element."""
+    try:
+        tree = ET.parse(str(path))
+    except ET.ParseError as exc:
+        raise IngestError(f"malformed NiCad XML: {exc}") from exc
+    for n, clone in enumerate(tree.getroot().iter("clone"), 1):
+        sources = clone.findall("source")
+        try:
+            if len(sources) != 2:
+                raise ValueError(f"{len(sources)} sources, not 2")
+            frags = tuple(
+                SourceSpan(src.attrib["file"], int(src.attrib["startline"]), int(src.attrib["endline"]))
+                for src in sources
+            )
+        except KeyError as exc:
+            frags = ValueError(f"source has no {exc} attribute")
+        except ValueError as exc:  # a non-integer line or start > end
+            frags = exc
+        yield f"clone {n}", frags, "nicad"
+
+
+def _bind(frag: str | SourceSpan, side: ProjectSnapshot, other: ProjectSnapshot) -> MethodRecord | None:
+    """The method ``frag`` names on ``side``; a path below only the other root binds there alone."""
     if isinstance(frag, str):
-        return snapshot.resolve_key(frag)
-    # as in NiCad, match_fragment runs only on a path that resolves, so the
-    # traced call count is the number of spans bound against a known file
-    return match_fragment(snapshot, frag) if snapshot.resolve_path(frag.file_path) else None
+        return side.resolve_key(frag)
+    path = frag.file_path.replace("\\", "/")
+    if path.startswith(other.root_prefix) and not path.startswith(side.root_prefix):
+        return None
+    return match_fragment(side, frag)
+
+
+def _orient(a, b, left: ProjectSnapshot, right: ProjectSnapshot):
+    """The (left, right) records of a clone, or why it is dropped."""
+    la, rb = _bind(a, left, right), _bind(b, right, left)
+    if la is not None and rb is not None:
+        return la, rb
+    lb, ra = _bind(b, left, right), _bind(a, right, left)
+    if lb is not None and ra is not None:
+        return lb, ra
+    if (la is not None and lb is not None) or (ra is not None and rb is not None):
+        return "same_project"
+    return "unresolved"
+
+
+def _bind_report(clones, left: ProjectSnapshot, right: ProjectSnapshot):
+    """Bind a reader's clones to cross-project pairs, deduplicated and sorted.
+
+    Malformed, unresolved and same-project clones (only cross-project
+    pairs are mapping candidates) are skipped with a diagnostic each; more than 50% unresolved is a hard error (the report
+    likely targets other snapshots).
+    """
+    stats = IngestStats()
+    pairs: dict[tuple[str, str], CandidatePair] = {}
+    for where, frags, detector in clones:
+        stats.lines += 1
+        if isinstance(frags, ValueError):
+            stats.malformed += 1
+            stats.diagnostics.append(f"{where}: {frags}")
+            continue
+        bound = _orient(*frags, left, right)
+        if isinstance(bound, str):
+            setattr(stats, bound, getattr(stats, bound) + 1)
+            stats.diagnostics.append(f"{where}: {bound.replace('_', '-')} clone")
+            continue
+        stats.resolved += 1
+        key = (bound[0].id, bound[1].id)
+        if key in pairs:
+            stats.duplicates += 1
+            continue
+        pairs[key] = CandidatePair(*key, detector)
+    if stats.unresolved > 0.5 * (stats.unresolved + stats.resolved):
+        raise IngestError(
+            f"{stats.unresolved} of {stats.unresolved + stats.resolved} clones "
+            f"unresolved; report probably does not match these snapshots"
+        )
+    return sorted(pairs.values(), key=lambda p: (p.left, p.right)), stats
 
 
 def ingest_generic(
     path: str | Path, left: ProjectSnapshot, right: ProjectSnapshot
 ) -> tuple[list[CandidatePair], IngestStats]:
-    """Read generic JSONL pair reports and bind fragments to records.
-
-    Malformed lines are skipped with a diagnostic; more than 50% unresolved
-    fragments is a hard error (the report likely targets other snapshots).
-    """
-    stats = IngestStats()
-    pairs: dict[tuple[str, str], CandidatePair] = {}
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            stats.lines += 1
-            try:
-                obj = json.loads(line)
-                lfrag, rfrag = _fragment(obj.get("left")), _fragment(obj.get("right"))
-            except (json.JSONDecodeError, ValueError, AttributeError) as exc:
-                stats.malformed += 1
-                stats.diagnostics.append(f"line {lineno}: {exc}")
-                continue
-            detector = obj.get("detector", "unknown")
-            lrec = _resolve_fragment(lfrag, left)
-            rrec = _resolve_fragment(rfrag, right)
-            if lrec is None or rrec is None:
-                # reports do not always orient pairs; try the swap
-                lrec2 = _resolve_fragment(rfrag, left)
-                rrec2 = _resolve_fragment(lfrag, right)
-                if lrec2 is not None and rrec2 is not None:
-                    lrec, rrec = lrec2, rrec2
-            if lrec is None or rrec is None:
-                stats.unresolved += 1
-                stats.diagnostics.append(f"line {lineno}: unresolved fragment")
-                continue
-            stats.resolved += 1
-            key = (lrec.id, rrec.id)
-            if key in pairs:
-                stats.duplicates += 1
-                continue
-            pairs[key] = CandidatePair(lrec.id, rrec.id, detector)
-    if stats.lines > 0 and stats.unresolved > 0.5 * (stats.unresolved + stats.resolved):
-        raise IngestError(
-            f"{stats.unresolved} of {stats.unresolved + stats.resolved} fragments "
-            f"unresolved; report probably does not match these snapshots"
-        )
-    out = sorted(pairs.values(), key=lambda p: (p.left, p.right))
-    return out, stats
-
-
-def _which_side(path: str, left: ProjectSnapshot, right: ProjectSnapshot):
-    """Resolve a path against both snapshots, trusting the root prefix first.
-
-    The two trees often share relative layouts, so a path that sits under
-    exactly one snapshot root is resolved only against that side.
-    """
-    p = path.replace("\\", "/")
-    under_left = p.startswith(left.root_prefix)
-    under_right = p.startswith(right.root_prefix)
-    if under_left and not under_right:
-        return left.resolve_path(p), None
-    if under_right and not under_left:
-        return None, right.resolve_path(p)
-    return left.resolve_path(p), right.resolve_path(p)
+    """Read a generic JSONL pair report and bind its fragments to records."""
+    return _bind_report(_generic_clones(Path(path)), left, right)
 
 
 def ingest_nicad_xml(
@@ -140,54 +174,9 @@ def ingest_nicad_xml(
 ) -> tuple[list[CandidatePair], IngestStats]:
     """Read a NiCad clone-pair XML report (<clone><source .../></clone>).
 
-    Pairs with both fragments inside one project are dropped (counted), as
-    only cross-project pairs are mapping candidates. Malformed XML is a
-    hard error.
+    Malformed XML is a hard error.
     """
-    stats = IngestStats()
-    try:
-        tree = ET.parse(str(path))
-    except ET.ParseError as exc:
-        raise IngestError(f"malformed NiCad XML: {exc}") from exc
-    pairs: dict[tuple[str, str], CandidatePair] = {}
-    for n, clone in enumerate(tree.getroot().iter("clone"), 1):
-        stats.lines += 1
-        sources = clone.findall("source")
-        if len(sources) != 2:
-            stats.malformed += 1
-            stats.diagnostics.append(f"clone {n}: {len(sources)} sources, not 2")
-            continue
-        try:
-            frags = [
-                SourceSpan(src.attrib["file"], int(src.attrib["startline"]), int(src.attrib["endline"]))
-                for src in sources
-            ]
-        except (KeyError, ValueError) as exc:  # a missing attribute, a non-integer or start > end
-            stats.malformed += 1
-            stats.diagnostics.append(f"clone {n}: bad source {exc!r}")
-            continue
-        (l0, r0), (l1, r1) = (_which_side(f.file_path, left, right) for f in frags)
-        if l0 and r1 and not (r0 and l1):
-            lrec, rrec = match_fragment(left, frags[0]), match_fragment(right, frags[1])
-        elif r0 and l1 and not (l0 and r1):
-            lrec, rrec = match_fragment(left, frags[1]), match_fragment(right, frags[0])
-        elif (l0 and l1) or (r0 and r1):
-            stats.same_project += 1
-            continue
-        else:
-            stats.unresolved += 1
-            continue
-        if lrec is None or rrec is None:
-            stats.unresolved += 1
-            continue
-        stats.resolved += 1
-        key = (lrec.id, rrec.id)
-        if key in pairs:
-            stats.duplicates += 1
-            continue
-        pairs[key] = CandidatePair(lrec.id, rrec.id, "nicad")
-    out = sorted(pairs.values(), key=lambda p: (p.left, p.right))
-    return out, stats
+    return _bind_report(_nicad_clones(Path(path)), left, right)
 
 
 def _pair_from_json(obj) -> CandidatePair:
@@ -200,13 +189,14 @@ def _pair_from_json(obj) -> CandidatePair:
         fragment = obj.get(side)
         if not (isinstance(fragment, dict) and isinstance(fragment.get("key"), str)):
             raise ValueError(f"{side}.key is missing or not a string")
-    return CandidatePair(obj["left"]["key"], obj["right"]["key"], obj.get("detector", "unknown"))
+    return CandidatePair(obj["left"]["key"], obj["right"]["key"], _detector(obj))
 
 
 def load_pairs(path: str | Path) -> list[CandidatePair]:
     """Load key-based pair JSONL previously written by this tool.
 
     Raises ValueError naming the first line that is not a format-1 pair
-    object with ``left.key`` and ``right.key`` strings.
+    object with ``left.key`` and ``right.key`` strings and a string
+    ``detector``, if any.
     """
     return read_jsonl(path, _pair_from_json)

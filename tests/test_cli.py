@@ -150,6 +150,35 @@ def test_score_with_stale_pairs_is_runtime_error(pipeline, tmp_path):
     assert "soot.Gone#f():1-5" in err["message"]
 
 
+def test_ingest_skips_a_line_whose_detector_is_not_a_string(pipeline, tmp_path):
+    work, left, right, _ = pipeline
+    rows = [json.loads(line) for line in (FIXTURE / "pairs.jsonl").read_text().split("\n")[:3]]
+    del rows[0]["detector"]
+    rows[1]["detector"], rows[2]["detector"] = None, 7
+    report, out = tmp_path / "report.jsonl", tmp_path / "pairs.jsonl"
+    report.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    p = remap("ingest", "--format", "generic", "--report", report,
+              "--left", left, "--right", right, "--out", out)
+    assert p.returncode == 0, p.stderr
+    counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+    assert (counters["resolved"], counters["malformed"]) == (1, 2)
+    assert "line 2: detector None is not a string" in p.stderr
+    assert [json.loads(line)["detector"] for line in out.read_text().splitlines()] == ["unknown"]
+
+
+def test_mostly_unresolved_nicad_report_is_runtime_error(pipeline, tmp_path, capsys):
+    work, left, right, _ = pipeline
+    clone = ('<clone><source file="gone/A.java" startline="1" endline="3"/>'
+             '<source file="gone/B.java" startline="1" endline="3"/></clone>')
+    report, out = tmp_path / "nicad.xml", tmp_path / "pairs.jsonl"
+    report.write_text(f"<clones>{clone * 3}</clones>")
+    code, err = _main_error(capsys, "ingest", "--format", "nicad-xml", "--report", report,
+                            "--left", left, "--right", right, "--out", out)
+    assert code == 1
+    assert err["error"] == "IngestError" and "3 of 3 clones unresolved" in err["message"]
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(pipeline, tmp_path):
     work, left, right, pairs = pipeline
     outs = []
@@ -381,6 +410,8 @@ def test_bad_rules_file_is_usage_error(pipeline, tmp_path, capsys, body, culprit
     ("[1]", "expected a JSON object"),
     ('{"format_version": 1, "left": {"key": "a"}}', "right.key"),
     ('{"format_version": 2, "left": {"key": "a"}, "right": {"key": "b"}}', "format_version 2"),
+    ('{"format_version": 1, "detector": null, "left": {"key": "a"}, "right": {"key": "b"}}',
+     "detector None is not a string"),
 ])
 def test_bad_pairs_file_is_usage_error(pipeline, tmp_path, capsys, line, culprit):
     work, left, right, pairs = pipeline
@@ -830,6 +861,7 @@ def _bad_pairs(line: str):
         st.tuples(st.sampled_from(["left", "right"]), JSON.filter(lambda v: not isinstance(v, str))
                   | st.just(DELETE)).map(lambda f: _set(base, (f[0], "key"), f[1])),
         st.sampled_from(["left", "right"]).map(lambda side: _set(base, (side, "key"), "no.Such#m():1-2")),
+        JSON.filter(lambda v: not isinstance(v, str)).map(lambda v: _set(base, ("detector",), v)),
         JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
         _corrupted(line),
     )

@@ -1,8 +1,12 @@
 """Detector report ingestion: generic JSONL and NiCad XML adapters."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remap.extractor import extract
 from remap.ingest import IngestError, ingest_generic, ingest_nicad_xml, load_pairs
@@ -45,15 +49,23 @@ public class Worker {
 """
 
 
-@pytest.fixture
-def snapshots(tmp_path):
+def _two_trees(base):
+    """Extract two trees with one layout: ``<base>/{left,right}/src/main/Worker.java``."""
     for side, src in (("left", LEFT_SOURCE), ("right", RIGHT_SOURCE)):
-        d = tmp_path / side / "src" / "main"
+        d = base / side / "src" / "main"
         d.mkdir(parents=True)
         (d / "Worker.java").write_text(src)
-    left = extract(tmp_path / "left", role="original")
-    right = extract(tmp_path / "right", role="redesigned")
-    return tmp_path, left, right
+    return base, extract(base / "left", role="original"), extract(base / "right", role="redesigned")
+
+
+@pytest.fixture
+def snapshots(tmp_path):
+    return _two_trees(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def shared_layout(tmp_path_factory):
+    return _two_trees(tmp_path_factory.mktemp("shared_layout"))
 
 
 def _rec(snapshot, name):
@@ -116,6 +128,9 @@ def test_generic_malformed_and_unknown_file(snapshots, tmp_path):
         {**span_frag(lrec), "start": 12, "end": 5},
         {**span_frag(lrec), "start": None},
         {**span_frag(lrec), "file": 7},
+        {**span_frag(lrec), "start": 3.9},
+        {**span_frag(lrec), "start": True},
+        {**span_frag(lrec), "start": "3"},
     ]
     report.write_text(
         json.dumps({"detector": "d", "left": span_frag(lrec), "right": span_frag(rrec)})
@@ -128,9 +143,49 @@ def test_generic_malformed_and_unknown_file(snapshots, tmp_path):
     )
     pairs, stats = ingest_generic(report, left, right)
     assert len(pairs) == 1
-    assert stats.malformed == 6
-    assert [d.split(":")[0] for d in stats.diagnostics] == [f"line {n}" for n in range(2, 8)]
+    assert stats.malformed == 9
+    assert [d.split(":")[0] for d in stats.diagnostics] == [f"line {n}" for n in range(2, 11)]
     assert "invalid span 12..5" in stats.diagnostics[3]
+
+
+def test_generic_swapped_line_with_rooted_paths_binds_by_root(snapshots, tmp_path):
+    base, left, right = snapshots
+    first, second = _rec(left, "first"), _rec(left, "second")
+    primary, secondary = _rec(right, "primary"), _rec(right, "secondary")
+    rel = primary.span.file_path  # both trees share this layout
+    # the redesigned method sits in the 'left' slot; each rooted path also
+    # ends with the other side's file, where its lines overlap the mirror
+    # method, so read as reported the line would bind to (first, secondary)
+    assert left.resolve_path(f"{base}/right/{rel}") == right.resolve_path(f"{base}/left/{rel}") == rel
+    report = tmp_path / "report.jsonl"
+    write_jsonl(report, [{
+        "detector": "d",
+        "left": {"file": f"{base}/right/{rel}", "start": primary.span.start_line, "end": primary.span.end_line},
+        "right": {"file": f"{base}/left/{rel}", "start": second.span.start_line, "end": second.span.end_line},
+    }])
+    pairs, stats = ingest_generic(report, left, right)
+    assert [(q.left, q.right) for q in pairs] == [(second.id, primary.id)]
+    assert (first.id, secondary.id) not in {q.key for q in pairs}
+    assert (stats.resolved, stats.unresolved, stats.same_project) == (1, 0, 0)
+
+
+def test_generic_line_bound_within_one_snapshot_is_same_project(snapshots, tmp_path):
+    base, left, right = snapshots
+    first, second, primary = _rec(left, "first"), _rec(left, "second"), _rec(right, "primary")
+    rooted = {
+        name: {"file": f"{base}/left/{rec.span.file_path}", "start": rec.span.start_line, "end": rec.span.end_line}
+        for name, rec in (("first", first), ("second", second))
+    }
+    report = tmp_path / "report.jsonl"
+    write_jsonl(report, [
+        {"detector": "d", "left": span_frag(first), "right": span_frag(primary)},
+        {"detector": "d", "left": {"key": first.id}, "right": {"key": second.id}},
+        {"detector": "d", "left": rooted["first"], "right": rooted["second"]},
+    ])
+    pairs, stats = ingest_generic(report, left, right)
+    assert [(q.left, q.right) for q in pairs] == [(first.id, primary.id)]
+    assert (stats.resolved, stats.same_project, stats.unresolved) == (1, 2, 0)
+    assert stats.diagnostics == ["line 2: same-project clone", "line 3: same-project clone"]
 
 
 def test_generic_unresolved_fragment_counted(snapshots, tmp_path):
@@ -249,6 +304,36 @@ def test_nicad_path_below_one_root_binds_only_on_that_side(snapshots, tmp_path):
     assert (stats.resolved, stats.same_project, stats.unresolved) == (2, 0, 0)
 
 
+def test_nicad_relative_paths_naming_files_on_both_sides_bind_as_reported(snapshots, tmp_path):
+    _, left, right = snapshots
+    first, secondary = _rec(left, "first"), _rec(right, "secondary")
+    rel = first.span.file_path
+    assert left.resolve_path(rel) == right.resolve_path(rel) == rel
+    report = tmp_path / "nicad.xml"
+    report.write_text(NICAD_TEMPLATE.format(body=nicad_clone(
+        rel, first.span.start_line, first.span.end_line,
+        rel, secondary.span.start_line, secondary.span.end_line,
+    )))
+    pairs, stats = ingest_nicad_xml(report, left, right)
+    assert [(q.left, q.right) for q in pairs] == [(first.id, secondary.id)]
+    assert (stats.resolved, stats.same_project) == (1, 0)
+
+
+def test_nicad_mostly_unresolved_is_hard_error(snapshots, tmp_path):
+    _, left, right = snapshots
+    lrec, rrec = _rec(left, "first"), _rec(right, "primary")
+    good = nicad_clone(lrec.span.file_path, lrec.span.start_line, lrec.span.end_line,
+                       rrec.span.file_path, rrec.span.start_line, rrec.span.end_line)
+    gone = nicad_clone("a/No.java", 1, 3, "b/No.java", 1, 3)
+    report = tmp_path / "nicad.xml"
+    report.write_text(NICAD_TEMPLATE.format(body="\n".join([good, gone])))
+    pairs, stats = ingest_nicad_xml(report, left, right)
+    assert (len(pairs), stats.unresolved, stats.diagnostics) == (1, 1, ["clone 2: unresolved clone"])
+    report.write_text(NICAD_TEMPLATE.format(body="\n".join([good, gone, gone])))
+    with pytest.raises(IngestError, match="2 of 3 clones unresolved"):
+        ingest_nicad_xml(report, left, right)
+
+
 def test_nicad_same_project_dropped(snapshots, tmp_path):
     base, left, right = snapshots
     a, b = _rec(left, "first"), _rec(left, "second")
@@ -318,3 +403,51 @@ def test_nicad_malformed_xml_is_hard_error(snapshots, tmp_path):
     report.write_text("<clones><clone></clones>")
     with pytest.raises(IngestError):
         ingest_nicad_xml(report, left, right)
+
+
+METHODS = {"left": ("first", "second"), "right": ("primary", "secondary")}
+# relative, below the fragment's own root, below a root that is neither
+# snapshot's, or naming a file neither tree has
+PATH_STYLES = ("relative", "rooted", "foreign", "missing")
+FRAGMENTS = st.tuples(st.sampled_from(sorted(METHODS)), st.integers(0, 1), st.sampled_from(PATH_STYLES))
+
+
+def _report_span(base, snapshots, fragment):
+    side, index, style = fragment
+    rec = _rec(snapshots[side], METHODS[side][index])
+    rel = rec.span.file_path
+    path = {"relative": rel, "rooted": f"{base}/{side}/{rel}", "foreign": f"/elsewhere/checkout/{rel}",
+            "missing": "src/main/Missing.java"}[style]
+    return path, rec.span.start_line, rec.span.end_line
+
+
+@settings(max_examples=300, deadline=None)
+@given(clones=st.lists(st.tuples(FRAGMENTS, FRAGMENTS), min_size=1, max_size=8))
+def test_generic_and_nicad_readings_of_one_clone_list_agree(shared_layout, clones):
+    base, left, right = shared_layout
+    snapshots = {"left": left, "right": right}
+    spans = [tuple(_report_span(base, snapshots, frag) for frag in clone) for clone in clones]
+    with tempfile.TemporaryDirectory() as tmp:
+        generic, nicad = Path(tmp) / "report.jsonl", Path(tmp) / "report.xml"
+        write_jsonl(generic, [
+            {"detector": "d", **{slot: {"file": f, "start": s, "end": e} for slot, (f, s, e) in zip(("left", "right"), pair)}}
+            for pair in spans
+        ])
+        nicad.write_text(NICAD_TEMPLATE.format(body="\n".join(nicad_clone(*a, *b) for a, b in spans)))
+        outcomes = []
+        for ingest, report in ((ingest_generic, generic), (ingest_nicad_xml, nicad)):
+            try:
+                pairs, stats = ingest(report, left, right)
+                outcomes.append(([q.key for q in pairs], stats.to_dict()))
+            except IngestError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], str):
+        return
+    keys = set(outcomes[0][0])
+    for clone in clones:
+        sides = {frag[0]: frag for frag in clone}
+        styles = {frag[2] for frag in clone}
+        if len(sides) == 2 and "rooted" in styles and "missing" not in styles:
+            intended = tuple(_rec(snapshots[side], METHODS[side][sides[side][1]]).id for side in ("left", "right"))
+            assert intended in keys, (clone, outcomes[0])
