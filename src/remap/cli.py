@@ -26,7 +26,7 @@ from . import __version__
 from . import evalkit, ingest, mapper, prefilter
 from .extractor import DEFAULT_EXCLUDED_METHODS, DEFAULT_TEST_ROOTS, ExtractConfig, extract
 from .normalizer import BUNDLED_RULESETS, EMPTY_RULESET, RuleSet, normalize_record
-from .records import load_snapshot, save_snapshot, sidecar_path
+from .records import load_snapshot, open_output, save_snapshot, sidecar_path, write_json, write_jsonl
 from .simcore import ABLATION_MODES, WeightConfig, aggregate
 
 EXIT_OK = 0
@@ -56,11 +56,6 @@ def _config(cls, **values):
         raise UsageError(str(exc)) from None
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with path.open("rb") as fh:
@@ -87,8 +82,8 @@ def _record_input(args, path: Path) -> Path:
 
 def _write_manifest(args, argv: list[str], started_at: float, counters: dict) -> None:
     out = Path(args.out)
-    _write_json(
-        Path(f"{out}.manifest.json"),
+    write_json(
+        f"{out}.manifest.json",
         {
             "tool_version": __version__,
             "command": argv,
@@ -222,7 +217,7 @@ def cmd_extract(args) -> dict:
         excluded_method_names=tuple(args.exclude_method or DEFAULT_EXCLUDED_METHODS),
     )
     snapshot = extract(root, name=args.name or root.name, role=args.role, config=config)
-    save_snapshot(snapshot, Path(args.out))
+    save_snapshot(snapshot, args.out)
     print(
         f"extracted {len(snapshot)} methods / {len(snapshot.class_index)} classes "
         f"from {snapshot.summary.files_parsed} files ({len(snapshot.summary.failed_files)} failed)"
@@ -249,9 +244,8 @@ def cmd_pairs(args) -> dict:
         classes = prefilter.filter_classes(left, right, rules, cfg, counters)
         pairs = prefilter.generate_pairs(classes, left, right, cfg)
         counters.update(class_pairs=len(classes), pairs=len(pairs))
-    out = Path(args.out)
-    prefilter.save_pairs(pairs, out)
-    print(f"wrote {len(pairs)} candidate pairs to {out}")
+    prefilter.save_pairs(pairs, args.out)
+    print(f"wrote {len(pairs)} candidate pairs to {args.out}")
     return counters
 
 
@@ -262,7 +256,7 @@ def cmd_ingest(args) -> dict:
         pairs, stats = ingest.ingest_generic(report_path, left, right)
     else:
         pairs, stats = ingest.ingest_nicad_xml(report_path, left, right)
-    prefilter.save_pairs(pairs, Path(args.out))
+    prefilter.save_pairs(pairs, args.out)
     print(f"ingested {len(pairs)} pairs ({stats.unresolved} unresolved, {stats.duplicates} duplicates)")
     for diag in stats.diagnostics[:20]:
         print(f"  {diag}", file=sys.stderr)
@@ -292,7 +286,7 @@ def cmd_score(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     results = mapper.score_pairs(pairs, left, right, _filter_config(args))
-    mapper.save_results(results, Path(args.out), fmt=args.format)
+    mapper.report(results, args.out, args.format)
     summary = mapper.summarize(results)
     print(json.dumps(summary, sort_keys=True))
     return {"pairs_in": len(pairs), **summary}
@@ -303,8 +297,8 @@ def cmd_eval(args) -> dict:
     labels = _labels_arg(args)
     kept = {r.key for r in scored if r.kept}
     counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
-    _write_json(
-        Path(args.out),
+    write_json(
+        args.out,
         {"task": TASKS[args.task], "confusion": counts.to_dict(), "metrics": metrics.to_dict()},
     )
     print(json.dumps(metrics.to_dict(), sort_keys=True))
@@ -321,17 +315,16 @@ def cmd_sweep(args) -> dict:
         "best_threshold": best,
         "points": [p.to_dict() for p in points],
     }
-    _write_json(Path(args.out), payload)
+    write_json(args.out, payload)
     if args.csv:
-        csv_path = Path(args.csv)
-        rows = ["threshold,fpr,precision,recall,f1_pos,f1_neg,avg_f1"]
-        for p in points:
-            m = p.metrics
-            rows.append(
-                f"{p.threshold},{m.fpr:.6f},{m.precision:.6f},{m.recall:.6f},"
-                f"{m.f1_pos:.6f},{m.f1_neg:.6f},{m.avg_f1:.6f}"
-            )
-        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with open_output(args.csv) as fh:
+            fh.write("threshold,fpr,precision,recall,f1_pos,f1_neg,avg_f1\n")
+            for p in points:
+                m = p.metrics
+                fh.write(
+                    f"{p.threshold},{m.fpr:.6f},{m.precision:.6f},{m.recall:.6f},"
+                    f"{m.f1_pos:.6f},{m.f1_neg:.6f},{m.avg_f1:.6f}\n"
+                )
     print(json.dumps({"best_threshold": best}, sort_keys=True))
     return {"points": len(points)}
 
@@ -360,7 +353,7 @@ def cmd_ablate(args) -> dict:
         kept = {pair.key for pair, s in zip(pairs, scores) if s >= threshold}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
         report[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
-    _write_json(Path(args.out), report)
+    write_json(args.out, report)
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
     return {"pairs": len(pairs), "settings": len(report)}
 
@@ -385,9 +378,8 @@ def cmd_impact(args) -> dict:
     report = {
         mode: evalkit.rule_impact(baseline, dict(zip(keys, scores)), code_types) for mode, scores in columns
     }
-    out = Path(args.out)
-    _write_json(out, report)
-    print(f"wrote impact report for {', '.join(settings)} to {out}")
+    write_json(args.out, report)
+    print(f"wrote impact report for {', '.join(settings)} to {args.out}")
     return {"pairs": len(pairs)}
 
 
@@ -415,13 +407,10 @@ def cmd_normalize(args) -> dict:
     snapshot = _snapshot_arg(args, "snapshot", "snapshot")
     rules = _rules_arg(args)
     role = args.role or snapshot.role
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for rec in snapshot.records:
-            details = normalize_record(rec, snapshot.class_of(rec), rules, role)
-            fh.write(json.dumps({"id": rec.id, **vars(details)}, sort_keys=True) + "\n")
-    print(f"wrote normalized details for {len(snapshot)} records to {out}")
+    rows = ({"id": rec.id, **vars(normalize_record(rec, snapshot.class_of(rec), rules, role))}
+            for rec in snapshot.records)
+    write_jsonl(args.out, rows)
+    print(f"wrote normalized details for {len(snapshot)} records to {args.out}")
     return {"records": len(snapshot)}
 
 
@@ -544,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         _error_line("usage", exc)
         return EXIT_USAGE
     except (
-        FileNotFoundError,
+        OSError,  # from the file system: an --out that names a directory, say
         ValueError,
         KeyError,
         ingest.IngestError,

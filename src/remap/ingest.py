@@ -19,10 +19,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .prefilter import CandidatePair
+from .prefilter import FORMAT_VERSION, CandidatePair
 from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment, read_jsonl
-
-FORMAT_VERSION = 1
 
 
 class IngestError(RuntimeError):

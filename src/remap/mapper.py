@@ -1,10 +1,9 @@
-"""Score candidate pairs, filter by threshold, emit ranked mapping reports."""
+"""Score candidate pairs, filter by threshold, and write ranked mapping
+reports (jsonl, csv or a summary line), each row as it is produced."""
 
 from __future__ import annotations
 
 import csv
-import io
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,7 +11,7 @@ from typing import NamedTuple
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
-from .records import ProjectSnapshot, check_fields, read_jsonl
+from .records import ProjectSnapshot, check_fields, open_output, read_jsonl, write_jsonl
 from .simcore import ABLATION_MODES, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
 
 TASK_GENUINE_CLONE = "genuine_clone"
@@ -128,11 +127,11 @@ def rank(measured: Iterable[tuple[CandidatePair, tuple]], cfg: FilterConfig) -> 
     """Aggregate measured pairs under ``cfg``'s weights and ablation,
     threshold them, and rank the kept ones.
 
-    Results are ordered by (kept first, score descending, pair key).
+    Results are ordered by score descending, then pair key: kept rows first.
     """
     weights, mode, threshold = cfg.weights, cfg.ablation, cfg.thres_sas
     scored = [(pair, aggregate(sims, weights, mode)) for pair, sims in measured]
-    scored.sort(key=lambda pb: (pb[1].sas < threshold, -pb[1].sas, pb[0].left, pb[0].right))
+    scored.sort(key=lambda pb: (-pb[1].sas, pb[0].left, pb[0].right))
     results = []
     for position, (p, b) in enumerate(scored, 1):
         kept = b.sas >= threshold
@@ -160,15 +159,11 @@ def summarize(results: list[MappingResult]) -> dict:
     return {"orig": orig, "filt": filt, "out_pct": round(out_pct, 2)}
 
 
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)  # one encoder: json.dumps builds one per call
-
-
-def report(results: list[MappingResult], fmt: str = "jsonl") -> str:
-    """Serialize results as jsonl, csv, or a summary block."""
+def report(results: list[MappingResult], out: str | Path, fmt: str = "jsonl") -> None:
+    """Write results to ``out`` as jsonl rows, csv (CRLF row ends) or a one-line summary."""
     if fmt == "jsonl":
-        return "".join(_ROW_ENCODER.encode(r.to_dict()) + "\n" for r in results)
-    if fmt == "csv":
-        buf = io.StringIO()
+        write_jsonl(out, (r.to_dict() for r in results))
+    elif fmt == "csv":
         fieldnames = [
             "left", "right", "provenance", "kept", "rank", "sas",
             "sim_class", "sim_method_header", "sim_optional",
@@ -176,13 +171,14 @@ def report(results: list[MappingResult], fmt: str = "jsonl") -> str:
             "sim_return_type", "sim_param", "sim_local_var",
             "sim_method_doc", "sim_comment", "ablation",
         ]
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(r.to_dict() for r in results)
-        return buf.getvalue()
-    if fmt == "summary":
-        return json.dumps(summarize(results), sort_keys=True) + "\n"
-    raise ValueError(f"unknown report format: {fmt!r}")
+        with open_output(out, newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            writer.writeheader()
+            writer.writerows(r.to_dict() for r in results)
+    elif fmt == "summary":
+        write_jsonl(out, [summarize(results)])
+    else:
+        raise ValueError(f"unknown report format: {fmt!r}")
 
 
 _RESULT_FIELDS = {
@@ -205,9 +201,3 @@ def load_results(path: str | Path) -> list[MappingResult]:
     field of ``MappingResult.to_dict`` with its JSON type.
     """
     return read_jsonl(path, _result_from_json)
-
-
-def save_results(results: list[MappingResult], out: Path, fmt: str = "jsonl") -> None:
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report(results, fmt), encoding="utf-8")

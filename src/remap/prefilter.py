@@ -8,14 +8,13 @@ pair universe by orders of magnitude before any expensive detector runs.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .normalizer import FIELD_CLASS_NAME, RuleSet, tokenize
-from .records import MethodRecord, ProjectSnapshot
+from .records import MethodRecord, ProjectSnapshot, write_jsonl
 from .simcore import masked, masked_sim
 
 
@@ -41,6 +40,9 @@ class ClassPair:
     name_sim: float
 
 
+FORMAT_VERSION = 1  # of the pairs JSONL that ``save_pairs`` writes and ``ingest.load_pairs`` reads
+
+
 @dataclass(frozen=True)
 class CandidatePair:
     """A cross-project method pair under consideration.
@@ -60,7 +62,7 @@ class CandidatePair:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "detector": self.provenance,
             "left": {"key": self.left},
             "right": {"key": self.right},
@@ -229,8 +231,4 @@ def exhaustive_pairs(
 
 
 def save_pairs(pairs: list[CandidatePair], out: Path) -> None:
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(json.dumps(p.to_dict(), sort_keys=True) + "\n")
+    write_jsonl(out, (p.to_dict() for p in pairs))

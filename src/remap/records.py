@@ -7,11 +7,16 @@ metadata and the class index, so every later stage can run from files alone.
 Detector reports bind to methods here too: ``ProjectSnapshot.resolve_path``
 maps a reported file path onto the snapshot, and ``match_fragment`` binds a
 reported line span.
+
+It also holds remap's one JSONL reader and its output writers: ``write_jsonl``
+writes sort-keyed rows as they arrive and ``write_json`` one indented document,
+both through ``open_output``, which creates the output's directory.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -33,6 +38,26 @@ def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
 def _string_pairs(values: list) -> bool:
     """Whether every entry is a two-string JSON list."""
     return all(type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str for v in values)
+
+
+def open_output(path: str | Path, newline: str | None = None):
+    """``path`` opened for writing UTF-8 text, its directory created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8", newline=newline)
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> None:
+    """Write each row as one line of sort-keyed JSON as soon as it arrives."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one encoder per call
+    with open_output(path) as fh:
+        fh.writelines(encode(row) + "\n" for row in rows)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write one sort-keyed JSON document, indented by two spaces."""
+    with open_output(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_jsonl(path: str | Path, parse) -> list:
@@ -314,14 +339,8 @@ def sidecar_path(records_path: Path) -> Path:
 
 
 def save_snapshot(snapshot: ProjectSnapshot, out: Path) -> None:
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for rec in snapshot.records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-    with sidecar_path(out).open("w", encoding="utf-8") as fh:
-        json.dump(snapshot.to_sidecar_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_jsonl(out, (rec.to_dict() for rec in snapshot.records))
+    write_json(sidecar_path(Path(out)), snapshot.to_sidecar_dict())
 
 
 def load_snapshot(records_path: Path) -> ProjectSnapshot:

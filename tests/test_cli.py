@@ -234,12 +234,13 @@ def test_eval_sweep_tune_ablate_impact(pipeline, tmp_path):
     assert metrics["precision"] == 1.0 and metrics["recall"] == 1.0
 
     p = remap("sweep", "--scored", scores, "--labels", labels, "--task", "cm",
-              "--thresholds", "0.0:1.0:0.05", "--csv", tmp_path / "sweep.csv",
+              "--thresholds", "0.0:1.0:0.05", "--csv", tmp_path / "plots" / "sweep.csv",
               "--out", tmp_path / "sweep.json")
     assert p.returncode == 0, p.stderr
     sweep_out = json.loads((tmp_path / "sweep.json").read_text())
     assert 0.55 <= sweep_out["best_threshold"] <= 0.8
-    assert (tmp_path / "sweep.csv").read_text().startswith("threshold,")
+    assert (tmp_path / "plots" / "sweep.csv").read_text().startswith("threshold,")
+    assert (tmp_path / "sweep.json.manifest.json").is_file()
 
     p = remap("tune", "--scored", scores, "--labels", labels, "--task", "cm",
               "--grid-step", "0.25", "--out", tmp_path / "weights.json")
@@ -982,6 +983,7 @@ def contract(pipeline, tmp_path_factory):
         assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
                          "--out", str(scored)]) == 0
     (d / "lonely.jsonl").write_bytes(left.read_bytes())  # a snapshot without its sidecar
+    (d / "adir").mkdir()  # an output path that names a directory
     snaps = ["--left", left, "--right", right]
     evaluated = ["--scored", scored, "--labels", labels, "--task", "cm"]
     argvs = {
@@ -1012,6 +1014,7 @@ def _with(argv: list, flag: str, value: str | None) -> list:
 
 
 NUMERIC_FLAGS = ("--threshold", "--thresholds", "--grid-step", "--k", "--line-ratio")
+OUTPUT_FLAGS = ("--out", "--csv")
 SNAPSHOT_FLAGS = ("--left", "--right", "--snapshot")
 
 
@@ -1020,7 +1023,8 @@ def _bad_invocations(bases: dict):
     holding the bytes, to a file name under the test directory, or, for the
     numeric flags, to the value itself. A value of None leaves a required
     flag out. For a snapshot flag the bytes may be a (records, sidecar)
-    pair; otherwise the snapshot's own sidecar goes next to them."""
+    pair; otherwise the snapshot's own sidecar goes next to them. An output
+    flag may name an existing directory."""
     file_flags = {
         "extract": ["--root"], "pairs": ["--left", "--right"],
         "ingest": ["--report", "--left", "--right"], "score": ["--pairs", "--left", "--right"],
@@ -1058,6 +1062,8 @@ def _bad_invocations(bases: dict):
         st.sampled_from([(c, f) for c, flags in file_flags.items() for f in flags]).map(
             lambda cf: (*cf, None, None)),
         st.sampled_from(list(file_flags)).map(lambda c: (c, "--bogus", None, "x")),
+        st.sampled_from([*((c, "--out") for c in file_flags), ("sweep", "--csv")]).map(
+            lambda cf: (*cf, None, "adir")),
         st.just(("score", "--threshold", None, "abc")),
     )
 
@@ -1083,6 +1089,6 @@ def test_bad_invocations_exit_with_one_json_line(contract, data):
     lines = err.getvalue().splitlines()
     usage = flag in NUMERIC_FLAGS or flag == "--bogus" or value is None  # a bad flag, not a bad file
     bad_line = body is not None and flag in ("--scored", "--labels", *SNAPSHOT_FLAGS)  # a malformed line
-    assert code == 2 if usage or bad_line else code in (1, 2), argv
+    assert code == 2 if usage or bad_line else code == 1 if flag in OUTPUT_FLAGS else code in (1, 2), argv
     assert len(lines) == 1 and "Traceback" not in err.getvalue(), lines
     assert set(json.loads(lines[0])) == {"error", "message"}

@@ -1,8 +1,8 @@
 """Scoring, threshold filtering, ranking, and report accounting."""
 
 import csv
-import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,6 @@ from remap.mapper import (
     load_results,
     rank,
     report,
-    save_results,
     score_pairs,
     summarize,
 )
@@ -264,21 +263,43 @@ CSV_COLUMNS = [
 
 def test_report_formats_roundtrip(tmp_path):
     results = fake_results(5, 2)
-    jsonl = report(results, "jsonl")
-    assert len(jsonl.strip().split("\n")) == 5
-    rows = list(csv.reader(io.StringIO(report(results, "csv"))))
+    jsonl, csv_out, summary = tmp_path / "s.jsonl", tmp_path / "new" / "s.csv", tmp_path / "sum.jsonl"
+    report(results, jsonl, "jsonl")
+    expected = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in results)
+    assert jsonl.read_bytes() == expected.encode()
+    report(results, csv_out, "csv")
+    data = csv_out.read_bytes()
+    assert data.count(b"\r\n") == data.count(b"\n") == 6 and data.endswith(b"\r\n")
+    with csv_out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS
     assert len(rows) == 6 and all(len(row) == 18 for row in rows)
-    summary = json.loads(report(results, "summary"))
-    assert summary["orig"] == 5
+    report(results, summary, "summary")
+    assert summary.read_bytes() == b'{"filt": 2, "orig": 5, "out_pct": 60.0}\n'
     out = tmp_path / "scores.jsonl"
     sims = dict(zip(SASBreakdown._fields[:8], (0.5, None, 1.0, 0.0, 0.25, None, 0.75, 0.125)))
     for mode in ABLATION_MODES:
         moded = [r._replace(breakdown=r.breakdown._replace(**sims, ablation=mode)) for r in results]
-        save_results(moded, out)
+        report(moded, out)
         assert load_results(out) == moded
     with pytest.raises(ValueError):
-        report(results, "yaml")
+        report(results, tmp_path / "s.yaml", "yaml")
+    assert not (tmp_path / "s.yaml").exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_report_writes_rows_as_it_makes_them(tmp_path, fmt):
+    """Writing 20,000 rows allocates under 1 MiB at its peak: no row list,
+    string or buffer grows with the row count."""
+    results = fake_results(20_000, 500)
+    tracemalloc.start()
+    try:
+        report(results, tmp_path / f"scores.{fmt}", fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert (tmp_path / f"scores.{fmt}").read_bytes().count(b"\n") == 20_000 + (fmt == "csv")
 
 
 def test_default_thresholds_by_profile_and_task():

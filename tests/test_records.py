@@ -2,6 +2,7 @@
 
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from remap.extractor import extract
 from remap.records import (
-    ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan, load_snapshot, match_fragment, save_snapshot,
+    ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan, load_snapshot, match_fragment, read_jsonl,
+    save_snapshot, write_jsonl,
 )
 
 FRAG_SOURCE = """\
@@ -167,3 +169,22 @@ def test_load_snapshot_names_the_bad_line(frag_snapshot, tmp_path):
     out.write_text(out.read_text() + "\n{}\n")
     with pytest.raises(ValueError, match="^line 4: class_name is missing"):
         load_snapshot(out)
+
+
+# JSON values that survive a round trip: no NaN (it is not equal to itself)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(rows=st.lists(st.dictionaries(st.text(), _JSON, max_size=4), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_write_jsonl_writes_each_row_as_sort_keyed_json(rows):
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "new" / "rows.jsonl"  # a directory write_jsonl creates
+        write_jsonl(out, (row for row in rows))  # a one-shot generator
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert lines == [json.dumps(row, sort_keys=True) for row in rows] + [""]
+        assert read_jsonl(out, lambda v: v) == rows
