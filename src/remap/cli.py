@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -27,7 +26,7 @@ from . import evalkit, ingest, mapper, prefilter
 from .extractor import DEFAULT_EXCLUDED_METHODS, DEFAULT_TEST_ROOTS, ExtractConfig, extract
 from .normalizer import BUNDLED_RULESETS, EMPTY_RULESET, RuleSet, normalize_record
 from .records import load_snapshot, open_output, save_snapshot, sidecar_path, write_json, write_jsonl
-from .simcore import ABLATION_MODES, WeightConfig, aggregate
+from .simcore import ABLATION_MODES, WeightConfig
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -106,25 +105,10 @@ def _require_file(args, dest: str, what: str) -> Path:
     return _record_input(args, p)
 
 
-def _config_path(args, dest: str, what: str) -> Path:
-    """Resolve a config file name: as given, then under $REMAP_CONFIG_DIR."""
-    name = getattr(args, dest)
-    p = Path(name)
-    if p.is_file():
-        return _record_input(args, p)
-    config_dir = os.environ.get("REMAP_CONFIG_DIR")
-    if config_dir:
-        candidate = Path(config_dir) / name
-        if candidate.is_file():
-            return _record_input(args, candidate)
-    raise UsageError(f"{what} not found: {name}")
-
-
-def _read_file(args, dest: str, what: str, read, find=_require_file):
-    """``read`` the file that ``dest`` names, as ``find`` resolves it. A
-    ValueError (bad JSON, a bad field, value or line) is a usage error that
-    names the file."""
-    path = find(args, dest, what)
+def _read_file(args, dest: str, what: str, read):
+    """``read`` the file that ``dest`` names. A ValueError (bad JSON, a bad
+    field, value or line) is a usage error that names the file."""
+    path = _require_file(args, dest, what)
     try:
         return read(path)
     except ValueError as exc:
@@ -155,12 +139,12 @@ def _rules_arg(args) -> RuleSet:
         return EMPTY_RULESET
     if args.rules in BUNDLED_RULESETS:
         return BUNDLED_RULESETS[args.rules]
-    return _read_file(args, "rules", "rules file", RuleSet.load, _config_path)
+    return _read_file(args, "rules", "rules file", RuleSet.load)
 
 
 def _weights_arg(args) -> WeightConfig:
     if args.weights:
-        return _read_file(args, "weights", "weights file", WeightConfig.load, _config_path)
+        return _read_file(args, "weights", "weights file", WeightConfig.load)
     return WeightConfig()
 
 
@@ -272,20 +256,11 @@ def _threshold(args) -> float:
     return args.threshold
 
 
-def _filter_config(args) -> mapper.FilterConfig:
-    return _config(
-        mapper.FilterConfig,
-        thres_sas=_threshold(args),
-        weights=_weights_arg(args),
-        ablation=args.ablation.upper(),
-        rules=_rules_arg(args),
-    )
-
-
 def cmd_score(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
-    results = mapper.score_pairs(pairs, left, right, _filter_config(args))
+    threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
+    results = mapper.score_pairs(pairs, left, right, rules, weights, args.ablation.upper(), threshold)
     mapper.report(results, args.out, args.format)
     summary = mapper.summarize(results)
     print(json.dumps(summary, sort_keys=True))
@@ -310,13 +285,7 @@ def cmd_sweep(args) -> dict:
     labels = _labels_arg(args)
     thresholds = _parse_thresholds(args.thresholds)
     points, best = evalkit.sweep(scored, labels, TASKS[args.task], thresholds)
-    payload = {
-        "task": TASKS[args.task],
-        "best_threshold": best,
-        "points": [p.to_dict() for p in points],
-    }
-    write_json(args.out, payload)
-    if args.csv:
+    if args.csv:  # before --out, so a failed --csv leaves no --out without its manifest
         with open_output(args.csv) as fh:
             fh.write("threshold,fpr,precision,recall,f1_pos,f1_neg,avg_f1\n")
             for p in points:
@@ -325,31 +294,23 @@ def cmd_sweep(args) -> dict:
                     f"{p.threshold},{m.fpr:.6f},{m.precision:.6f},{m.recall:.6f},"
                     f"{m.f1_pos:.6f},{m.f1_neg:.6f},{m.avg_f1:.6f}\n"
                 )
+    payload = {
+        "task": TASKS[args.task],
+        "best_threshold": best,
+        "points": [p.to_dict() for p in points],
+    }
+    write_json(args.out, payload)
     print(json.dumps({"best_threshold": best}, sort_keys=True))
     return {"points": len(points)}
-
-
-def _score_columns(args, left, right, pairs, modes):
-    """Yield (mode, the score of every pair under mode, in pair order) for
-    each ablation mode in turn. The pairs are measured once per rule set,
-    with the rules and, for EXR1, without them; every mode aggregates one
-    of those measurements."""
-    weights, rules = _weights_arg(args), _rules_arg(args)
-    measured = {}
-    for mode in modes:
-        mode_rules = mapper.measure_rules(rules, mode)
-        if mode_rules not in measured:
-            measured[mode_rules] = [sims for _, sims in mapper.measure_pairs(pairs, left, right, mode_rules)]
-        yield mode, [aggregate(sims, weights, mode).sas for sims in measured[mode_rules]]
 
 
 def cmd_ablate(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     labels = _labels_arg(args)
-    threshold = _threshold(args)
+    threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
     report = {}
-    for mode, scores in _score_columns(args, left, right, pairs, ABLATION_MODES):
+    for mode, scores in mapper.score_columns(pairs, left, right, rules, weights, ABLATION_MODES):
         kept = {pair.key for pair, s in zip(pairs, scores) if s >= threshold}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
         report[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
@@ -373,7 +334,8 @@ def cmd_impact(args) -> dict:
     code_types = _pair_code_type(pairs, left, right)
     settings = [args.setting.upper()] if args.setting else ["EXR1", "EXR2", "EXR3", "EXR4"]
     keys = [p.key for p in pairs]
-    columns = _score_columns(args, left, right, pairs, ["ALL", *settings])
+    weights, rules = _weights_arg(args), _rules_arg(args)
+    columns = mapper.score_columns(pairs, left, right, rules, weights, ["ALL", *settings])
     baseline = dict(zip(keys, next(columns)[1]))  # a repeated pair collapses to one key
     report = {
         mode: evalkit.rule_impact(baseline, dict(zip(keys, scores)), code_types) for mode, scores in columns
@@ -395,9 +357,7 @@ def cmd_tune(args) -> dict:
     ]
     cfg = _config(evalkit.TunerConfig, grid_step=args.grid_step, objective_k=args.k)
     weights = evalkit.tune(training, cfg)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    weights.save(out)
+    weights.save(args.out)
     print(json.dumps(weights.to_dict(), sort_keys=True))
     grid_points = len(evalkit.simplex_grid(cfg.grid_step))
     return {"training": len(training), "grid_points": grid_points, "weight_configs": grid_points ** 2}

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .mapper import MappingResult, TASK_CODE_MAPPING, TASK_GENUINE_CLONE
-from .simcore import EPS, FIELDS, WeightConfig, policy_filled
+from .simcore import EPS, FIELDS, WeightConfig, policy_filled, weighted_sum
 
 CLONE_TYPES = ("non_clone", "T1", "T2", "T3", "T4")
 PairKey = tuple[str, str]
@@ -292,9 +292,11 @@ def simplex_grid(step: float) -> list[tuple[int, int, int, int]]:
 def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> WeightConfig:
     """Exhaustive simplex grid search maximizing true positives in the top K.
 
-    K defaults to the number of positive examples. Ties prefer the config
-    with the largest minimum weight, then the lexicographically largest
-    (alpha, beta, theta, delta, eta, phi) tuple.
+    K defaults to the number of positive examples. Each example scores
+    what ``aggregate`` gives it under the config's ``WeightConfig``, and
+    ranks as ``mapper.rank`` orders it: by score descending, then pair key.
+    Ties prefer the config with the largest minimum weight, then the
+    lexicographically largest (alpha, beta, theta, delta, eta, phi) tuple.
     """
     import numpy as np  # only the tuner needs it; every other command starts without it
 
@@ -306,28 +308,21 @@ def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> Wei
         raise ValueError("training set has no positive examples")
     k = cfg.objective_k if cfg.objective_k is not None else positives
 
-    order = np.argsort(np.array([f"{ex.key[0]}\x00{ex.key[1]}" for ex in training]))
-    examples = [training[i] for i in order]
-
+    examples = sorted(training, key=lambda ex: ex.key)
     filled = np.array([policy_filled(tuple(ex.fields[name] for name in FIELDS)) for ex in examples])
     sim_class, mn, rt, pm, sim_opt = filled.T
     labels = np.array([1 if ex.label else 0 for ex in examples])
-    tiebreak = np.arange(len(examples))  # already in key order
 
-    grid = simplex_grid(cfg.grid_step)
-    best_key = None
-    best_cfg = None
-    for di, ei, fi, n in grid:
-        header = (di * mn + ei * rt + fi * pm) / n
-        for ai, bi, ti, _ in grid:
-            sas = (ai * sim_class + bi * header + ti * sim_opt) / n
-            # stable order: sas descending, then pair-key ascending
-            top = np.lexsort((tiebreak, -sas))[:k]
-            score = int(labels[top].sum())
-            min_w = min(ai, bi, ti, di, ei, fi)
-            key = (score, min_w, (ai, bi, ti, di, ei, fi))
+    grid = [((a, b, c), (a / n, b / n, c / n)) for a, b, c, n in simplex_grid(cfg.grid_step)]
+    best_key = best = None
+    for header_ints, header_weights in grid:
+        header = weighted_sum(header_weights, (mn, rt, pm))
+        for score_ints, score_weights in grid:
+            sas = weighted_sum(score_weights, (sim_class, header, sim_opt))
+            # a stable sort of examples in key order: sas descending, then pair key
+            top = np.argsort(-sas, kind="stable")[:k]
+            ints = score_ints + header_ints
+            key = (int(labels[top].sum()), min(ints), ints)
             if best_key is None or key > best_key:
-                best_key = key
-                best_cfg = (ai / n, bi / n, ti / n, di / n, ei / n, fi / n)
-    a, b, t, d, e, f = best_cfg
-    return WeightConfig(alpha=a, beta=b, theta=t, delta=d, eta=e, phi=f)
+                best_key, best = key, score_weights + header_weights
+    return WeightConfig(*best)

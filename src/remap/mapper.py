@@ -1,11 +1,11 @@
 """Score candidate pairs, filter by threshold, and write ranked mapping
-reports (jsonl, csv or a summary line), each row as it is produced."""
+reports (jsonl, csv or a summary line), each row as it is produced; or
+score them into one column per ablation mode, for ``ablate`` and ``impact``."""
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,21 +37,9 @@ def default_threshold(profile: str, task: str) -> float:
 def measure_rules(rules: RuleSet, mode: str) -> RuleSet:
     """The rules to measure under in ablation ``mode``: none for EXR1,
     which disables renaming; ``rules`` for every other mode."""
+    if mode not in ABLATION_MODES:
+        raise ValueError(f"unknown ablation mode: {mode!r}")
     return EMPTY_RULESET if mode == "EXR1" else rules
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    thres_sas: float = 0.5
-    weights: WeightConfig = field(default_factory=WeightConfig)
-    ablation: str = "ALL"  # one of ABLATION_MODES
-    rules: RuleSet = field(default_factory=lambda: EMPTY_RULESET, compare=False, hash=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.thres_sas <= 1.0:
-            raise ValueError(f"thres_sas={self.thres_sas} outside [0,1]")
-        if self.ablation not in ABLATION_MODES:
-            raise ValueError(f"unknown ablation mode: {self.ablation!r}")
 
 
 class MappingResult(NamedTuple):
@@ -123,13 +111,14 @@ def measure_pairs(
         yield pair, measure(p1, p2, class_pair)
 
 
-def rank(measured: Iterable[tuple[CandidatePair, tuple]], cfg: FilterConfig) -> list[MappingResult]:
-    """Aggregate measured pairs under ``cfg``'s weights and ablation,
-    threshold them, and rank the kept ones.
+def rank(
+    measured: Iterable[tuple[CandidatePair, tuple]], weights: WeightConfig, mode: str, threshold: float
+) -> list[MappingResult]:
+    """Aggregate measured pairs under ``weights`` and ablation ``mode``,
+    keep those scoring at least ``threshold``, and rank the kept ones.
 
     Results are ordered by score descending, then pair key: kept rows first.
     """
-    weights, mode, threshold = cfg.weights, cfg.ablation, cfg.thres_sas
     scored = [(pair, aggregate(sims, weights, mode)) for pair, sims in measured]
     scored.sort(key=lambda pb: (-pb[1].sas, pb[0].left, pb[0].right))
     results = []
@@ -144,11 +133,34 @@ def score_pairs(
     pairs: list[CandidatePair],
     left: ProjectSnapshot,
     right: ProjectSnapshot,
-    cfg: FilterConfig,
+    rules: RuleSet = EMPTY_RULESET,
+    weights: WeightConfig = WeightConfig(),
+    mode: str = "ALL",
+    threshold: float = 0.5,
 ) -> list[MappingResult]:
     """Normalize, score, threshold, and rank every candidate pair: ``rank``
-    of ``measure_pairs`` under the ``measure_rules`` of ``cfg``."""
-    return rank(measure_pairs(pairs, left, right, measure_rules(cfg.rules, cfg.ablation)), cfg)
+    of ``measure_pairs`` under the ``measure_rules`` of ``mode``."""
+    return rank(measure_pairs(pairs, left, right, measure_rules(rules, mode)), weights, mode, threshold)
+
+
+def score_columns(
+    pairs: list[CandidatePair],
+    left: ProjectSnapshot,
+    right: ProjectSnapshot,
+    rules: RuleSet,
+    weights: WeightConfig,
+    modes: Iterable[str],
+) -> Iterator[tuple[str, list[float]]]:
+    """Yield (mode, the score of every pair under mode, in pair order) for
+    each ablation mode in turn. The pairs are measured once per rule set,
+    with the rules and, for EXR1, without them; every mode aggregates one
+    of those measurements."""
+    measured = {}
+    for mode in modes:
+        mode_rules = measure_rules(rules, mode)
+        if mode_rules not in measured:
+            measured[mode_rules] = [sims for _, sims in measure_pairs(pairs, left, right, mode_rules)]
+        yield mode, [aggregate(sims, weights, mode).sas for sims in measured[mode_rules]]
 
 
 def summarize(results: list[MappingResult]) -> dict:

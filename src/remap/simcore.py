@@ -24,6 +24,10 @@ absent -> 0). EXR2-EXR4 override field values after measurement, uniformly
 for every pair, so pairs differing only in an ablated field score
 identically. EXR1 instead measures without the renaming rules.
 
+Both weighted sums, the header and the score, are ``weighted_sum``. The
+weight tuner sums numpy columns of ``policy_filled`` fields by it, so every
+score it ranks by has the bits ``aggregate`` gives under the same weights.
+
 To score many pairs, ``prepare`` each record's fields (token sequences with
 their LCS match masks) once, take ``class_sims`` once per class pair, and
 ``measure`` each pair once; one measurement serves every weight config and
@@ -40,6 +44,7 @@ from typing import NamedTuple
 
 from .lcs import lcs_masked, match_masks
 from .normalizer import NormalizedDetails
+from .records import open_output
 
 EPS = 1e-9
 
@@ -95,7 +100,8 @@ class WeightConfig:
         return WeightConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with open_output(path) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 class SASBreakdown(NamedTuple):
@@ -181,6 +187,13 @@ def policy_filled(fields: tuple) -> tuple:
     )
 
 
+def weighted_sum(weights: tuple, values: tuple):
+    """``a*x + b*y + c*z`` for weights (a, b, c) and values (x, y, z), summed
+    left to right; values may be floats or numpy arrays."""
+    (a, b, c), (x, y, z) = weights, values
+    return a * x + b * y + c * z
+
+
 def aggregate(fields: tuple, w: WeightConfig, mode: str = "ALL") -> SASBreakdown:
     """The score breakdown of ``measure``d fields under weights ``w`` and
     ablation ``mode`` (EXR1 needs fields measured without renaming rules)."""
@@ -193,8 +206,8 @@ def aggregate(fields: tuple, w: WeightConfig, mode: str = "ALL") -> SASBreakdown
         local_var = 0.0
     fields = (cls_name, cls_doc, m_name, r_type, param, local_var, method_doc, comment)
     sim_class, m, r, p, sim_optional = policy_filled(fields)
-    sim_header = 0.0 if mode == "EXR2" else w.delta * m + w.eta * r + w.phi * p
-    score = w.alpha * sim_class + w.beta * sim_header + w.theta * sim_optional
+    sim_header = 0.0 if mode == "EXR2" else weighted_sum((w.delta, w.eta, w.phi), (m, r, p))
+    score = weighted_sum((w.alpha, w.beta, w.theta), (sim_class, sim_header, sim_optional))
     return SASBreakdown(*fields, sim_class, sim_header, sim_optional, score, mode)
 
 

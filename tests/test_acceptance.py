@@ -24,7 +24,7 @@ from remap.evalkit import (
 from remap.extractor import extract
 from remap.ingest import ingest_generic
 from remap.lcs import lcs_length
-from remap.mapper import FilterConfig, MappingResult, score_pairs, summarize
+from remap.mapper import MappingResult, score_pairs, summarize
 from remap.normalizer import (
     FIELD_CLASS_NAME,
     FIELD_METHOD_NAME,
@@ -237,8 +237,7 @@ def test_acceptance_end_to_end_fixture():
     pairs, stats = ingest_generic(FIXTURE / "pairs.jsonl", left, right)
     assert stats.unresolved == 0 and len(pairs) == 40
 
-    cfg = FilterConfig(thres_sas=0.6, rules=SOOT_SOOTUP_RULES)
-    results = score_pairs(pairs, left, right, cfg)
+    results = score_pairs(pairs, left, right, rules=SOOT_SOOTUP_RULES, threshold=0.6)
     by_key = {r.key: r for r in results}
     mapping_sas = [by_key[(l, r)].sas for l, r, _ in mappings]
     non_mapping_sas = [by_key[(l, r)].sas for l, r, _ in non_mappings]
@@ -272,8 +271,7 @@ def test_acceptance_end_to_end_exhaustive_summary():
     left = extract(FIXTURE / "left", role="original")
     right = extract(FIXTURE / "right", role="redesigned")
     pairs = exhaustive_pairs(left, right, min_loc=5)
-    cfg = FilterConfig(thres_sas=0.5, rules=SOOT_SOOTUP_RULES)
-    results = score_pairs(pairs, left, right, cfg)
+    results = score_pairs(pairs, left, right, rules=SOOT_SOOTUP_RULES, threshold=0.5)
     summary = summarize(results)
     mappings, _ = _resolve_planted(left, right)
     kept = {r.key for r in results if r.kept}

@@ -318,29 +318,6 @@ def test_rules_resolve_by_bundled_name_and_by_path(pipeline, tmp_path):
     assert outputs["bundled"] == outputs["file"] != outputs["none"]
 
 
-def test_config_dir_env_var(pipeline, tmp_path, monkeypatch):
-    import os
-    import subprocess
-
-    work, left, right, pairs = pipeline
-    config_dir = tmp_path / "configs"
-    config_dir.mkdir()
-    from remap.normalizer import SOOT_SOOTUP_RULES
-
-    SOOT_SOOTUP_RULES.save(config_dir / "myrules.json")
-    env = dict(os.environ, REMAP_CONFIG_DIR=str(config_dir))
-    proc = subprocess.run(
-        [sys.executable, "-m", "remap", "score", "--pairs", str(pairs),
-         "--left", str(left), "--right", str(right), "--task", "cm",
-         "--threshold", "0.6", "--rules", "myrules.json",
-         "--out", str(tmp_path / "s.jsonl")],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stdout.strip().split("\n")[-1])
-    assert summary["filt"] == 15
-
-
 def _main_error(capsys, *argv):
     """Run remap.cli.main in-process; return its exit code and the one
     JSON error line it printed to stderr."""
@@ -537,6 +514,25 @@ def test_sweep_zero_step_is_usage_error(pipeline, tmp_path, capsys):
         assert err["error"] == "usage" and spec in err["message"]
 
 
+def test_sweep_failed_csv_leaves_no_out(pipeline, tmp_path, capsys):
+    work, left, right, pairs = pipeline
+    from remap import cli
+
+    scores, labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
+    _write_labels(labels, left, right)
+    assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+                     "--out", str(scores)]) == 0
+    capsys.readouterr()
+    (tmp_path / "adir").mkdir()
+    code, err = _main_error(
+        capsys, "sweep", "--scored", scores, "--labels", labels, "--task", "cm",
+        "--csv", tmp_path / "adir", "--out", tmp_path / "sw.json",
+    )
+    assert code == 1 and set(err) == {"error", "message"}
+    assert not (tmp_path / "sw.json").exists()
+    assert not (tmp_path / "sw.json.manifest.json").exists()
+
+
 def test_sweep_range_stops_at_hi(pipeline, tmp_path):
     work, left, right, pairs = pipeline
     from remap import cli
@@ -727,8 +723,9 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
         labels = evalkit.load_labels(tmp_path / "labels.csv")
 
         def score(mode, threshold):
-            cfg = mapper.FilterConfig(thres_sas=threshold, ablation=mode, rules=SOOT_SOOTUP_RULES)
-            return mapper.score_pairs(loaded, lsnap, rsnap, cfg)
+            return mapper.score_pairs(
+                loaded, lsnap, rsnap, rules=SOOT_SOOTUP_RULES, mode=mode, threshold=threshold
+            )
 
         expected = {}
         for mode in ABLATION_MODES:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from remap.extractor import extract
 from remap.mapper import (
-    FilterConfig,
     MappingResult,
     UnresolvedPairError,
     default_threshold,
@@ -92,8 +91,7 @@ def all_pairs(left, right):
 
 def test_identical_methods_score_one_and_rank_first(world):
     left, right = world
-    cfg = FilterConfig(thres_sas=0.5, rules=SOOT_SOOTUP_RULES)
-    results = score_pairs(all_pairs(left, right), left, right, cfg)
+    results = score_pairs(all_pairs(left, right), left, right, rules=SOOT_SOOTUP_RULES, threshold=0.5)
     by_pair = {
         (r.left.split("#")[1].split(":")[0], r.right.split("#")[1].split(":")[0]): r
         for r in results
@@ -106,12 +104,12 @@ def test_identical_methods_score_one_and_rank_first(world):
 def test_threshold_boundary_is_inclusive(world):
     left, right = world
     pairs = all_pairs(left, right)
-    scored = score_pairs(pairs, left, right, FilterConfig(thres_sas=0.0))
+    scored = score_pairs(pairs, left, right, threshold=0.0)
     distinct = sorted({r.sas for r in scored})
     assert len(distinct) >= 2
     t = distinct[-2]  # a score that separates the top pair from the rest
-    at = score_pairs(pairs, left, right, FilterConfig(thres_sas=t))
-    above = score_pairs(pairs, left, right, FilterConfig(thres_sas=distinct[-1]))
+    at = score_pairs(pairs, left, right, threshold=t)
+    above = score_pairs(pairs, left, right, threshold=distinct[-1])
     kept_at = {r.key for r in at if r.kept}
     kept_above = {r.key for r in above if r.kept}
     # threshold comparison is >=: pairs sitting exactly at t stay kept
@@ -125,7 +123,7 @@ def test_filtering_antitone_in_threshold(world):
     previous = None
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         kept = {
-            r.key for r in score_pairs(pairs, left, right, FilterConfig(thres_sas=t)) if r.kept
+            r.key for r in score_pairs(pairs, left, right, threshold=t) if r.kept
         }
         if previous is not None:
             assert kept <= previous
@@ -134,7 +132,7 @@ def test_filtering_antitone_in_threshold(world):
 
 def test_ranks_are_dense_and_ordered(world):
     left, right = world
-    results = score_pairs(all_pairs(left, right), left, right, FilterConfig(thres_sas=0.0))
+    results = score_pairs(all_pairs(left, right), left, right, threshold=0.0)
     kept = [r for r in results if r.kept]
     assert [r.rank for r in kept] == list(range(1, len(kept) + 1))
     for a, b in zip(kept, kept[1:]):
@@ -149,36 +147,34 @@ def test_score_pairs_equals_components_per_pair(mode):
     left = extract(FIXTURE / "left", role="original")
     right = extract(FIXTURE / "right", role="redesigned")
     pairs = exhaustive_pairs(left, right)
-    cfg = FilterConfig(thres_sas=0.6, rules=SOOT_SOOTUP_RULES, ablation=mode)
-    results = score_pairs(pairs, left, right, cfg)
+    results = score_pairs(pairs, left, right, rules=SOOT_SOOTUP_RULES, mode=mode, threshold=0.6)
     assert len(results) == len(pairs) == 756
     rules = EMPTY_RULESET if mode == "EXR1" else SOOT_SOOTUP_RULES
     for r in results:
         lrec, rrec = left.get(r.left), right.get(r.right)
         d1 = normalize_record(lrec, left.class_of(lrec), rules, "original")
         d2 = normalize_record(rrec, right.class_of(rrec), rules, "redesigned")
-        assert r.breakdown == components(d1, d2, cfg.weights, mode), r.key
+        assert r.breakdown == components(d1, d2, WeightConfig(), mode), r.key
 
 
 def test_unresolvable_id_is_hard_error(world):
     left, right = world
     bogus = [CandidatePair("soot.Nope#f():1-2", right.records[0].id, "test")]
     with pytest.raises(UnresolvedPairError):
-        score_pairs(bogus, left, right, FilterConfig())
+        score_pairs(bogus, left, right)
+
+
+def test_unknown_ablation_mode_is_rejected(world):
+    left, right = world
+    with pytest.raises(ValueError, match="EXR9"):
+        score_pairs(all_pairs(left, right), left, right, mode="EXR9")
 
 
 def test_exr1_disables_renaming(world):
     left, right = world
     pairs = all_pairs(left, right)
-    with_rules = score_pairs(
-        pairs, left, right, FilterConfig(thres_sas=0.0, rules=SOOT_SOOTUP_RULES)
-    )
-    exr1 = score_pairs(
-        pairs,
-        left,
-        right,
-        FilterConfig(thres_sas=0.0, rules=SOOT_SOOTUP_RULES, ablation="EXR1"),
-    )
+    with_rules = score_pairs(pairs, left, right, rules=SOOT_SOOTUP_RULES, threshold=0.0)
+    exr1 = score_pairs(pairs, left, right, rules=SOOT_SOOTUP_RULES, mode="EXR1", threshold=0.0)
     assert {r.key for r in with_rules} == {r.key for r in exr1}
     # the fixture has no renamable identifiers, so scores should match;
     # the setting is recorded either way
@@ -202,7 +198,7 @@ def test_rank_keeps_at_threshold_and_orders_kept_rows_first(rows, mode, data):
     thresholds = st.floats(0.0, 1.0)
     threshold = data.draw(st.one_of(st.sampled_from(sas), thresholds) if sas else thresholds)
     measured = [(CandidatePair(left, right, "t"), fields) for left, right, fields in rows]
-    results = rank(measured, FilterConfig(thres_sas=threshold, ablation=mode))
+    results = rank(measured, weights=WeightConfig(), mode=mode, threshold=threshold)
     assert sorted((r.left, r.right, r.sas) for r in results) == sorted(
         (left, right, v) for (left, right, _), v in zip(rows, sas)
     )

@@ -16,6 +16,8 @@ from remap.simcore import (
     components,
     masked,
     masked_sim,
+    policy_filled,
+    weighted_sum,
 )
 
 
@@ -162,6 +164,19 @@ def test_aggregate_stays_in_unit_range(w, fields, mode):
     b = aggregate(fields, w, mode)
     for value in (b.sim_class, b.sim_method_header, b.sim_optional, b.sas):
         assert 0.0 <= value <= 1.0 + 1e-12
+
+
+@given(weight_configs(), st.lists(st.tuples(*[st.none() | st.floats(0.0, 1.0)] * 8), min_size=1, max_size=20))
+def test_weighted_sum_on_columns_equals_aggregate_bit_for_bit(w, rows):
+    # the tuner sums numpy columns; every entry must be the float aggregate gives
+    import numpy as np
+
+    sim_class, mn, rt, pm, sim_opt = np.array([policy_filled(fields) for fields in rows]).T
+    header = weighted_sum((w.delta, w.eta, w.phi), (mn, rt, pm))
+    sas = weighted_sum((w.alpha, w.beta, w.theta), (sim_class, header, sim_opt))
+    for fields, h, s in zip(rows, header.tolist(), sas.tolist()):
+        b = aggregate(fields, w)
+        assert (b.sim_method_header.hex(), b.sas.hex()) == (h.hex(), s.hex())
 
 
 def test_sim_class_formula():
