@@ -350,17 +350,20 @@ def cmd_tune(args) -> dict:
     labels = _labels_arg(args)
     task = TASKS[args.task]
     label_by_key = {lab.key: lab.positive(task) for lab in labels}
-    training = [
-        evalkit.TrainingExample.from_result(r, label_by_key[r.key])
-        for r in scored
-        if r.key in label_by_key
-    ]
+    # a pair repeated in the scored file is one example, as eval and sweep count it once
+    row_by_key = {r.key: r for r in scored if r.key in label_by_key}
+    training = [evalkit.TrainingExample.from_result(r, label_by_key[key]) for key, r in row_by_key.items()]
     cfg = _config(evalkit.TunerConfig, grid_step=args.grid_step, objective_k=args.k)
     weights = evalkit.tune(training, cfg)
     weights.save(args.out)
     print(json.dumps(weights.to_dict(), sort_keys=True))
     grid_points = len(evalkit.simplex_grid(cfg.grid_step))
-    return {"training": len(training), "grid_points": grid_points, "weight_configs": grid_points ** 2}
+    return {
+        "training": len(training),
+        "k": evalkit.top_k(training, cfg),
+        "grid_points": grid_points,
+        "weight_configs": grid_points ** 2,
+    }
 
 
 def cmd_normalize(args) -> dict:
@@ -462,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simplex grid spacing; tune scores every pair of grid points, so its cost "
                         "grows with (1/grid-step)^4: 53,361 weight configs at 0.05, 26.5M at 0.01")
     p.add_argument("--k", type=int, default=None,
-                   help="top-K objective size (default: number of positives)")
+                   help="top-K objective size (default: number of positives); a K above the "
+                        "number of labeled pairs counts them all, and the manifest records the K used")
 
     p = command("normalize", cmd_normalize, "dump normalized token details for a snapshot", rules)
     p.add_argument("--snapshot", required=True)

@@ -284,45 +284,90 @@ class TrainingExample:
 
 
 def simplex_grid(step: float) -> list[tuple[int, int, int, int]]:
-    """Integer triples (i, j, k) with i+j+k == n where n = 1/step."""
+    """Integer triples (i, j, k) with i+j+k == n where n = 1/step, in
+    lexicographic order."""
     n = round(1.0 / step)
     return [(i, j, n - i - j, n) for i in range(n + 1) for j in range(n - i + 1)]
+
+
+def top_k(training: list[TrainingExample], cfg: TunerConfig) -> int:
+    """K of ``tune``'s objective: ``cfg.objective_k``, or the number of
+    positive examples, capped at the number of examples."""
+    k = cfg.objective_k if cfg.objective_k is not None else sum(1 for ex in training if ex.label)
+    return min(k, len(training))
+
+
+def top_k_positives(scores, labels, k: int):
+    """For each row of a G x N score matrix, how many of the N boolean
+    ``labels`` are true among the row's first ``k`` entries (all N when k > N)
+    in a stable sort by score descending, which keeps tied scores in column
+    order."""
+    import numpy as np
+
+    n = scores.shape[1]
+    k = min(k, n)
+    kth = np.partition(scores, n - k, axis=1)[:, n - k, None]  # each row's K-th largest score
+    top = scores >= kth
+    counts = (top & labels).sum(axis=1)
+    excess = top.sum(axis=1) - k
+    over = np.flatnonzero(excess)
+    if over.size:  # rows whose ties at the K-th score run past K: their last `excess` tied columns drop out
+        tied = scores[over] == kth[over]
+        late = tied & (np.cumsum(tied, axis=1) > (tied.sum(axis=1) - excess[over])[:, None])
+        counts[over] -= (late & labels).sum(axis=1)
+    return counts
+
+
+_BLOCK_ROWS = 32  # score configs per block; the block, not the grid, sets tune's working set
 
 
 def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> WeightConfig:
     """Exhaustive simplex grid search maximizing true positives in the top K.
 
-    K defaults to the number of positive examples. Each example scores
-    what ``aggregate`` gives it under the config's ``WeightConfig``, and
-    ranks as ``mapper.rank`` orders it: by score descending, then pair key.
-    Ties prefer the config with the largest minimum weight, then the
-    lexicographically largest (alpha, beta, theta, delta, eta, phi) tuple.
+    K (``top_k``) defaults to the number of positive examples and is capped
+    at the number of examples. Under each config, every example scores what
+    ``aggregate`` gives it under the config's ``WeightConfig``, and the
+    examples rank by score descending, then by pair key. Ties prefer the
+    config with the largest minimum weight, then the lexicographically
+    largest (alpha, beta, theta, delta, eta, phi) tuple.
+
+    The score configs (alpha, beta, theta) go ``_BLOCK_ROWS`` at a time;
+    under each header config (delta, eta, phi) one partition per block row
+    counts the positives in its top K, so no config sorts the examples.
     """
     import numpy as np  # only the tuner needs it; every other command starts without it
 
     cfg = cfg or TunerConfig()
     if not training:
         raise ValueError("training set is empty")
-    positives = sum(1 for ex in training if ex.label)
-    if positives == 0:
+    if not any(ex.label for ex in training):
         raise ValueError("training set has no positive examples")
-    k = cfg.objective_k if cfg.objective_k is not None else positives
+    k = top_k(training, cfg)
 
     examples = sorted(training, key=lambda ex: ex.key)
     filled = np.array([policy_filled(tuple(ex.fields[name] for name in FIELDS)) for ex in examples])
     sim_class, mn, rt, pm, sim_opt = filled.T
-    labels = np.array([1 if ex.label else 0 for ex in examples])
+    labels = np.array([ex.label for ex in examples])
 
-    grid = [((a, b, c), (a / n, b / n, c / n)) for a, b, c, n in simplex_grid(cfg.grid_step)]
-    best_key = best = None
-    for header_ints, header_weights in grid:
-        header = weighted_sum(header_weights, (mn, rt, pm))
-        for score_ints, score_weights in grid:
-            sas = weighted_sum(score_weights, (sim_class, header, sim_opt))
-            # a stable sort of examples in key order: sas descending, then pair key
-            top = np.argsort(-sas, kind="stable")[:k]
-            ints = score_ints + header_ints
-            key = (int(labels[top].sum()), min(ints), ints)
-            if best_key is None or key > best_key:
-                best_key, best = key, score_weights + header_weights
-    return WeightConfig(*best)
+    grid = simplex_grid(cfg.grid_step)
+    ints = np.array([g[:3] for g in grid])
+    weights = ints / grid[0][3]  # the float triples i/n, as WeightConfig holds them
+    mins = ints.min(axis=1)
+    buffer = np.empty((_BLOCK_ROWS, len(examples)))
+    best = (-1,)  # (positives, minimum weight, score config, header config)
+    for lo in range(0, len(grid), _BLOCK_ROWS):
+        block = weights[lo:lo + _BLOCK_ROWS]
+        alpha_class, beta, theta_opt = block[:, :1] * sim_class, block[:, 1:2], block[:, 2:] * sim_opt
+        sas = buffer[:len(block)]
+        found = np.empty((len(block), len(grid)), dtype=np.int64)
+        for h, header_weights in enumerate(weights):
+            header = weighted_sum(header_weights, (mn, rt, pm))
+            # weighted_sum's (a*x + b*y) + c*z for every row, so each score has aggregate's bits
+            np.add(alpha_class, np.multiply(beta, header, out=sas), out=sas)
+            np.add(sas, theta_opt, out=sas)
+            found[:, h] = top_k_positives(sas, labels, k)
+        # the grid is in lexicographic order, so the order of (score config,
+        # header config) index pairs is the order of the int tuples
+        for s, h in zip(*np.nonzero(found == found.max())):
+            best = max(best, (int(found[s, h]), int(min(mins[lo + s], mins[h])), lo + int(s), int(h)))
+    return WeightConfig(*weights[best[2]].tolist(), *weights[best[3]].tolist())

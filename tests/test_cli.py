@@ -250,6 +250,7 @@ def test_eval_sweep_tune_ablate_impact(pipeline, tmp_path):
     assert abs(weights["alpha"] + weights["beta"] + weights["theta"] - 1.0) < 1e-9
     counters = json.loads((tmp_path / "weights.json.manifest.json").read_text())["counters"]
     assert counters["grid_points"] == 15 and counters["weight_configs"] == 225  # step 1/4
+    assert counters["k"] == 15  # the planted mappings
 
     p = remap("ablate", "--pairs", pairs, "--left", left, "--right", right,
               "--labels", labels, "--task", "cm", "--threshold", "0.6",
@@ -265,6 +266,31 @@ def test_eval_sweep_tune_ablate_impact(pipeline, tmp_path):
     assert p.returncode == 0, p.stderr
     impact = json.loads((tmp_path / "impact.json").read_text())
     assert impact["EXR2"]["production"]["affected"] > 0
+
+
+def test_tune_trains_a_repeated_pair_once(pipeline, tmp_path):
+    work, left, right, pairs = pipeline
+    labels = tmp_path / "labels.csv"
+    _write_labels(labels, left, right)
+    scores = tmp_path / "scores.jsonl"
+    p = remap(
+        "score", "--pairs", pairs, "--left", left, "--right", right,
+        "--task", "cm", "--threshold", "0.6", "--rules", "soot-sootup", "--out", scores,
+    )
+    assert p.returncode == 0, p.stderr
+    rows = scores.read_text().splitlines(keepends=True)
+    repeated = tmp_path / "repeated.jsonl"
+    repeated.write_text("".join(rows + rows[:1]))
+    runs = []
+    for scored, k in ((scores, []), (repeated, []), (scores, ["--k", "41"]), (repeated, ["--k", "41"])):
+        out = tmp_path / f"{scored.stem}{len(k)}.weights.json"
+        p = remap("tune", "--scored", scored, "--labels", labels, "--task", "cm",
+                  "--grid-step", "0.25", *k, "--out", out)
+        assert p.returncode == 0, p.stderr
+        counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+        runs.append((out.read_bytes(), counters["training"], counters["k"]))
+    assert runs[0] == runs[1] and runs[0][1:] == (40, 15)
+    assert runs[2] == runs[3] and runs[2][1:] == (40, 40)  # a K past the 40 labeled pairs counts them all
 
 
 def test_pairs_command_exhaustive(pipeline, tmp_path):

@@ -1,5 +1,9 @@
 """Metrics, sweeps, rule impact, and the weight tuner."""
 
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import example as pinned
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from remap.evalkit import (
     rule_impact,
     simplex_grid,
     sweep,
+    top_k_positives,
     tune,
 )
 from remap.mapper import MappingResult
@@ -311,11 +316,12 @@ LCS_RATIOS = (0.0, 1 / 3, 2 / 7, 0.4, 0.5, 4 / 7, 0.6, 2 / 3, 0.75, 0.8, 1.0, No
 @st.composite
 def tuning_cases(draw):
     """(examples in any order, K, grid step): fields from a few LCS ratios,
-    so scores tie often, and at least one positive."""
+    so scores tie often, at least one positive, and K up to two past the
+    number of examples, where the top K is every example."""
     labels = draw(st.lists(st.booleans(), min_size=3, max_size=8).filter(any))
     fields = st.tuples(*[st.sampled_from(LCS_RATIOS)] * len(FIELDS))
     training = [example(i, label_, **dict(zip(FIELDS, draw(fields)))) for i, label_ in enumerate(labels)]
-    return draw(st.permutations(training)), draw(st.integers(1, len(training))), draw(
+    return draw(st.permutations(training)), draw(st.integers(1, len(training) + 2)), draw(
         st.sampled_from((0.25, 0.2, 0.1)))
 
 
@@ -341,6 +347,50 @@ TIED_AT_0_552 = [
 def test_tune_equals_brute_force_over_aggregate(case):
     training, k, step = case
     assert tune(training, TunerConfig(grid_step=step, objective_k=k)) == brute_force_tune(training, step, k)
+
+
+@st.composite
+def top_k_cases(draw):
+    """(G x N scores, N labels, K in 1..N+2): scores from a few values, so
+    ties straddle the K-th place often."""
+    g, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    row = st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=n, max_size=n)
+    scores = np.array(draw(st.lists(row, min_size=g, max_size=g)))
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return scores, labels, draw(st.integers(1, n + 2))
+
+
+@given(top_k_cases())
+@settings(max_examples=200, deadline=None)
+def test_top_k_positives_equals_stable_argsort(case):
+    scores, labels, k = case
+    expected = [int(labels[np.argsort(-row, kind="stable")[:k]].sum()) for row in scores]
+    assert top_k_positives(scores, labels, k).tolist() == expected
+
+
+def test_tune_working_set_is_bounded_by_the_block():
+    # tracemalloc sees numpy's buffers. With these 760 examples the traced
+    # peak measured 1.25 MB at step 0.1 (66 grid points, 4,356 configs) and
+    # 1.30 MB at step 0.05 (231 grid points, 53,361 configs), with numpy 2.4:
+    # a few 32 x 760 score blocks and the block's counts. Holding one
+    # grid-points x examples matrix instead would add 0.4 MB at step 0.1 and
+    # 1.4 MB at step 0.05, which breaks the 1.5 ratio; 3 MB is about 15
+    # score blocks.
+    rng = random.Random(7)
+    training = [
+        example(i, rng.random() < 0.4, **{name: rng.choice(LCS_RATIOS) for name in FIELDS}) for i in range(760)
+    ]
+    tune(training, TunerConfig(grid_step=0.25))  # numpy's first-use set-up, outside the trace
+    peaks = []
+    for step in (0.1, 0.05):
+        tracemalloc.start()
+        try:
+            tune(training, TunerConfig(grid_step=step))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 3_000_000
 
 
 def test_training_example_from_result():
