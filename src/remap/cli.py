@@ -260,9 +260,12 @@ def cmd_score(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
-    results = mapper.score_pairs(pairs, left, right, rules, weights, args.ablation.upper(), threshold)
-    mapper.report(results, args.out, args.format)
-    summary = mapper.summarize(results)
+    [column] = mapper.score_columns(pairs, left, right, rules, weights, [args.ablation.upper()])
+    summary = mapper.summarize(column.scores, threshold)
+    if args.format == "summary":
+        write_jsonl(args.out, [summary])
+    else:
+        mapper.report(mapper.ranked(pairs, column, weights, threshold), args.out, args.format)
     print(json.dumps(summary, sort_keys=True))
     return {"pairs_in": len(pairs), **summary}
 
@@ -310,10 +313,10 @@ def cmd_ablate(args) -> dict:
     labels = _labels_arg(args)
     threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
     report = {}
-    for mode, scores in mapper.score_columns(pairs, left, right, rules, weights, ABLATION_MODES):
-        kept = {pair.key for pair, s in zip(pairs, scores) if s >= threshold}
+    for column in mapper.score_columns(pairs, left, right, rules, weights, ABLATION_MODES):
+        kept = {pair.key for pair, s in zip(pairs, column.scores) if s >= threshold}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
-        report[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
+        report[column.mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
     write_json(args.out, report)
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
     return {"pairs": len(pairs), "settings": len(report)}
@@ -336,9 +339,9 @@ def cmd_impact(args) -> dict:
     keys = [p.key for p in pairs]
     weights, rules = _weights_arg(args), _rules_arg(args)
     columns = mapper.score_columns(pairs, left, right, rules, weights, ["ALL", *settings])
-    baseline = dict(zip(keys, next(columns)[1]))  # a repeated pair collapses to one key
+    baseline = dict(zip(keys, next(columns).scores))  # a repeated pair collapses to one key
     report = {
-        mode: evalkit.rule_impact(baseline, dict(zip(keys, scores)), code_types) for mode, scores in columns
+        c.mode: evalkit.rule_impact(baseline, dict(zip(keys, c.scores)), code_types) for c in columns
     }
     write_json(args.out, report)
     print(f"wrote impact report for {', '.join(settings)} to {args.out}")

@@ -1,6 +1,9 @@
-"""Score candidate pairs, filter by threshold, and write ranked mapping
-reports (jsonl, csv or a summary line), each row as it is produced; or
-score them into one column per ablation mode, for ``ablate`` and ``impact``."""
+"""Score candidate pairs and write ranked mapping reports.
+
+``score_columns`` is the one scoring loop, for ``score``, ``ablate`` and
+``impact``: it measures the pairs once per rule set and aggregates one score
+column per ablation mode. A summary only counts a column's kept scores; a
+jsonl or csv report sorts the pairs and builds each row only as it is written."""
 
 from __future__ import annotations
 
@@ -32,14 +35,6 @@ def default_threshold(profile: str, task: str) -> float:
         return DEFAULT_THRESHOLDS[(profile, task)]
     except KeyError:
         raise ValueError(f"no default threshold for profile={profile!r} task={task!r}")
-
-
-def measure_rules(rules: RuleSet, mode: str) -> RuleSet:
-    """The rules to measure under in ablation ``mode``: none for EXR1,
-    which disables renaming; ``rules`` for every other mode."""
-    if mode not in ABLATION_MODES:
-        raise ValueError(f"unknown ablation mode: {mode!r}")
-    return EMPTY_RULESET if mode == "EXR1" else rules
 
 
 class MappingResult(NamedTuple):
@@ -111,36 +106,12 @@ def measure_pairs(
         yield pair, measure(p1, p2, class_pair)
 
 
-def rank(
-    measured: Iterable[tuple[CandidatePair, tuple]], weights: WeightConfig, mode: str, threshold: float
-) -> list[MappingResult]:
-    """Aggregate measured pairs under ``weights`` and ablation ``mode``,
-    keep those scoring at least ``threshold``, and rank the kept ones.
+class ScoreColumn(NamedTuple):
+    """One ablation mode's score of each pair, and the ``measure``d fields it aggregates."""
 
-    Results are ordered by score descending, then pair key: kept rows first.
-    """
-    scored = [(pair, aggregate(sims, weights, mode)) for pair, sims in measured]
-    scored.sort(key=lambda pb: (-pb[1].sas, pb[0].left, pb[0].right))
-    results = []
-    for position, (p, b) in enumerate(scored, 1):
-        kept = b.sas >= threshold
-        # kept rows sort first, so a kept row's position is its rank
-        results.append(MappingResult(p.left, p.right, p.provenance, b, kept, position if kept else None))
-    return results
-
-
-def score_pairs(
-    pairs: list[CandidatePair],
-    left: ProjectSnapshot,
-    right: ProjectSnapshot,
-    rules: RuleSet = EMPTY_RULESET,
-    weights: WeightConfig = WeightConfig(),
-    mode: str = "ALL",
-    threshold: float = 0.5,
-) -> list[MappingResult]:
-    """Normalize, score, threshold, and rank every candidate pair: ``rank``
-    of ``measure_pairs`` under the ``measure_rules`` of ``mode``."""
-    return rank(measure_pairs(pairs, left, right, measure_rules(rules, mode)), weights, mode, threshold)
+    mode: str
+    fields: list[tuple]
+    scores: list[float]
 
 
 def score_columns(
@@ -150,29 +121,47 @@ def score_columns(
     rules: RuleSet,
     weights: WeightConfig,
     modes: Iterable[str],
-) -> Iterator[tuple[str, list[float]]]:
-    """Yield (mode, the score of every pair under mode, in pair order) for
-    each ablation mode in turn. The pairs are measured once per rule set,
-    with the rules and, for EXR1, without them; every mode aggregates one
-    of those measurements."""
+) -> Iterator[ScoreColumn]:
+    """Yield the ``ScoreColumn`` of each ablation mode in turn. The pairs are
+    measured once per rule set, with the rules and, for EXR1, which disables
+    renaming, without them; every mode aggregates one of those measurements."""
     measured = {}
     for mode in modes:
-        mode_rules = measure_rules(rules, mode)
+        if mode not in ABLATION_MODES:
+            raise ValueError(f"unknown ablation mode: {mode!r}")
+        mode_rules = EMPTY_RULESET if mode == "EXR1" else rules
         if mode_rules not in measured:
             measured[mode_rules] = [sims for _, sims in measure_pairs(pairs, left, right, mode_rules)]
-        yield mode, [aggregate(sims, weights, mode).sas for sims in measured[mode_rules]]
+        fields = measured[mode_rules]
+        yield ScoreColumn(mode, fields, [aggregate(sims, weights, mode).sas for sims in fields])
 
 
-def summarize(results: list[MappingResult]) -> dict:
-    """Orig/Filt/Out% accounting: Out% = 100*(Orig-Filt)/Orig, 0 when empty."""
-    orig = len(results)
-    filt = sum(1 for r in results if r.kept)
+def summarize(scores: list[float], threshold: float) -> dict:
+    """Orig/Filt/Out% of a score column: Filt counts the scores of at least
+    ``threshold``; Out% = 100*(Orig-Filt)/Orig, 0 when empty."""
+    orig = len(scores)
+    filt = sum(1 for s in scores if s >= threshold)
     out_pct = 0.0 if orig == 0 else 100.0 * (orig - filt) / orig
     return {"orig": orig, "filt": filt, "out_pct": round(out_pct, 2)}
 
 
-def report(results: list[MappingResult], out: str | Path, fmt: str = "jsonl") -> None:
-    """Write results to ``out`` as jsonl rows, csv (CRLF row ends) or a one-line summary."""
+def ranked(
+    pairs: list[CandidatePair], column: ScoreColumn, weights: WeightConfig, threshold: float
+) -> Iterator[MappingResult]:
+    """Every pair's result, by score descending, then pair key: the kept
+    rows, those scoring at least ``threshold``, come first, so a kept row's
+    rank is its position. A row's breakdown and result are built only as
+    the row is taken."""
+    scores = column.scores
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], pairs[i].left, pairs[i].right))
+    for position, i in enumerate(order, 1):
+        pair, kept = pairs[i], scores[i] >= threshold
+        breakdown = aggregate(column.fields[i], weights, column.mode)
+        yield MappingResult(pair.left, pair.right, pair.provenance, breakdown, kept, position if kept else None)
+
+
+def report(results: Iterable[MappingResult], out: str | Path, fmt: str = "jsonl") -> None:
+    """Write results to ``out`` as jsonl or csv (CRLF row ends) rows, each as it arrives."""
     if fmt == "jsonl":
         write_jsonl(out, (r.to_dict() for r in results))
     elif fmt == "csv":
@@ -187,8 +176,6 @@ def report(results: list[MappingResult], out: str | Path, fmt: str = "jsonl") ->
             writer = csv.DictWriter(fh, fieldnames=fieldnames)
             writer.writeheader()
             writer.writerows(r.to_dict() for r in results)
-    elif fmt == "summary":
-        write_jsonl(out, [summarize(results)])
     else:
         raise ValueError(f"unknown report format: {fmt!r}")
 
@@ -202,6 +189,11 @@ _RESULT_FIELDS = {
 
 def _result_from_json(d) -> MappingResult:
     check_fields(d, _RESULT_FIELDS)
+    for f in SASBreakdown._fields[:12]:
+        if d[f] is not None and not 0.0 <= d[f] <= 1.0:  # NaN fails every comparison
+            raise ValueError(f"{f} is {d[f]}, not a number in [0,1]")
+    if d["kept"] != (d["rank"] is not None) or (d["kept"] and d["rank"] < 1):
+        raise ValueError(f"rank is {d['rank']}: a kept row needs a rank of at least 1, a dropped row null")
     breakdown = SASBreakdown(*(d[f] for f in SASBreakdown._fields))
     return MappingResult(d["left"], d["right"], d["provenance"], breakdown, d["kept"], d["rank"])
 
@@ -209,7 +201,9 @@ def _result_from_json(d) -> MappingResult:
 def load_results(path: str | Path) -> list[MappingResult]:
     """Read jsonl rows that ``report`` wrote.
 
-    Raises ValueError naming the first line that is not JSON or lacks a
-    field of ``MappingResult.to_dict`` with its JSON type.
+    Raises ValueError naming the first line that is not JSON, lacks a
+    field of ``MappingResult.to_dict`` with its JSON type, holds a
+    similarity or score outside [0,1], or has a rank that does not fit its
+    ``kept``.
     """
     return read_jsonl(path, _result_from_json)

@@ -449,15 +449,28 @@ def scored(pipeline, tmp_path_factory):
     ("[1]", "expected a JSON object, not list"),
     ('{"left": "a"}', "right is missing"),
     ("not json", "Expecting value"),
+    # the first row with these fields replaced: rows that no score run writes
+    ({"sas": float("nan")}, "sas is nan, not a number in [0,1]"),
+    ({"sas": float("inf")}, "sas is inf, not a number in [0,1]"),
+    ({"sas": -3.0}, "sas is -3.0, not a number in [0,1]"),
+    ({"sim_param": 7.5}, "sim_param is 7.5, not a number in [0,1]"),
+    ({"kept": True, "rank": None}, "rank is None: a kept row needs a rank of at least 1"),
+    ({"kept": True, "rank": 0}, "rank is 0: a kept row needs a rank of at least 1"),
+    ({"kept": False, "rank": 3}, "rank is 3: a kept row needs a rank of at least 1, a dropped row null"),
 ])
 def test_bad_scored_file_is_usage_error(scored, tmp_path, capsys, line, culprit):
     scores, labels = scored
+    first = scores.read_text().split("\n")[0]
+    if isinstance(line, dict):
+        line = json.dumps({**json.loads(first), **line})
     bad = tmp_path / "scores.jsonl"
-    bad.write_text(scores.read_text().split("\n")[0] + "\n" + line + "\n")
-    code, err = _main_error(capsys, "eval", "--scored", bad, "--labels", labels, "--task", "cm",
-                            "--out", tmp_path / "e.json")
-    assert code == 2
-    assert err["error"] == "usage" and f"line 2: {culprit}" in err["message"]
+    bad.write_text(first + "\n" + line + "\n")
+    evaluated = ["--scored", bad, "--labels", labels, "--task", "cm"]
+    for command in ("eval", "sweep", "tune"):
+        code, err = _main_error(capsys, command, *evaluated, "--out", tmp_path / f"{command}.json")
+        assert code == 2, command
+        assert err["error"] == "usage" and f"line 2: {culprit}" in err["message"], command
+        assert not (tmp_path / f"{command}.json").exists()
 
 
 def test_scored_row_fields_keep_their_json_types(scored, tmp_path, capsys):
@@ -604,13 +617,13 @@ def test_manifest_starts_before_the_work(pipeline, tmp_path, monkeypatch):
     from remap import cli, mapper
 
     called_at = []
-    score_pairs = mapper.score_pairs
+    measure_pairs = mapper.measure_pairs
 
     def timed(*args, **kwargs):
         called_at.append(time.time())
-        return score_pairs(*args, **kwargs)
+        return measure_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(mapper, "score_pairs", timed)
+    monkeypatch.setattr(mapper, "measure_pairs", timed)
     out = tmp_path / "s.jsonl"
     assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
                      "--out", str(out)]) == 0
@@ -731,7 +744,6 @@ def test_ablate_and_impact_measure_each_record_at_most_twice(pipeline, tmp_path,
 
 def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path):
     from remap import cli, evalkit, ingest, mapper
-    from remap.normalizer import SOOT_SOOTUP_RULES
     from remap.records import load_snapshot
     from remap.simcore import ABLATION_MODES
 
@@ -748,22 +760,27 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
         loaded = ingest.load_pairs(pairs_file)
         labels = evalkit.load_labels(tmp_path / "labels.csv")
 
-        def score(mode, threshold):
-            return mapper.score_pairs(
-                loaded, lsnap, rsnap, rules=SOOT_SOOTUP_RULES, mode=mode, threshold=threshold
-            )
+        def score(mode):
+            """The rows of one ``score`` run under ``mode``, kept at 0.6."""
+            out = tmp_path / f"{mode}.jsonl"
+            argv = ["score", "--pairs", pairs_file, "--left", left, "--right", right,
+                    "--rules", "soot-sootup", "--ablation", mode.lower(), "--threshold", "0.6", "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([str(a) for a in argv]) == 0
+            return mapper.load_results(out)
 
+        rows = {mode: score(mode) for mode in ABLATION_MODES}
         expected = {}
         for mode in ABLATION_MODES:
-            kept = {r.key for r in score(mode, 0.6) if r.kept}
+            kept = {r.key for r in rows[mode] if r.kept}
             counts, metrics = evalkit.evaluate(kept, labels, mapper.TASK_CODE_MAPPING)
             expected[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
         assert json.loads((tmp_path / "ablate.json").read_text()) == expected, pairs_file
 
         code_types = cli._pair_code_type(loaded, lsnap, rsnap)
-        baseline = {r.key: r.sas for r in score("ALL", 0.5)}
+        baseline = {r.key: r.sas for r in rows["ALL"]}
         expected = {
-            mode: evalkit.rule_impact(baseline, {r.key: r.sas for r in score(mode, 0.5)}, code_types)
+            mode: evalkit.rule_impact(baseline, {r.key: r.sas for r in rows[mode]}, code_types)
             for mode in (["EXR2"] if settings else ["EXR1", "EXR2", "EXR3", "EXR4"])
         }
         assert json.loads((tmp_path / "impact.json").read_text()) == expected, (pairs_file, settings)
@@ -776,11 +793,28 @@ def test_ablate_and_impact_neither_rank_nor_build_results(pipeline, tmp_path, mo
         raise AssertionError("ablate and impact aggregate score columns")
 
     ablate, impact = _ablation_argv(pipeline, tmp_path)
-    monkeypatch.setattr(mapper, "rank", refuse)
+    monkeypatch.setattr(mapper, "ranked", refuse)
     monkeypatch.setattr(mapper, "MappingResult", refuse)
     assert cli.main(ablate) == 0
     assert cli.main(impact) == 0
     assert set(json.loads((tmp_path / "impact.json").read_text())) == {"EXR1", "EXR2", "EXR3", "EXR4"}
+
+
+def test_score_summary_only_counts(pipeline, tmp_path, monkeypatch, capsys):
+    from remap import cli, mapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a summary counts the score column")
+
+    work, left, right, pairs = pipeline
+    monkeypatch.setattr(mapper, "ranked", refuse)
+    monkeypatch.setattr(mapper, "MappingResult", refuse)
+    out = tmp_path / "summary.jsonl"
+    assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+                     "--task", "cm", "--threshold", "0.6", "--rules", "soot-sootup",
+                     "--format", "summary", "--out", str(out)]) == 0
+    assert out.read_bytes() == b'{"filt": 15, "orig": 40, "out_pct": 62.5}\n'
+    assert json.loads(capsys.readouterr().out) == {"filt": 15, "orig": 40, "out_pct": 62.5}
 
 
 def test_ablate_takes_the_threshold_that_score_takes(pipeline, tmp_path):

@@ -1,28 +1,36 @@
 """Scoring, threshold filtering, ranking, and report accounting."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from remap import cli
 from remap.extractor import extract
 from remap.mapper import (
     MappingResult,
+    ScoreColumn,
     UnresolvedPairError,
     default_threshold,
     load_results,
-    rank,
+    ranked,
     report,
-    score_pairs,
+    score_columns,
     summarize,
 )
-from remap.normalizer import EMPTY_RULESET, SOOT_SOOTUP_RULES, normalize_record
-from remap.prefilter import CandidatePair, exhaustive_pairs
-from remap.simcore import ABLATION_MODES, SASBreakdown, WeightConfig, aggregate, components
+from remap.normalizer import BUNDLED_RULESETS, EMPTY_RULESET, SOOT_SOOTUP_RULES, normalize_record
+from remap.prefilter import CandidatePair, exhaustive_pairs, save_pairs
+from remap.records import ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan, save_snapshot
+from remap.simcore import ABLATION_MODES, FIELDS, SASBreakdown, WeightConfig, aggregate, components
+from test_simcore import dp_lcs
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
 
@@ -89,9 +97,15 @@ def all_pairs(left, right):
     ]
 
 
+def score_rows(pairs, left, right, rules=EMPTY_RULESET, weights=WeightConfig(), mode="ALL", threshold=0.5):
+    """Every pair's result as ``score --format jsonl`` writes it, in order."""
+    [column] = score_columns(pairs, left, right, rules, weights, [mode])
+    return list(ranked(pairs, column, weights, threshold))
+
+
 def test_identical_methods_score_one_and_rank_first(world):
     left, right = world
-    results = score_pairs(all_pairs(left, right), left, right, rules=SOOT_SOOTUP_RULES, threshold=0.5)
+    results = score_rows(all_pairs(left, right), left, right, rules=SOOT_SOOTUP_RULES, threshold=0.5)
     by_pair = {
         (r.left.split("#")[1].split(":")[0], r.right.split("#")[1].split(":")[0]): r
         for r in results
@@ -104,27 +118,29 @@ def test_identical_methods_score_one_and_rank_first(world):
 def test_threshold_boundary_is_inclusive(world):
     left, right = world
     pairs = all_pairs(left, right)
-    scored = score_pairs(pairs, left, right, threshold=0.0)
+    scored = score_rows(pairs, left, right, threshold=0.0)
     distinct = sorted({r.sas for r in scored})
     assert len(distinct) >= 2
     t = distinct[-2]  # a score that separates the top pair from the rest
-    at = score_pairs(pairs, left, right, threshold=t)
-    above = score_pairs(pairs, left, right, threshold=distinct[-1])
+    at = score_rows(pairs, left, right, threshold=t)
+    above = score_rows(pairs, left, right, threshold=distinct[-1])
     kept_at = {r.key for r in at if r.kept}
     kept_above = {r.key for r in above if r.kept}
     # threshold comparison is >=: pairs sitting exactly at t stay kept
     assert any(abs(r.sas - t) < 1e-12 and r.kept for r in at)
     assert kept_above < kept_at
+    [column] = score_columns(pairs, left, right, EMPTY_RULESET, WeightConfig(), ["ALL"])
+    assert summarize(column.scores, t)["filt"] == len(kept_at)
 
 
 def test_filtering_antitone_in_threshold(world):
     left, right = world
     pairs = all_pairs(left, right)
+    [column] = score_columns(pairs, left, right, EMPTY_RULESET, WeightConfig(), ["ALL"])
     previous = None
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        kept = {
-            r.key for r in score_pairs(pairs, left, right, threshold=t) if r.kept
-        }
+        kept = {r.key for r in ranked(pairs, column, WeightConfig(), t) if r.kept}
+        assert summarize(column.scores, t)["filt"] == len(kept)
         if previous is not None:
             assert kept <= previous
         previous = kept
@@ -132,7 +148,7 @@ def test_filtering_antitone_in_threshold(world):
 
 def test_ranks_are_dense_and_ordered(world):
     left, right = world
-    results = score_pairs(all_pairs(left, right), left, right, threshold=0.0)
+    results = score_rows(all_pairs(left, right), left, right, threshold=0.0)
     kept = [r for r in results if r.kept]
     assert [r.rank for r in kept] == list(range(1, len(kept) + 1))
     for a, b in zip(kept, kept[1:]):
@@ -147,7 +163,7 @@ def test_score_pairs_equals_components_per_pair(mode):
     left = extract(FIXTURE / "left", role="original")
     right = extract(FIXTURE / "right", role="redesigned")
     pairs = exhaustive_pairs(left, right)
-    results = score_pairs(pairs, left, right, rules=SOOT_SOOTUP_RULES, mode=mode, threshold=0.6)
+    results = score_rows(pairs, left, right, rules=SOOT_SOOTUP_RULES, mode=mode, threshold=0.6)
     assert len(results) == len(pairs) == 756
     rules = EMPTY_RULESET if mode == "EXR1" else SOOT_SOOTUP_RULES
     for r in results:
@@ -161,20 +177,20 @@ def test_unresolvable_id_is_hard_error(world):
     left, right = world
     bogus = [CandidatePair("soot.Nope#f():1-2", right.records[0].id, "test")]
     with pytest.raises(UnresolvedPairError):
-        score_pairs(bogus, left, right)
+        next(score_columns(bogus, left, right, EMPTY_RULESET, WeightConfig(), ["ALL"]))
 
 
 def test_unknown_ablation_mode_is_rejected(world):
     left, right = world
     with pytest.raises(ValueError, match="EXR9"):
-        score_pairs(all_pairs(left, right), left, right, mode="EXR9")
+        next(score_columns(all_pairs(left, right), left, right, EMPTY_RULESET, WeightConfig(), ["EXR9"]))
 
 
 def test_exr1_disables_renaming(world):
     left, right = world
     pairs = all_pairs(left, right)
-    with_rules = score_pairs(pairs, left, right, rules=SOOT_SOOTUP_RULES, threshold=0.0)
-    exr1 = score_pairs(pairs, left, right, rules=SOOT_SOOTUP_RULES, mode="EXR1", threshold=0.0)
+    with_rules = score_rows(pairs, left, right, rules=SOOT_SOOTUP_RULES, threshold=0.0)
+    exr1 = score_rows(pairs, left, right, rules=SOOT_SOOTUP_RULES, mode="EXR1", threshold=0.0)
     assert {r.key for r in with_rules} == {r.key for r in exr1}
     # the fixture has no renamable identifiers, so scores should match;
     # the setting is recorded either way
@@ -197,8 +213,9 @@ def test_rank_keeps_at_threshold_and_orders_kept_rows_first(rows, mode, data):
     sas = [aggregate(fields, WeightConfig(), mode).sas for _, _, fields in rows]
     thresholds = st.floats(0.0, 1.0)
     threshold = data.draw(st.one_of(st.sampled_from(sas), thresholds) if sas else thresholds)
-    measured = [(CandidatePair(left, right, "t"), fields) for left, right, fields in rows]
-    results = rank(measured, weights=WeightConfig(), mode=mode, threshold=threshold)
+    pairs = [CandidatePair(left, right, "t") for left, right, _ in rows]
+    column = ScoreColumn(mode, [fields for _, _, fields in rows], sas)
+    results = list(ranked(pairs, column, WeightConfig(), threshold))
     assert sorted((r.left, r.right, r.sas) for r in results) == sorted(
         (left, right, v) for (left, right, _), v in zip(rows, sas)
     )
@@ -211,6 +228,149 @@ def test_rank_keeps_at_threshold_and_orders_kept_rows_first(rows, mode, data):
         assert order == sorted(order)
     assert [r.rank for r in kept] == list(range(1, len(kept) + 1))
     assert all(r.rank is None for r in dropped)
+    assert summarize(sas, threshold)["filt"] == len(kept)
+
+
+# -- the reference scorer ---------------------------------------------------------
+#
+# Every row computed directly from the records: the DP LCS oracle, then the
+# formula of the ``simcore`` docstring written out once here, with no call
+# to ``aggregate``. ``score``'s three formats and the kept sets of
+# ``score_columns`` (the loop ``ablate`` and ``impact`` use) must equal it.
+
+_WORDS = ["get", "set", "Unit", "Box", "Value", "Stmt", "x"]
+_names = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map("".join)
+_texts = st.lists(st.sampled_from([w.lower() for w in _WORDS]), max_size=3).map(" ".join)  # "" is absent
+_typed = st.lists(st.tuples(st.sampled_from(["int", "Unit", "ValueBox"]), _names), max_size=2)
+
+
+@st.composite
+def snapshots(draw, role):
+    """A snapshot of 1-4 methods in 1-3 classes, as records: methods share
+    classes, classes may share a doc or have none, and parameter lists may
+    be empty."""
+    package = "p" if role == "original" else "q"
+    docs = draw(st.lists(_texts, min_size=1, max_size=3))
+    classes = [ClassRecord(f"{package}.{name}", doc, f"{name}.java", "class")
+               for name, doc in zip(["A", "UnitBox", "Value"], docs)]
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        cls = draw(st.sampled_from(classes))
+        records.append(MethodRecord(
+            class_name=cls.qualified_name,
+            method_name=draw(_names),
+            return_type=draw(st.sampled_from(["void", "int", "Unit", "ValueBox"])),
+            params=tuple(draw(_typed)),
+            local_vars=tuple(draw(_typed)),
+            method_doc=draw(_texts),
+            inline_comments=tuple(draw(st.lists(_texts, max_size=2))),
+            span=SourceSpan(cls.file_path, 10 * i + 1, 10 * i + 5),
+            body_text="",
+            is_test=False,
+        ))
+    return ProjectSnapshot(package, role, "/src", records, classes)
+
+
+def _reference_sim(a, b):
+    return None if not a and not b else 2.0 * dp_lcs(a, b) / (len(a) + len(b))
+
+
+def _reference_rows(pairs, left, right, rules, w, mode):
+    """Every pair's row under ``mode``, unranked, in pair order."""
+    rules = EMPTY_RULESET if mode == "EXR1" else rules
+    rows = []
+    for pair in pairs:
+        lrec, rrec = left.get(pair.left), right.get(pair.right)
+        d1 = normalize_record(lrec, left.class_of(lrec), rules, left.role)
+        d2 = normalize_record(rrec, right.class_of(rrec), rules, right.role)
+        sims = dict(zip(FIELDS, map(_reference_sim, vars(d1).values(), vars(d2).values())))
+        if mode == "EXR2":
+            sims["local_var"] = 0.0
+        elif mode == "EXR3":
+            sims["class_doc"] = sims["method_doc"] = 0.0
+        elif mode == "EXR4":
+            sims["comment"] = 0.0
+        zero_if_absent = {f: 0.0 if v is None else v for f, v in sims.items()}
+        name, doc = zero_if_absent["class_name"], zero_if_absent["class_doc"]
+        sim_class = name + (1.0 - name) * doc
+        param = 1.0 if sims["param"] is None else sims["param"]  # two empty lists agree on arity
+        header = 0.0 if mode == "EXR2" else (
+            w.delta * zero_if_absent["method_name"] + w.eta * zero_if_absent["return_type"] + w.phi * param)
+        present = [v for f, v in sims.items() if f in ("local_var", "method_doc", "comment") and v is not None]
+        optional = math.fsum(present) / len(present) if present else 0.0
+        rows.append({
+            "left": pair.left, "right": pair.right, "provenance": pair.provenance,
+            **{f"sim_{f}": v for f, v in sims.items()},
+            "sim_class": sim_class, "sim_method_header": header, "sim_optional": optional,
+            "sas": w.alpha * sim_class + w.beta * header + w.theta * optional, "ablation": mode,
+        })
+    return rows
+
+
+def _reference_report(rows, threshold):
+    """(jsonl, csv, summary) bytes of the rows ranked at ``threshold``."""
+    ordered = sorted(rows, key=lambda r: (-r["sas"], r["left"], r["right"]))
+    filt = sum(1 for r in rows if r["sas"] >= threshold)
+    ranked_rows = [{**r, "kept": r["sas"] >= threshold, "rank": i if r["sas"] >= threshold else None}
+                   for i, r in enumerate(ordered, 1)]
+    jsonl = "".join(json.dumps(r, sort_keys=True) + "\n" for r in ranked_rows)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(ranked_rows)
+    out_pct = round(100.0 * (len(rows) - filt) / len(rows), 2) if rows else 0.0
+    summary = json.dumps({"orig": len(rows), "filt": filt, "out_pct": out_pct}, sort_keys=True) + "\n"
+    return jsonl.encode(), buffer.getvalue().encode(), summary.encode()
+
+
+@st.composite
+def any_weights(draw):
+    unit = st.floats(0.0, 1.0)
+    a, b, d, e = (draw(unit) for _ in range(4))
+    return WeightConfig(
+        alpha=min(a, b), beta=max(a, b) - min(a, b), theta=1.0 - max(a, b),
+        delta=min(d, e), eta=max(d, e) - min(d, e), phi=1.0 - max(d, e),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    left=snapshots("original"),
+    right=snapshots("redesigned"),
+    rules=st.sampled_from([None, "soot-sootup"]),
+    weights=st.one_of(st.just(WeightConfig()), any_weights()),
+    mode=st.sampled_from(ABLATION_MODES),
+    data=st.data(),
+)
+def test_score_and_ablate_equal_the_reference_scorer(left, right, rules, weights, mode, data):
+    indices = st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1), st.sampled_from("ab"))
+    pairs = [CandidatePair(left.records[i].id, right.records[j].id, provenance)
+             for i, j, provenance in data.draw(st.lists(indices, max_size=8))]  # repeats, any order
+    ruleset = EMPTY_RULESET if rules is None else BUNDLED_RULESETS[rules]
+    reference = {m: _reference_rows(pairs, left, right, ruleset, weights, m) for m in ABLATION_MODES}
+    scores = [r["sas"] for r in reference[mode]]
+    threshold = data.draw(st.sampled_from(scores) | st.floats(0.0, 1.0) if scores else st.floats(0.0, 1.0))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_snapshot(left, tmp / "left.jsonl")
+        save_snapshot(right, tmp / "right.jsonl")
+        save_pairs(pairs, tmp / "pairs.jsonl")
+        weights.save(tmp / "weights.json")
+        argv = ["score", "--pairs", tmp / "pairs.jsonl", "--left", tmp / "left.jsonl",
+                "--right", tmp / "right.jsonl", "--weights", tmp / "weights.json",
+                "--ablation", mode.lower(), "--threshold", repr(threshold)]
+        argv += ["--rules", rules] if rules else []
+        written = []
+        for fmt in ("jsonl", "csv", "summary"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([str(a) for a in [*argv, "--format", fmt, "--out", tmp / fmt]]) == 0
+            written.append((tmp / fmt).read_bytes())
+    assert tuple(written) == _reference_report(reference[mode], threshold)
+
+    for column in score_columns(pairs, left, right, ruleset, weights, ABLATION_MODES):
+        expected = {(r["left"], r["right"]) for r in reference[column.mode] if r["sas"] >= threshold}
+        assert {p.key for p, s in zip(pairs, column.scores) if s >= threshold} == expected, column.mode
 
 
 # -- accounting ----------------------------------------------------------------
@@ -237,15 +397,17 @@ def fake_results(orig, filt):
 
 
 def test_out_percent_accounting():
-    assert summarize(fake_results(512, 182)) == {"orig": 512, "filt": 182, "out_pct": 64.45}
-    assert summarize(fake_results(70, 70)) == {"orig": 70, "filt": 70, "out_pct": 0.0}
-    assert summarize(fake_results(0, 0)) == {"orig": 0, "filt": 0, "out_pct": 0.0}
+    assert summarize([0.9] * 182 + [0.1] * 330, 0.5) == {"orig": 512, "filt": 182, "out_pct": 64.45}
+    assert summarize([0.9] * 70, 0.5) == {"orig": 70, "filt": 70, "out_pct": 0.0}
+    assert summarize([], 0.5) == {"orig": 0, "filt": 0, "out_pct": 0.0}
 
 
 def test_summary_report_is_exact_partition():
-    results = fake_results(100, 37)
-    s = summarize(results)
-    assert s["filt"] + (s["orig"] - s["filt"]) == s["orig"]
+    scores = [i / 99 for i in range(100)]
+    for t in (0.0, scores[37], 0.5, scores[-1], 1.0):
+        s = summarize(scores, t)
+        assert s["filt"] == sum(1 for v in scores if v >= t)
+        assert s["filt"] + (s["orig"] - s["filt"]) == s["orig"] == 100
 
 
 CSV_COLUMNS = [
@@ -259,7 +421,7 @@ CSV_COLUMNS = [
 
 def test_report_formats_roundtrip(tmp_path):
     results = fake_results(5, 2)
-    jsonl, csv_out, summary = tmp_path / "s.jsonl", tmp_path / "new" / "s.csv", tmp_path / "sum.jsonl"
+    jsonl, csv_out = tmp_path / "s.jsonl", tmp_path / "new" / "s.csv"
     report(results, jsonl, "jsonl")
     expected = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in results)
     assert jsonl.read_bytes() == expected.encode()
@@ -270,17 +432,16 @@ def test_report_formats_roundtrip(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS
     assert len(rows) == 6 and all(len(row) == 18 for row in rows)
-    report(results, summary, "summary")
-    assert summary.read_bytes() == b'{"filt": 2, "orig": 5, "out_pct": 60.0}\n'
     out = tmp_path / "scores.jsonl"
     sims = dict(zip(SASBreakdown._fields[:8], (0.5, None, 1.0, 0.0, 0.25, None, 0.75, 0.125)))
     for mode in ABLATION_MODES:
         moded = [r._replace(breakdown=r.breakdown._replace(**sims, ablation=mode)) for r in results]
         report(moded, out)
         assert load_results(out) == moded
-    with pytest.raises(ValueError):
-        report(results, tmp_path / "s.yaml", "yaml")
-    assert not (tmp_path / "s.yaml").exists()
+    for fmt in ("yaml", "summary"):  # score writes a summary by itself, with no result rows
+        with pytest.raises(ValueError):
+            report(results, tmp_path / f"s.{fmt}", fmt)
+        assert not (tmp_path / f"s.{fmt}").exists()
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
