@@ -265,7 +265,7 @@ def cmd_score(args) -> dict:
     if args.format == "summary":
         write_jsonl(args.out, [summary])
     else:
-        mapper.report(mapper.ranked(pairs, column, weights, threshold), args.out, args.format)
+        mapper.report(mapper.ranked(pairs, column, threshold), args.out, args.format)
     print(json.dumps(summary, sort_keys=True))
     return {"pairs_in": len(pairs), **summary}
 

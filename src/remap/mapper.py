@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
 from .records import ProjectSnapshot, check_fields, open_output, read_jsonl, write_jsonl
-from .simcore import ABLATION_MODES, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
+from .simcore import ABLATION_MODES, EPS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
 
 TASK_GENUINE_CLONE = "genuine_clone"
 TASK_CODE_MAPPING = "code_mapping"
@@ -107,9 +107,10 @@ def measure_pairs(
 
 
 class ScoreColumn(NamedTuple):
-    """One ablation mode's score of each pair, and the ``measure``d fields it aggregates."""
+    """One ablation mode's score of each pair, with the ``measure``d fields and weights it aggregates."""
 
     mode: str
+    weights: WeightConfig
     fields: list[tuple]
     scores: list[float]
 
@@ -133,7 +134,7 @@ def score_columns(
         if mode_rules not in measured:
             measured[mode_rules] = [sims for _, sims in measure_pairs(pairs, left, right, mode_rules)]
         fields = measured[mode_rules]
-        yield ScoreColumn(mode, fields, [aggregate(sims, weights, mode).sas for sims in fields])
+        yield ScoreColumn(mode, weights, fields, [aggregate(sims, weights, mode).sas for sims in fields])
 
 
 def summarize(scores: list[float], threshold: float) -> dict:
@@ -145,18 +146,16 @@ def summarize(scores: list[float], threshold: float) -> dict:
     return {"orig": orig, "filt": filt, "out_pct": round(out_pct, 2)}
 
 
-def ranked(
-    pairs: list[CandidatePair], column: ScoreColumn, weights: WeightConfig, threshold: float
-) -> Iterator[MappingResult]:
+def ranked(pairs: list[CandidatePair], column: ScoreColumn, threshold: float) -> Iterator[MappingResult]:
     """Every pair's result, by score descending, then pair key: the kept
     rows, those scoring at least ``threshold``, come first, so a kept row's
-    rank is its position. A row's breakdown and result are built only as
-    the row is taken."""
+    rank is its position. A row's breakdown, under the column's own weights
+    and mode, and its result are built only as the row is taken."""
     scores = column.scores
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], pairs[i].left, pairs[i].right))
     for position, i in enumerate(order, 1):
         pair, kept = pairs[i], scores[i] >= threshold
-        breakdown = aggregate(column.fields[i], weights, column.mode)
+        breakdown = aggregate(column.fields[i], column.weights, column.mode)
         yield MappingResult(pair.left, pair.right, pair.provenance, breakdown, kept, position if kept else None)
 
 
@@ -180,6 +179,9 @@ def report(results: Iterable[MappingResult], out: str | Path, fmt: str = "jsonl"
         raise ValueError(f"unknown report format: {fmt!r}")
 
 
+# a weight may lie EPS outside [0,1] and a triple sum to 1 +- EPS, so aggregate's weighted sums
+# leave [0,1] by up to 2 EPS (the header) and 4 EPS (the score over it), plus rounding
+SCORE_SLACK = 5 * EPS
 _RESULT_FIELDS = {
     "left": (str,), "right": (str,), "provenance": (str,), "kept": (bool,), "rank": (int, type(None)),
     **dict.fromkeys(SASBreakdown._fields[:8], (float, int, type(None))),  # per-field sims, None if absent
@@ -190,7 +192,7 @@ _RESULT_FIELDS = {
 def _result_from_json(d) -> MappingResult:
     check_fields(d, _RESULT_FIELDS)
     for f in SASBreakdown._fields[:12]:
-        if d[f] is not None and not 0.0 <= d[f] <= 1.0:  # NaN fails every comparison
+        if d[f] is not None and not -SCORE_SLACK <= d[f] <= 1.0 + SCORE_SLACK:  # NaN fails every comparison
             raise ValueError(f"{f} is {d[f]}, not a number in [0,1]")
     if d["kept"] != (d["rank"] is not None) or (d["kept"] and d["rank"] < 1):
         raise ValueError(f"rank is {d['rank']}: a kept row needs a rank of at least 1, a dropped row null")
@@ -203,7 +205,7 @@ def load_results(path: str | Path) -> list[MappingResult]:
 
     Raises ValueError naming the first line that is not JSON, lacks a
     field of ``MappingResult.to_dict`` with its JSON type, holds a
-    similarity or score outside [0,1], or has a rank that does not fit its
-    ``kept``.
+    similarity or score outside [0,1] by more than ``SCORE_SLACK``, or has
+    a rank that does not fit its ``kept``.
     """
     return read_jsonl(path, _result_from_json)

@@ -238,7 +238,7 @@ def test_acceptance_end_to_end_fixture():
     assert stats.unresolved == 0 and len(pairs) == 40
 
     [column] = score_columns(pairs, left, right, SOOT_SOOTUP_RULES, WeightConfig(), ["ALL"])
-    results = list(ranked(pairs, column, WeightConfig(), 0.6))
+    results = list(ranked(pairs, column, 0.6))
     by_key = {r.key: r for r in results}
     mapping_sas = [by_key[(l, r)].sas for l, r, _ in mappings]
     non_mapping_sas = [by_key[(l, r)].sas for l, r, _ in non_mappings]

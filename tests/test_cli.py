@@ -473,6 +473,30 @@ def test_bad_scored_file_is_usage_error(scored, tmp_path, capsys, line, culprit)
         assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("weights", [
+    dict.fromkeys(["alpha", "beta", "theta", "delta", "eta", "phi"], 0.3333333334),
+    # WeightConfig's own tolerance: a weight EPS outside [0,1], a triple summing to 1 + EPS
+    {"alpha": 1 + 1e-9, "beta": -1e-9, "theta": 5e-10, "delta": 1 + 1e-9, "eta": -1e-9, "phi": 5e-10},
+    {"alpha": -1e-9, "beta": 1 + 1e-9, "theta": -1e-9, "delta": -1e-9, "eta": -1e-9, "phi": 1 + 1e-9},
+])
+def test_eval_sweep_tune_read_what_score_writes_under_any_accepted_weights(pipeline, tmp_path, weights):
+    from remap import cli
+
+    work, left, right, pairs = pipeline
+    scores, labels, wfile = tmp_path / "scores.jsonl", tmp_path / "labels.csv", tmp_path / "w.json"
+    _write_labels(labels, left, right)
+    wfile.write_text(json.dumps(weights))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+                         "--weights", str(wfile), "--out", str(scores)]) == 0
+        rows = [json.loads(line) for line in scores.read_text().splitlines()]
+        # the weighted sums leave [0,1] by a few EPS, as aggregate computes them
+        assert any(not 0.0 <= r[f] <= 1.0 for r in rows for f in ("sas", "sim_method_header"))
+        evaluated = ["--scored", str(scores), "--labels", str(labels), "--task", "cm"]
+        for command in ("eval", "sweep", "tune"):
+            assert cli.main([command, *evaluated, "--out", str(tmp_path / f"{command}.json")]) == 0, command
+
+
 def test_scored_row_fields_keep_their_json_types(scored, tmp_path, capsys):
     scores, labels = scored
     row = json.loads(scores.read_text().split("\n")[0])

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -29,7 +30,7 @@ from remap.mapper import (
 from remap.normalizer import BUNDLED_RULESETS, EMPTY_RULESET, SOOT_SOOTUP_RULES, normalize_record
 from remap.prefilter import CandidatePair, exhaustive_pairs, save_pairs
 from remap.records import ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan, save_snapshot
-from remap.simcore import ABLATION_MODES, FIELDS, SASBreakdown, WeightConfig, aggregate, components
+from remap.simcore import ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, components
 from test_simcore import dp_lcs
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
@@ -100,7 +101,7 @@ def all_pairs(left, right):
 def score_rows(pairs, left, right, rules=EMPTY_RULESET, weights=WeightConfig(), mode="ALL", threshold=0.5):
     """Every pair's result as ``score --format jsonl`` writes it, in order."""
     [column] = score_columns(pairs, left, right, rules, weights, [mode])
-    return list(ranked(pairs, column, weights, threshold))
+    return list(ranked(pairs, column, threshold))
 
 
 def test_identical_methods_score_one_and_rank_first(world):
@@ -139,7 +140,7 @@ def test_filtering_antitone_in_threshold(world):
     [column] = score_columns(pairs, left, right, EMPTY_RULESET, WeightConfig(), ["ALL"])
     previous = None
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        kept = {r.key for r in ranked(pairs, column, WeightConfig(), t) if r.kept}
+        kept = {r.key for r in ranked(pairs, column, t) if r.kept}
         assert summarize(column.scores, t)["filt"] == len(kept)
         if previous is not None:
             assert kept <= previous
@@ -214,8 +215,8 @@ def test_rank_keeps_at_threshold_and_orders_kept_rows_first(rows, mode, data):
     thresholds = st.floats(0.0, 1.0)
     threshold = data.draw(st.one_of(st.sampled_from(sas), thresholds) if sas else thresholds)
     pairs = [CandidatePair(left, right, "t") for left, right, _ in rows]
-    column = ScoreColumn(mode, [fields for _, _, fields in rows], sas)
-    results = list(ranked(pairs, column, WeightConfig(), threshold))
+    column = ScoreColumn(mode, WeightConfig(), [fields for _, _, fields in rows], sas)
+    results = list(ranked(pairs, column, threshold))
     assert sorted((r.left, r.right, r.sas) for r in results) == sorted(
         (left, right, v) for (left, right, _), v in zip(rows, sas)
     )
@@ -442,6 +443,30 @@ def test_report_formats_roundtrip(tmp_path):
         with pytest.raises(ValueError):
             report(results, tmp_path / f"s.{fmt}", fmt)
         assert not (tmp_path / f"s.{fmt}").exists()
+
+
+# every weight triple WeightConfig accepts from these values, its tolerance's corners among them
+_EDGE_TRIPLES = [
+    t for t in itertools.product([-EPS, 0.0, EPS, 0.5, 1.0, 1.0 + EPS], repeat=3)
+    if all(-EPS <= v <= 1.0 + EPS for v in t) and abs(sum(t) - 1.0) <= EPS
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    score_triple=st.sampled_from(_EDGE_TRIPLES),
+    header_triple=st.sampled_from(_EDGE_TRIPLES),
+    fields=st.tuples(*[st.sampled_from([None, 0.0, 0.5, 1.0])] * 8),
+    mode=st.sampled_from(ABLATION_MODES),
+)
+def test_load_results_reads_every_row_aggregate_writes(score_triple, header_triple, fields, mode):
+    """A row scored under any accepted weights loads back, though its
+    weighted sums may leave [0,1] by a few EPS."""
+    weights = WeightConfig(*score_triple, *header_triple)
+    row = MappingResult("l", "r", "t", aggregate(fields, weights, mode), True, 1)
+    with tempfile.TemporaryDirectory() as d:
+        report([row], Path(d) / "s.jsonl")
+        assert load_results(Path(d) / "s.jsonl") == [row]
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
