@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from . import evalkit, ingest, mapper, prefilter
-from .extractor import DEFAULT_EXCLUDED_METHODS, DEFAULT_TEST_ROOTS, ExtractConfig, extract
+from .extractor import DEFAULT_TEST_ROOTS, extract
 from .normalizer import BUNDLED_RULESETS, EMPTY_RULESET, RuleSet, normalize_record
 from .records import load_snapshot, open_output, save_snapshot, sidecar_path, write_json, write_jsonl
 from .simcore import ABLATION_MODES, WeightConfig
@@ -196,11 +196,7 @@ def cmd_extract(args) -> dict:
     if not root.is_dir():
         raise UsageError(f"source root not found: {args.root}")
     _record_input(args, root)
-    config = ExtractConfig(
-        test_roots=tuple(args.test_root or DEFAULT_TEST_ROOTS),
-        excluded_method_names=tuple(args.exclude_method or DEFAULT_EXCLUDED_METHODS),
-    )
-    snapshot = extract(root, name=args.name or root.name, role=args.role, config=config)
+    snapshot = extract(root, role=args.role, test_roots=tuple(args.test_root or DEFAULT_TEST_ROOTS))
     save_snapshot(snapshot, args.out)
     print(
         f"extracted {len(snapshot)} methods / {len(snapshot.class_index)} classes "
@@ -372,8 +368,7 @@ def cmd_tune(args) -> dict:
 def cmd_normalize(args) -> dict:
     snapshot = _snapshot_arg(args, "snapshot", "snapshot")
     rules = _rules_arg(args)
-    role = args.role or snapshot.role
-    rows = ({"id": rec.id, **vars(normalize_record(rec, snapshot.class_of(rec), rules, role))}
+    rows = ({"id": rec.id, **vars(normalize_record(rec, snapshot.class_of(rec), rules, snapshot.role))}
             for rec in snapshot.records)
     write_jsonl(args.out, rows)
     print(f"wrote normalized details for {len(snapshot)} records to {args.out}")
@@ -422,9 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-root", action="append", default=None,
                    help="path prefix marking test sources (repeatable; default src/test/)")
     p.add_argument("--role", choices=["original", "redesigned"], default="original")
-    p.add_argument("--name", default=None)
-    p.add_argument("--exclude-method", action="append", default=None,
-                   help="method names never extracted (default: universal base-object methods)")
 
     p = command("pairs", cmd_pairs, "generate candidate pairs (prefilter or exhaustive)",
                 snapshots, rules)
@@ -473,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("normalize", cmd_normalize, "dump normalized token details for a snapshot", rules)
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--role", choices=["original", "redesigned"], default=None)
 
     return parser
 

@@ -6,14 +6,16 @@ That is sufficient because downstream similarity only needs method headers,
 local variable declarations, comments, docs, and line spans.
 
 Exclusions: interface/abstract declarations without bodies, constructors,
-and overrides of universal base-object methods (configurable name list).
+and overrides of universal base-object methods (``DEFAULT_EXCLUDED_METHODS``).
 Lambda bodies and initializer blocks are not treated as methods; methods
 inside anonymous class bodies are attributed to the innermost named class
-with a positional "$anonN" suffix.
+with a positional "$anonN" suffix. A file whose types nest too deeply to
+recurse into fails to parse; nested blocks are counted, not recursed into.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,12 +60,6 @@ class JavaParseError(ValueError):
 
 
 @dataclass
-class ExtractConfig:
-    test_roots: tuple[str, ...] = DEFAULT_TEST_ROOTS
-    excluded_method_names: tuple[str, ...] = DEFAULT_EXCLUDED_METHODS
-
-
-@dataclass
 class _ClassCtx:
     qualified_name: str
     kind: str
@@ -91,11 +87,9 @@ def _render_type(tokens: list[Token]) -> str:
 class _FileParser:
     """Single-file structural parser over the lexed token stream."""
 
-    def __init__(self, source: str, rel_path: str, is_test: bool, config: ExtractConfig):
-        self.source = source
+    def __init__(self, source: str, rel_path: str, is_test: bool):
         self.rel_path = rel_path
         self.is_test = is_test
-        self.config = config
         self.stream = lex(source)
         self.ct: list[Token] = [t for t in self.stream if not t.is_comment]
         # stream position of each code token, for comment attachment
@@ -237,7 +231,7 @@ class _FileParser:
         else:
             qualified = f"{self.package}.{simple}" if self.package else simple
         ctx = _ClassCtx(qualified, kind)
-        self.classes.append(ClassRecord(qualified, self._doc_before(ci), self.rel_path, kind))
+        self.classes.append(ClassRecord(qualified, self._doc_before(ci)))
         j = name_i + 1
         while j < len(self.ct) and self._text(j) != "{":
             if self._text(j) == "(":  # record component list
@@ -331,7 +325,7 @@ class _FileParser:
         if parsed is None:  # initializer block ('static {' or bare '{') or compact record ctor
             return end_ci + 1
         name, return_type, params = parsed
-        if return_type == "" or name in self.config.excluded_method_names:  # ctor or excluded
+        if return_type == "" or name in DEFAULT_EXCLUDED_METHODS:  # ctor or excluded
             return end_ci + 1
         start_line = self.ct[ms].line
         end_line = self.ct[end_ci].end_line
@@ -416,21 +410,23 @@ class _FileParser:
     # -- statement/expression walking ------------------------------------
 
     def _scan_block(self, open_ci: int, ctx: _ClassCtx, locals_out: list[tuple[str, str]]) -> int:
-        """Walk a '{...}' region: collect local declarations, harvest anonymous
-        class bodies, recurse into nested blocks. Returns index after '}'."""
-        i = open_ci + 1
+        """Walk a '{...}' region and the blocks nested in it: collect local
+        declarations, harvest anonymous class bodies. Returns index after '}'."""
+        depth = 0
+        i = open_ci
         n = len(self.ct)
         while i < n:
             t = self._text(i)
-            if t == "}":
-                return i + 1
-            if t == "new" and (p := self._is_anon(i)) is not None:
+            if t == "{":
+                depth += 1
+            elif t == "}":
+                depth -= 1
+                if depth == 0:
+                    return i + 1
+            elif t == "new" and (p := self._is_anon(i)) is not None:
                 i = self._consume_anon(p, ctx)
                 continue
-            if t == "{":
-                i = self._scan_block(i, ctx, locals_out)
-                continue
-            if self._at_stmt_start(i) and self._may_start_decl(i):
+            elif self._at_stmt_start(i) and self._may_start_decl(i):
                 consumed = self._try_local_decl(i, locals_out, ctx)
                 if consumed is not None:
                     i = consumed
@@ -547,28 +543,15 @@ class _FileParser:
         return j if self._text(self._close(j, "(", ")", n) or n) == "{" else None
 
     def _consume_anon(self, j: int, ctx: _ClassCtx) -> int:
-        """ct[j] is the '(' found by _is_anon; parses the arguments, which may
-        themselves hold anonymous classes, then the class body."""
-        depth = 1
-        j += 1
-        n = len(self.ct)
-        while j < n and depth > 0:
-            t = self._text(j)
-            if t == "new" and (p := self._is_anon(j)) is not None:
-                j = self._consume_anon(p, ctx)
-                continue
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-            j += 1
-        return self._parse_anon_body(j, ctx)
+        """ct[j] is the '(' found by _is_anon; walks the arguments, which may
+        themselves hold anonymous classes, then parses the class body."""
+        return self._parse_anon_body(self._walk_expr(j + 1, (), ctx) + 1, ctx)
 
     def _parse_anon_body(self, open_ci: int, ctx: _ClassCtx) -> int:
         """Parse the anonymous class body at open_ci as ctx's next $anonN."""
         ctx.anon_count += 1
         name = f"{ctx.qualified_name}$anon{ctx.anon_count}"
-        self.classes.append(ClassRecord(name, "", self.rel_path, "class"))
+        self.classes.append(ClassRecord(name, ""))
         return self._parse_class_body(open_ci, _ClassCtx(name, "class"))
 
     def _walk_expr(self, i: int, stops: tuple[str, ...], enclosing: _ClassCtx) -> int:
@@ -592,40 +575,35 @@ class _FileParser:
         return i
 
 
-def parse_java_file(
-    source: str, rel_path: str, is_test: bool, config: ExtractConfig | None = None
-) -> tuple[list[ClassRecord], list[MethodRecord]]:
-    parser = _FileParser(source, rel_path, is_test, config or ExtractConfig())
+def parse_java_file(source: str, rel_path: str, is_test: bool) -> tuple[list[ClassRecord], list[MethodRecord]]:
+    parser = _FileParser(source, rel_path, is_test)
     parser.parse()
     return parser.classes, parser.methods
 
 
 def extract(
-    root: str | Path,
-    name: str | None = None,
-    role: str = "original",
-    config: ExtractConfig | None = None,
+    root: str | Path, role: str = "original", test_roots: tuple[str, ...] = DEFAULT_TEST_ROOTS
 ) -> ProjectSnapshot:
-    """Parse every .java file under root into a ProjectSnapshot.
+    """Parse every .java file under root into a ProjectSnapshot named after
+    the root directory, which it records as an absolute path.
 
     Files that fail to parse are skipped and recorded in the summary;
     a nonexistent root is a hard error.
     """
-    root = Path(root)
+    root = Path(os.path.abspath(root))  # abspath does not follow symlinks, as Path.resolve would
     if not root.is_dir():
         raise FileNotFoundError(f"source root does not exist: {root}")
-    config = config or ExtractConfig()
     summary = ExtractionSummary()
     classes: list[ClassRecord] = []
     methods: list[MethodRecord] = []
     for path in sorted(root.rglob("*.java")):
         rel = path.relative_to(root).as_posix()
         summary.files_seen += 1
-        is_test = any(rel.startswith(prefix) for prefix in config.test_roots)
+        is_test = any(rel.startswith(prefix) for prefix in test_roots)
         try:
             source = path.read_text(encoding="utf-8", errors="replace")
-            cls, mth = parse_java_file(source, rel, is_test, config)
-        except (JavaLexError, JavaParseError) as exc:
+            cls, mth = parse_java_file(source, rel, is_test)
+        except (JavaLexError, JavaParseError, RecursionError) as exc:  # RecursionError: nested too deeply
             summary.failed_files.append((rel, str(exc)))
             continue
         summary.files_parsed += 1
@@ -633,12 +611,4 @@ def extract(
         methods.extend(mth)
     summary.classes = len(classes)
     summary.methods = len(methods)
-    return ProjectSnapshot(
-        name=name or root.name,
-        role=role,
-        root_path=str(root),
-        records=methods,
-        classes=classes,
-        summary=summary,
-    )
-
+    return ProjectSnapshot(root.name, role, str(root), methods, classes, summary)

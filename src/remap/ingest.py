@@ -14,13 +14,12 @@ reads the report formats.
 
 from __future__ import annotations
 
-import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .prefilter import FORMAT_VERSION, CandidatePair
-from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment, read_jsonl
+from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment, parse_json, read_jsonl
 
 
 class IngestError(RuntimeError):
@@ -72,11 +71,11 @@ def _generic_clones(path: Path):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json(line)
                 if not isinstance(obj, dict):
                     raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
                 frags, detector = (_fragment(obj.get("left")), _fragment(obj.get("right"))), _detector(obj)
-            except ValueError as exc:  # json.JSONDecodeError included
+            except ValueError as exc:  # JSON that parse_json rejects included
                 frags, detector = exc, None
             yield f"line {lineno}", frags, detector
 
@@ -108,7 +107,7 @@ def _bind(frag: str | SourceSpan, side: ProjectSnapshot, other: ProjectSnapshot)
     if isinstance(frag, str):
         return side.resolve_key(frag)
     path = frag.file_path.replace("\\", "/")
-    if path.startswith(other.root_prefix) and not path.startswith(side.root_prefix):
+    if other.below_root(path) is not None and side.below_root(path) is None:
         return None
     return match_fragment(side, frag)
 

@@ -8,6 +8,7 @@ jsonl or csv report sorts the pairs and builds each row only as it is written.""
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple
@@ -205,7 +206,26 @@ def load_results(path: str | Path) -> list[MappingResult]:
 
     Raises ValueError naming the first line that is not JSON, lacks a
     field of ``MappingResult.to_dict`` with its JSON type, holds a
-    similarity or score outside [0,1] by more than ``SCORE_SLACK``, or has
-    a rank that does not fit its ``kept``.
+    similarity or score outside [0,1] by more than ``SCORE_SLACK``, has
+    a rank that does not fit its ``kept``, or breaks ``ranked``'s order:
+    the kept rows come first, ranked 1..k in file order, and each scores
+    above every dropped row.
     """
-    return read_jsonl(path, _result_from_json)
+    kept, lowest, dropped = 0, math.inf, False  # kept rows so far, their lowest score, a dropped row seen
+
+    def parse(d) -> MappingResult:
+        nonlocal kept, lowest, dropped
+        r = _result_from_json(d)
+        if not r.kept:
+            if r.sas >= lowest:
+                raise ValueError(f"a dropped row's sas {r.sas} is not below the lowest kept sas {lowest}")
+            dropped = True
+        elif dropped:
+            raise ValueError("a kept row follows a dropped row: the kept rows come first")
+        elif r.rank != kept + 1:
+            raise ValueError(f"rank is {r.rank}, not {kept + 1}: the kept rows are ranked in file order")
+        else:
+            kept, lowest = r.rank, min(lowest, r.sas)
+        return r
+
+    return read_jsonl(path, parse)

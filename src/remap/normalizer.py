@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .records import ROLE_ORIGINAL, ROLE_REDESIGNED, ClassRecord, MethodRecord
+from .records import ROLE_ORIGINAL, ROLE_REDESIGNED, ClassRecord, MethodRecord, parse_json
 
 SCOPE_ALL = "all_details"
 SCOPE_METHOD_NAME = "method_name_only"
@@ -126,7 +126,7 @@ class RuleSet:
 
     @staticmethod
     def load(path: str | Path) -> "RuleSet":
-        return RuleSet.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return RuleSet.from_dict(parse_json(Path(path).read_text(encoding="utf-8")))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")

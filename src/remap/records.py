@@ -8,9 +8,9 @@ Detector reports bind to methods here too: ``ProjectSnapshot.resolve_path``
 maps a reported file path onto the snapshot, and ``match_fragment`` binds a
 reported line span.
 
-It also holds remap's one JSONL reader and its output writers: ``write_jsonl``
-writes sort-keyed rows as they arrive and ``write_json`` one indented document,
-both through ``open_output``, which creates the output's directory.
+It also holds remap's one JSON decoder and JSONL reader and its writers:
+``write_jsonl`` writes sort-keyed rows as they arrive and ``write_json`` one
+indented document, both through ``open_output``, which makes the directory.
 """
 
 from __future__ import annotations
@@ -60,6 +60,15 @@ def write_json(path: str | Path, obj) -> None:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def parse_json(text: str):
+    """``json.loads``, where a value nested too deeply to decode is a
+    ValueError like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def read_jsonl(path: str | Path, parse) -> list:
     """``parse`` of each non-blank line's JSON value, in file order.
 
@@ -73,7 +82,7 @@ def read_jsonl(path: str | Path, parse) -> list:
             if not line:
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                out.append(parse(parse_json(line)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return out
@@ -100,8 +109,6 @@ class SourceSpan:
 class ClassRecord:
     qualified_name: str
     class_doc: str
-    file_path: str
-    kind: str  # class | enum | interface | record
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -195,7 +202,7 @@ _SPAN_FIELDS = {"file_path": (str,), "start_line": (int,), "end_line": (int,)}
 _SIDECAR_FIELDS = {
     **dict.fromkeys(("name", "role", "root_path"), (str,)), "classes": (list,), "summary": (dict,),
 }
-_CLASS_FIELDS = dict.fromkeys(("qualified_name", "class_doc", "file_path", "kind"), (str,))
+_CLASS_FIELDS = dict.fromkeys(("qualified_name", "class_doc"), (str,))  # other keys are not read
 _SUMMARY_FIELDS = {**dict.fromkeys(("files_seen", "files_parsed", "methods", "classes"), (int,)),
                    "failed_files": (list,)}
 
@@ -251,6 +258,8 @@ class ProjectSnapshot:
             self._by_sig.setdefault(r.signature_key, []).append(r)
             self._by_short.setdefault(f"{r.class_name}#{r.method_name}", []).append(r)
         self.root_prefix = Path(root_path).as_posix().rstrip("/") + "/"
+        dirs = self.root_prefix.strip("/").split("/")
+        self._root_tails = ["/".join(dirs[k:]) + "/" for k in range(len(dirs))]  # longest first
 
     @property
     def project_id(self) -> str:
@@ -268,20 +277,29 @@ class ProjectSnapshot:
     def in_file(self, file_path: str) -> list[MethodRecord]:
         return self._by_file.get(file_path, [])
 
+    def below_root(self, path: str) -> str | None:
+        """The part of a ``/``-separated report path below the snapshot root,
+        or None. A path that starts with the root lies below it; so does a
+        relative path whose leading directories are the root's trailing
+        ones, so ``left/src/A.java`` lies below ``/w/left``."""
+        tails = (self.root_prefix,) if path.startswith("/") else self._root_tails
+        return next((path[len(tail):] for tail in tails if path.startswith(tail)), None)
+
     def resolve_path(self, path: str) -> str | None:
         """Map a reported file path onto an indexed, root-relative file path.
 
-        Tries the path as given, then the path below the snapshot root, then
-        the one indexed file the path ends with (after a ``/``). Returns
-        None when no file matches or the suffix match is ambiguous.
+        Tries the path as given, then the path ``below_root``, then the one
+        indexed file the path ends with (after a ``/``). Returns None when
+        no file matches or the suffix match is ambiguous.
         """
         p = path.replace("\\", "/")
         while p.startswith("./"):
             p = p[2:]
         if p in self._by_file:
             return p
-        if p.startswith(self.root_prefix) and p[len(self.root_prefix):] in self._by_file:
-            return p[len(self.root_prefix):]
+        below = self.below_root(p)
+        if below in self._by_file:
+            return below
         suffixes = [p[i + 1:] for i, c in enumerate(p) if c == "/" and p[i + 1:] in self._by_file]
         return suffixes[0] if len(suffixes) == 1 else None
 
@@ -358,7 +376,7 @@ def load_snapshot(records_path: Path) -> ProjectSnapshot:
         raise FileNotFoundError(f"snapshot sidecar not found: {side}")
     records = read_jsonl(records_path, MethodRecord.from_dict)
     try:  # the sidecar's shape is that of ``to_sidecar_dict``
-        meta = json.loads(side.read_text(encoding="utf-8"))
+        meta = parse_json(side.read_text(encoding="utf-8"))
         check_fields(meta, _SIDECAR_FIELDS)
         for c in meta["classes"]:
             check_fields(c, _CLASS_FIELDS)
@@ -368,8 +386,7 @@ def load_snapshot(records_path: Path) -> ProjectSnapshot:
             raise ValueError("failed_files holds an entry that is not a [path, reason] pair of strings")
     except ValueError as exc:
         raise ValueError(f"sidecar {side}: {exc}") from None
-    classes = [ClassRecord(c["qualified_name"], c["class_doc"], c["file_path"], c["kind"])
-               for c in meta["classes"]]
+    classes = [ClassRecord(c["qualified_name"], c["class_doc"]) for c in meta["classes"]]
     summary = ExtractionSummary(
         s["files_seen"], s["files_parsed"], [tuple(f) for f in s["failed_files"]], s["methods"], s["classes"]
     )

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .lcs import lcs_masked, match_masks
 from .normalizer import NormalizedDetails
-from .records import open_output
+from .records import open_output, parse_json
 
 EPS = 1e-9
 
@@ -97,7 +97,7 @@ class WeightConfig:
 
     @staticmethod
     def load(path: str | Path) -> "WeightConfig":
-        return WeightConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return WeightConfig.from_dict(parse_json(Path(path).read_text(encoding="utf-8")))
 
     def save(self, path: str | Path) -> None:
         with open_output(path) as fh:

@@ -272,15 +272,18 @@ def test_tune_trains_a_repeated_pair_once(pipeline, tmp_path):
     work, left, right, pairs = pipeline
     labels = tmp_path / "labels.csv"
     _write_labels(labels, left, right)
-    scores = tmp_path / "scores.jsonl"
-    p = remap(
-        "score", "--pairs", pairs, "--left", left, "--right", right,
-        "--task", "cm", "--threshold", "0.6", "--rules", "soot-sootup", "--out", scores,
-    )
-    assert p.returncode == 0, p.stderr
-    rows = scores.read_text().splitlines(keepends=True)
-    repeated = tmp_path / "repeated.jsonl"
-    repeated.write_text("".join(rows + rows[:1]))
+    # the repeated file is what score writes for a pairs file that lists its first pair twice
+    twice = tmp_path / "twice.jsonl"
+    lines = pairs.read_text().splitlines(keepends=True)
+    twice.write_text("".join(lines + lines[:1]))
+    scores, repeated = tmp_path / "scores.jsonl", tmp_path / "repeated.jsonl"
+    for pairs_file, out in ((pairs, scores), (twice, repeated)):
+        p = remap(
+            "score", "--pairs", pairs_file, "--left", left, "--right", right,
+            "--task", "cm", "--threshold", "0.6", "--rules", "soot-sootup", "--out", out,
+        )
+        assert p.returncode == 0, p.stderr
+    assert len(repeated.read_text().splitlines()) == len(scores.read_text().splitlines()) + 1
     runs = []
     for scored, k in ((scores, []), (repeated, []), (scores, ["--k", "41"]), (repeated, ["--k", "41"])):
         out = tmp_path / f"{scored.stem}{len(k)}.weights.json"
@@ -473,6 +476,48 @@ def test_bad_scored_file_is_usage_error(scored, tmp_path, capsys, line, culprit)
         assert not (tmp_path / f"{command}.json").exists()
 
 
+def _reordered(rows: list[dict], edit: str) -> list[dict]:
+    """A scored file's rows with the order ``ranked`` writes broken."""
+    k = sum(r["kept"] for r in rows)
+    if edit == "top row dropped":
+        return [{**rows[0], "kept": False, "rank": None}, *rows[1:]]
+    if edit == "kept row after a dropped one":
+        return [*rows[:k - 1], rows[k], rows[k - 1], *rows[k + 1:]]
+    if edit == "ranks swapped":
+        return [{**rows[0], "rank": 2}, {**rows[1], "rank": 1}, *rows[2:]]
+    return [*rows[:k], {**rows[k], "sas": rows[k - 1]["sas"]}, *rows[k + 1:]]  # a dropped row ties a kept one
+
+
+@pytest.mark.parametrize("edit, culprit", [
+    ("top row dropped", "line 2: a kept row follows a dropped row"),
+    ("ranks swapped", "line 1: rank is 2, not 1"),
+    ("kept row after a dropped one", "line 16: a kept row follows a dropped row"),
+    ("dropped row scores as a kept one", "line 16: a dropped row's sas"),
+])
+def test_scored_rows_out_of_rank_order_are_usage_error(pipeline, tmp_path, capsys, edit, culprit):
+    """The toy pairs scored at cm 0.6 keep 15 rows; a file whose kept rows are
+    not first, ranked 1..k, and above every dropped row is not one score wrote."""
+    from remap import cli
+
+    work, left, right, pairs = pipeline
+    scores, labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
+    _write_labels(labels, left, right)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in ["score", "--pairs", pairs, "--left", left, "--right", right, "--task", "cm",
+                                          "--threshold", "0.6", "--rules", "soot-sootup", "--out", scores]]) == 0
+    rows = [json.loads(line) for line in scores.read_text().splitlines()]
+    assert sum(r["kept"] for r in rows) == 15
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in _reordered(rows, edit)))
+    capsys.readouterr()
+    for command in ("eval", "sweep", "tune"):
+        code, err = _main_error(capsys, command, "--scored", bad, "--labels", labels, "--task", "cm",
+                                "--out", tmp_path / f"{command}.json")
+        assert code == 2, command
+        assert err["error"] == "usage" and culprit in err["message"], (command, err)
+        assert not (tmp_path / f"{command}.json").exists()
+
+
 @pytest.mark.parametrize("weights", [
     dict.fromkeys(["alpha", "beta", "theta", "delta", "eta", "phi"], 0.3333333334),
     # WeightConfig's own tolerance: a weight EPS outside [0,1], a triple summing to 1 + EPS
@@ -543,8 +588,8 @@ def test_bad_snapshot_line_is_usage_error(pipeline, tmp_path, capsys):
     (lambda meta: {k: v for k, v in meta.items() if k != "classes"}, "classes is missing or not list"),
     (lambda meta: {**meta, "summary": {**meta["summary"], "failed_files": [["a.java", 3]]}},
      "failed_files holds an entry that is not a [path, reason] pair of strings"),
-    (lambda meta: {**meta, "classes": [{**meta["classes"][0], "kind": None}, *meta["classes"][1:]]},
-     "kind is missing or not str"),
+    (lambda meta: {**meta, "classes": [{**meta["classes"][0], "class_doc": None}, *meta["classes"][1:]]},
+     "class_doc is missing or not str"),
 ])
 def test_bad_snapshot_sidecar_is_usage_error(pipeline, tmp_path, capsys, edit, culprit):
     work, left, right, pairs = pipeline
@@ -1018,8 +1063,7 @@ def _bad_sidecar(text: str):
     top = {"name": (str,), "role": (str,), "root_path": (str,), "classes": (list,), "summary": (dict,)}
     counts = ("files_seen", "files_parsed", "methods", "classes")
     summary = {**dict.fromkeys(counts, (int,)), "failed_files": (list,)}
-    entries = [(i, f) for i in range(len(base["classes"]))
-               for f in ("qualified_name", "class_doc", "file_path", "kind")]
+    entries = [(i, f) for i in range(len(base["classes"])) for f in ("qualified_name", "class_doc")]
     return st.one_of(
         st.sampled_from(sorted(top)).flatmap(
             lambda f: (_not_of(*top[f]) | st.just(DELETE)).map(lambda v: _set(base, (f,), v))),
@@ -1095,6 +1139,7 @@ def _with(argv: list, flag: str, value: str | None) -> list:
 
 
 NUMERIC_FLAGS = ("--threshold", "--thresholds", "--grid-step", "--k", "--line-ratio")
+DEEP = b"[" * 100_000 + b"\n"  # a JSON line nested too deeply to decode
 OUTPUT_FLAGS = ("--out", "--csv")
 SNAPSHOT_FLAGS = ("--left", "--right", "--snapshot")
 
@@ -1133,6 +1178,11 @@ def _bad_invocations(bases: dict):
         st.tuples(st.sampled_from([(c, f) for c, flags in file_flags.items() for f in flags
                                    if f in SNAPSHOT_FLAGS]), _bad_sidecar(bases["sidecar"])).map(
             lambda t: (*t[0], ("\n".join(bases["snapshot"]).encode(), t[1]), None)),
+        st.sampled_from([("score", "--pairs"), ("impact", "--pairs"), ("tune", "--scored"), ("eval", "--scored"),
+                         ("ablate", "--weights"), ("pairs", "--rules"), ("normalize", "--snapshot"),
+                         ("pairs", "--right")]).flatmap(
+            lambda cf: st.sampled_from([DEEP, ("\n".join(bases["snapshot"]).encode(), DEEP)] if cf[1] in
+                                       SNAPSHOT_FLAGS else [DEEP]).map(lambda body: (*cf, body, None))),
         missing,
         _bad_thresholds().map(lambda spec: ("sweep", "--thresholds", None, spec)),
         st.tuples(st.sampled_from(["score", "ablate"]), st.floats().filter(lambda x: not 0.0 <= x <= 1.0)).map(

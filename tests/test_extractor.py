@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remap.extractor import ExtractConfig, JavaParseError, extract, parse_java_file
+from remap.extractor import DEFAULT_EXCLUDED_METHODS, JavaParseError, extract, parse_java_file
 from remap.javalex import JavaLexError, lex
 from remap.records import load_snapshot, save_snapshot
 
 
-def parse(source, rel="p/A.java", is_test=False, config=None):
-    return parse_java_file(textwrap.dedent(source), rel, is_test, config)
+def parse(source, rel="p/A.java", is_test=False):
+    return parse_java_file(textwrap.dedent(source), rel, is_test)
 
 
 def test_plain_method_with_class_doc():
@@ -48,7 +48,7 @@ def test_interface_signatures_yield_nothing():
         """
     )
     assert methods == []
-    assert classes[0].kind == "interface"
+    assert [c.qualified_name for c in classes] == ["p.Host"]
 
 
 def test_interface_default_method_has_a_body():
@@ -85,19 +85,22 @@ def test_tostring_override_excluded():
     assert [m.method_name for m in methods] == ["size"]
 
 
-def test_exclusion_list_is_configurable():
-    cfg = ExtractConfig(excluded_method_names=("size",))
+def test_every_base_object_override_is_excluded():
     _, methods = parse(
         """\
         package p;
-        public class A {
+        public class A implements Cloneable {
             public String toString() { return "A"; }
+            public boolean equals(Object o) { return o == this; }
+            public int hashCode() { return 1; }
+            protected Object clone() { return this; }
+            protected void finalize() { }
             public int size() { return 1; }
         }
-        """,
-        config=cfg,
+        """
     )
-    assert [m.method_name for m in methods] == ["toString"]
+    assert set(DEFAULT_EXCLUDED_METHODS) == {"toString", "equals", "hashCode", "clone", "finalize"}
+    assert [m.method_name for m in methods] == ["size"]
 
 
 def test_constructors_and_abstract_methods_excluded():
@@ -243,8 +246,7 @@ def test_enum_with_constant_bodies():
         }
         """
     )
-    kinds = {c.qualified_name: c.kind for c in classes}
-    assert kinds["p.Op"] == "enum"
+    assert [c.qualified_name for c in classes] == ["p.Op", "p.Op$anon1"]
     names = {(m.class_name, m.method_name) for m in methods}
     assert ("p.Op", "sign") in names
     assert ("p.Op$anon1", "apply") in names
@@ -307,13 +309,15 @@ def test_snapshot_roundtrip(tmp_path):
     (src / "src" / "main" / "A.java").write_text(
         "package p;\n/** doc */\npublic class A { public int f(int x) { return x; } }\n"
     )
-    snap = extract(src, role="redesigned", name="demo")
+    snap = extract(src, role="redesigned")
     out = tmp_path / "snap.jsonl"
     save_snapshot(snap, out)
     loaded = load_snapshot(out)
-    assert loaded.project_id == "redesigned:demo"
+    assert loaded.project_id == "redesigned:tree"
+    assert loaded.root_path == str(src)
     assert [r.to_dict() for r in loaded.records] == [r.to_dict() for r in snap.records]
-    assert loaded.class_index.keys() == snap.class_index.keys()
+    assert loaded.class_index == snap.class_index
+    assert loaded.class_index["p.A"].class_doc == "doc"
 
 
 def test_generics_with_double_closer_and_text_block():
@@ -452,6 +456,133 @@ def test_nested_anonymous_classes_number_inner_first():
     assert [(m.class_name, m.method_name) for m in methods] == [
         ("p.A$anon1", "a"), ("p.A$anon2", "b"), ("p.A", "run"),
     ]
+
+
+def test_member_types_own_their_methods():
+    classes, methods = parse(
+        """\
+        package p;
+        public class Outer {
+            int top() { return 0; }
+            static class Inner {
+                int depth() { return 1; }
+            }
+            interface Visitor {
+                void done();
+                default String visit(int x) { return "v"; }
+            }
+            int after() { return 2; }
+        }
+        """
+    )
+    assert [c.qualified_name for c in classes] == ["p.Outer", "p.Outer.Inner", "p.Outer.Visitor"]
+    assert [(m.class_name, m.method_name) for m in methods] == [
+        ("p.Outer", "top"), ("p.Outer.Inner", "depth"), ("p.Outer.Visitor", "visit"), ("p.Outer", "after"),
+    ]
+
+
+def test_record_method_is_extracted_but_not_its_compact_constructor():
+    classes, methods = parse(
+        """\
+        package p;
+        public record Point(int x, int y) {
+            public Point {
+                if (x < 0) throw new IllegalArgumentException();
+            }
+            public int sum(int z) { return x + y + z; }
+        }
+        """
+    )
+    assert [c.qualified_name for c in classes] == ["p.Point"]
+    assert [(m.class_name, m.method_name, m.return_type, m.params) for m in methods] == [
+        ("p.Point", "sum", "int", (("int", "z"),)),
+    ]
+
+
+def test_annotation_type_declares_no_methods():
+    classes, methods = parse(
+        """\
+        package p;
+        /** Marks things. */
+        public @interface Marker {
+            String value() default "";
+            int weight() default 1;
+        }
+        """
+    )
+    assert [(c.qualified_name, c.class_doc) for c in classes] == [("p.Marker", "Marks things.")]
+    assert methods == []
+
+
+def test_annotated_top_level_type():
+    classes, methods = parse(
+        """\
+        package p;
+        import java.util.List;
+        @Deprecated
+        @SuppressWarnings({"unchecked", "rawtypes"})
+        public final class A {
+            public int f() { return 1; }
+        }
+        """
+    )
+    assert [c.qualified_name for c in classes] == ["p.A"]
+    assert [(m.class_name, m.method_name) for m in methods] == [("p.A", "f")]
+
+
+def test_locals_of_one_declaration_and_a_multi_catch_parameter():
+    _, methods = parse(
+        """\
+        package p;
+        public class A {
+            public int f() {
+                int a = 1, b[];
+                try {
+                    a++;
+                } catch (IllegalStateException | java.io.UncheckedIOException e) {
+                    b = null;
+                }
+                return a;
+            }
+        }
+        """
+    )
+    (m,) = methods
+    # each name declared gets the declaration's type as written before the first name
+    assert m.local_vars == (
+        ("int", "a"), ("int", "b"), ("IllegalStateException|java.io.UncheckedIOException", "e"),
+    )
+
+
+def test_deep_nesting_is_walked_or_skipped(tmp_path):
+    """3,000 nested blocks parse; 400 nested classes and 1,000 anonymous
+    classes nested in constructor arguments, which the parser recurses
+    into, fail like any unparseable file instead of raising."""
+    (tmp_path / "Blocks.java").write_text(
+        "package p;\nclass Blocks {\n  int f() {\n" + "{" * 3000 + "int deep = 1;" + "}" * 3000 + "\n  return 0; }\n}\n"
+    )
+    (tmp_path / "Classes.java").write_text(
+        "package p;\n" + "".join(f"class C{i} {{ " for i in range(400)) + "int g() { return 0; }" + " }" * 400 + "\n"
+    )
+    (tmp_path / "Anon.java").write_text(
+        "package p;\nclass Anon { Object h() { return " + "new X(" * 1000 + ") {}" * 1000 + "; } }\n"
+    )
+    snap = extract(tmp_path)
+    assert snap.summary.files_parsed == 1
+    assert [path for path, _ in snap.summary.failed_files] == ["Anon.java", "Classes.java"]
+    assert all("recursion" in reason for _, reason in snap.summary.failed_files)
+    (m,) = snap.records
+    assert (m.class_name, m.method_name, m.local_vars) == ("p.Blocks", "f", (("int", "deep"),))
+    assert (m.span.start_line, m.span.end_line) == (3, 5)
+
+
+def test_relative_root_is_stored_absolute(tmp_path, monkeypatch):
+    (tmp_path / "tree").mkdir()
+    (tmp_path / "tree" / "A.java").write_text("package p;\nclass A { int f() { return 1; } }\n")
+    monkeypatch.chdir(tmp_path)
+    snap = extract("tree")
+    assert (snap.name, snap.root_path) == ("tree", str(tmp_path / "tree"))
+    assert snap.root_prefix == f"{tmp_path}/tree/"
 
 
 # -- the crash contract under token-level mutants ----------------------------

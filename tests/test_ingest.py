@@ -118,6 +118,18 @@ def test_generic_swapped_orientation(snapshots, tmp_path):
     assert [(q.left, q.right) for q in pairs] == [(lrec.id, rrec.id)]
 
 
+def test_generic_line_nested_too_deeply_is_malformed(snapshots, tmp_path):
+    _, left, right = snapshots
+    lrec, rrec = _rec(left, "first"), _rec(right, "primary")
+    report = tmp_path / "report.jsonl"
+    good = json.dumps({"detector": "d", "left": span_frag(lrec), "right": span_frag(rrec)})
+    report.write_text(good + "\n" + "[" * 100_000 + "\n")
+    pairs, stats = ingest_generic(report, left, right)
+    assert [(q.left, q.right) for q in pairs] == [(lrec.id, rrec.id)]
+    assert (stats.lines, stats.resolved, stats.malformed) == (2, 1, 1)
+    assert stats.diagnostics == ["line 2: JSON nested too deeply"]
+
+
 def test_generic_malformed_and_unknown_file(snapshots, tmp_path):
     _, left, right = snapshots
     lrec, rrec = _rec(left, "first"), _rec(right, "primary")
@@ -166,6 +178,31 @@ def test_generic_swapped_line_with_rooted_paths_binds_by_root(snapshots, tmp_pat
     pairs, stats = ingest_generic(report, left, right)
     assert [(q.left, q.right) for q in pairs] == [(second.id, primary.id)]
     assert (first.id, secondary.id) not in {q.key for q in pairs}
+    assert (stats.resolved, stats.unresolved, stats.same_project) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("root_style", ["absolute", "relative"])
+@pytest.mark.parametrize("path_style", ["absolute", "relative"])
+def test_swapped_line_binds_alike_for_any_root_and_path_style(tmp_path, monkeypatch, root_style, path_style):
+    """The line above binds to (second, primary) whether the snapshots were
+    extracted with ``--root <base>/left`` or, from ``<base>``, ``--root
+    left``, and whether the report names ``<base>/right/...`` or ``right/...``."""
+    base, left, right = _two_trees(tmp_path)
+    if root_style == "relative":
+        monkeypatch.chdir(base)
+        left, right = extract("left", role="original"), extract("right", role="redesigned")
+    first, second = _rec(left, "first"), _rec(left, "second")
+    primary, secondary = _rec(right, "primary"), _rec(right, "secondary")
+    rel = primary.span.file_path
+    prefix = f"{base}/" if path_style == "absolute" else ""
+    report = tmp_path / "report.jsonl"
+    write_jsonl(report, [{
+        "detector": "d",
+        "left": {"file": f"{prefix}right/{rel}", "start": primary.span.start_line, "end": primary.span.end_line},
+        "right": {"file": f"{prefix}left/{rel}", "start": second.span.start_line, "end": second.span.end_line},
+    }])
+    pairs, stats = ingest_generic(report, left, right)
+    assert [(q.left, q.right) for q in pairs] == [(second.id, primary.id)]
     assert (stats.resolved, stats.unresolved, stats.same_project) == (1, 0, 0)
 
 

@@ -252,8 +252,7 @@ def snapshots(draw, role):
     be empty."""
     package = "p" if role == "original" else "q"
     docs = draw(st.lists(_texts, min_size=1, max_size=3))
-    classes = [ClassRecord(f"{package}.{name}", doc, f"{name}.java", "class")
-               for name, doc in zip(["A", "UnitBox", "Value"], docs)]
+    classes = [ClassRecord(f"{package}.{name}", doc) for name, doc in zip(["A", "UnitBox", "Value"], docs)]
     records = []
     for i in range(draw(st.integers(1, 4))):
         cls = draw(st.sampled_from(classes))
@@ -265,7 +264,7 @@ def snapshots(draw, role):
             local_vars=tuple(draw(_typed)),
             method_doc=draw(_texts),
             inline_comments=tuple(draw(st.lists(_texts, max_size=2))),
-            span=SourceSpan(cls.file_path, 10 * i + 1, 10 * i + 5),
+            span=SourceSpan(cls.qualified_name.split(".")[-1] + ".java", 10 * i + 1, 10 * i + 5),
             body_text="",
             is_test=False,
         ))

@@ -227,7 +227,7 @@ def test_normalize_record_is_pure_and_flattens():
         body_text="x\nx\nx\nx\nx",
         is_test=False,
     )
-    cls = ClassRecord("soot.Body", "", "soot/Body.java", "class")
+    cls = ClassRecord("soot.Body", "")
     d1 = normalize_record(rec, cls, SOOT_SOOTUP_RULES, "original")
     d2 = normalize_record(rec, cls, SOOT_SOOTUP_RULES, "original")
     assert d1 == d2

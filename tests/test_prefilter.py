@@ -46,7 +46,7 @@ def snapshot(role, classes, records, name="snap"):
         role=role,
         root_path="/x",
         records=records,
-        classes=[ClassRecord(c, "", "F.java", "class") for c in classes],
+        classes=[ClassRecord(c, "") for c in classes],
     )
 
 

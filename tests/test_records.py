@@ -76,28 +76,38 @@ def test_match_no_overlap_returns_none(frag_snapshot):
 
 def _scan_resolve(path: str, root_path: str, files: list[str]) -> str | None:
     """Reference: the path as given, below the root, else the one file it
-    ends with, found by a linear scan over every file."""
+    ends with, found by a linear scan over every file. A relative path lies
+    below the root after the longest run of leading directories that equals
+    the root's last directories."""
     p = path.replace("\\", "/")
     while p.startswith("./"):
         p = p[2:]
     if p in files:
         return p
-    root = Path(root_path).as_posix().rstrip("/") + "/"
-    if p.startswith(root) and p[len(root):] in files:
-        return p[len(root):]
+    root = Path(root_path).as_posix().rstrip("/")
+    dirs, parts = [d for d in root.split("/") if d], p.split("/")
+    if p.startswith(root + "/"):
+        below = p[len(root) + 1:]
+    elif not p.startswith("/"):
+        below = next(("/".join(parts[k:]) for k in range(len(dirs), 0, -1)
+                      if len(parts) > k and parts[:k] == dirs[-k:]), None)
+    else:
+        below = None
+    if below in files:
+        return below
     candidates = [f for f in files if p == f or p.endswith("/" + f)]
     return candidates[0] if len(candidates) == 1 else None
 
 
 def _snapshot(root_path: str, files: list[str]) -> ProjectSnapshot:
-    classes = [ClassRecord(f"p.C{i}", "", f, "class") for i, f in enumerate(files)]
+    classes = [ClassRecord(f"p.C{i}", "") for i in range(len(files))]
     records = [
         MethodRecord(
             class_name=c.qualified_name, method_name="m", return_type="void", params=(),
-            local_vars=(), method_doc="", inline_comments=(), span=SourceSpan(c.file_path, 1, 2),
+            local_vars=(), method_doc="", inline_comments=(), span=SourceSpan(f, 1, 2),
             body_text="", is_test=False,
         )
-        for c in classes
+        for c, f in zip(classes, files)
     ]
     return ProjectSnapshot("t", "original", root_path, records, classes)
 
@@ -110,13 +120,14 @@ _PATHS = st.lists(st.sampled_from(["a", "b", "src", "A.java", "B.java"]), min_si
 @given(data=st.data())
 @settings(max_examples=500, deadline=None)
 def test_resolve_path_matches_linear_scan(data):
-    root_path = data.draw(st.sampled_from(["/w/left", "/w/left/", "left", "./left", ".", "/w"]), "root")
+    root_path = data.draw(st.sampled_from(["/w/left", "/w/left/", "/w/left/left", "left", "./left", ".", "/w"]), "root")
     files = data.draw(st.lists(_PATHS, min_size=1, max_size=6, unique=True), "files")
     snapshot = _snapshot(root_path, files)
     base = data.draw(st.one_of(st.sampled_from(files), _PATHS), "base")
     prefix = data.draw(
         st.one_of(
-            st.sampled_from(["", "./", "././", snapshot.root_prefix, "/w/right/", "/elsewhere/"]),
+            st.sampled_from(["", "./", "././", snapshot.root_prefix, "/w/right/", "/elsewhere/", "left/",
+                             "w/left/", "w/left/left/", "right/"]),
             _PATHS.map(lambda p: p + "/"),
         ),
         "prefix",
@@ -169,6 +180,18 @@ def test_load_snapshot_names_the_bad_line(frag_snapshot, tmp_path):
     out.write_text(out.read_text() + "\n{}\n")
     with pytest.raises(ValueError, match="^line 4: class_name is missing"):
         load_snapshot(out)
+
+
+def test_sidecar_with_the_old_class_fields_loads(frag_snapshot, tmp_path):
+    out = tmp_path / "snap.jsonl"
+    save_snapshot(frag_snapshot, out)
+    side = tmp_path / "snap.classes.json"
+    meta = json.loads(side.read_text())
+    meta["classes"] = [{**c, "file_path": "p/A.java", "kind": "class"} for c in meta["classes"]]
+    side.write_text(json.dumps(meta))
+    loaded = load_snapshot(out)
+    assert loaded.class_index == frag_snapshot.class_index
+    assert [r.to_dict() for r in loaded.records] == [r.to_dict() for r in frag_snapshot.records]
 
 
 # JSON values that survive a round trip: no NaN (it is not equal to itself)
