@@ -175,8 +175,13 @@ class _FileParser:
     def parse(self) -> None:
         i = 0
         n = len(self.ct)
+        decl = None  # the first annotation before a declaration, where its doc comment sits
         while i < n:
             t = self.ct[i]
+            if t.text == "@" and self._text(i + 1) != "interface":
+                decl = i if decl is None else decl
+                i = self._skip_annotation(i)
+                continue
             if t.text == "package":
                 j = i + 1
                 parts = []
@@ -190,12 +195,11 @@ class _FileParser:
                 while i < n and self._text(i) != ";":
                     i += 1
                 i += 1
-            elif t.text == "@" and self._text(i + 1) != "interface":
-                i = self._skip_annotation(i)
             elif t.text == ";":
                 i += 1
             else:
-                i = self._parse_type_decl(i, enclosing=None)
+                i = self._parse_type_decl(i if decl is None else decl, enclosing=None)
+            decl = None
 
     def _find_kind_keyword(self, ci: int) -> tuple[int, str]:
         """Locate the type-kind keyword of a declaration starting at ci."""
@@ -291,10 +295,13 @@ class _FileParser:
         """Parse one class member starting at code index ms; return next index."""
         j = ms
         depth = 0
+        header = False  # a parameter list seen: a later 'default' starts an annotation element's value
         n = len(self.ct)
         while j < n:
             t = self._text(j)
             if depth == 0:
+                if t == "default" and header:
+                    return self._walk_expr(j + 1, stops=(";",), enclosing=ctx) + 1
                 if t in _TYPE_KIND_KEYWORDS and self._text(j - 1) != ".":
                     if t != "record" or (self._kind(j + 1) == ID and self._text(j + 2) == "("):
                         return self._parse_type_decl(ms, enclosing=ctx)
@@ -312,6 +319,7 @@ class _FileParser:
                 j = self._skip_annotation(j)
                 continue
             if t in ("(", "["):
+                header = header or (depth == 0 and t == "(")
                 depth += 1
             elif t in (")", "]"):
                 depth -= 1

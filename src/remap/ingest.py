@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .prefilter import FORMAT_VERSION, CandidatePair
@@ -176,7 +177,8 @@ def ingest_nicad_xml(
     return _bind_report(_nicad_clones(Path(path)), left, right)
 
 
-def _pair_from_json(obj) -> CandidatePair:
+def _pair_from_json(obj, strings: dict[str, str]) -> CandidatePair:
+    """The pair a JSON line holds, its strings replaced by their first object in ``strings``."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
     version = obj.get("format_version")
@@ -186,7 +188,8 @@ def _pair_from_json(obj) -> CandidatePair:
         fragment = obj.get(side)
         if not (isinstance(fragment, dict) and isinstance(fragment.get("key"), str)):
             raise ValueError(f"{side}.key is missing or not a string")
-    return CandidatePair(obj["left"]["key"], obj["right"]["key"], _detector(obj))
+    values = obj["left"]["key"], obj["right"]["key"], _detector(obj)
+    return CandidatePair._make(map(strings.setdefault, values, values))
 
 
 def load_pairs(path: str | Path) -> list[CandidatePair]:
@@ -194,6 +197,7 @@ def load_pairs(path: str | Path) -> list[CandidatePair]:
 
     Raises ValueError naming the first line that is not a format-1 pair
     object with ``left.key`` and ``right.key`` strings and a string
-    ``detector``, if any.
+    ``detector``, if any. A file repeats few ids over many pairs, so the
+    pairs share one string object per distinct id and detector.
     """
-    return read_jsonl(path, _pair_from_json)
+    return read_jsonl(path, partial(_pair_from_json, strings={}))

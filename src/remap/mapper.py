@@ -3,20 +3,28 @@
 ``score_columns`` is the one scoring loop, for ``score``, ``ablate`` and
 ``impact``: it measures the pairs once per rule set and aggregates one score
 column per ablation mode. A summary only counts a column's kept scores; a
-jsonl or csv report sorts the pairs and builds each row only as it is written."""
+jsonl or csv report sorts the pairs and builds each row only as it is written.
+
+A column holds no object per pair. ``pack_fields`` stores each pair's eight
+``measure``d fields as 8 doubles of one ``array('d')``, in ``FIELDS`` order,
+with NaN for an absent field; ``masked_sim`` never gives NaN, so the marker
+cannot be a real similarity. The scores are one more ``array('d')``. A pair's
+fields are decoded back to a tuple with None for absent only where they are
+aggregated, so the NaN rule stays in this module."""
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable, Iterator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
 from .records import ProjectSnapshot, check_fields, open_output, read_jsonl, write_jsonl
-from .simcore import ABLATION_MODES, EPS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
+from .simcore import ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
 
 TASK_GENUINE_CLONE = "genuine_clone"
 TASK_CODE_MAPPING = "code_mapping"
@@ -107,13 +115,45 @@ def measure_pairs(
         yield pair, measure(p1, p2, class_pair)
 
 
+_WIDTH = len(FIELDS)  # doubles per pair in a packed measurement
+
+
+def pack_fields(measured: Iterable[tuple]) -> array:
+    """``measure``d field tuples as one ``array('d')``, ``len(FIELDS)``
+    doubles per pair in turn, NaN for an absent (None) field."""
+    packed = array("d")
+    for fields in measured:
+        packed.extend([math.nan if v is None else v for v in fields])
+    return packed
+
+
+def _unpacked(values) -> tuple:
+    """One pair's packed fields as ``measure`` gives them, None for absent (NaN)."""
+    return tuple([None if v != v else v for v in values])  # only NaN differs from itself
+
+
 class ScoreColumn(NamedTuple):
-    """One ablation mode's score of each pair, with the ``measure``d fields and weights it aggregates."""
+    """One ablation mode's score of each pair, with the ``measure``d fields
+    and weights it aggregates.
+
+    ``fields`` is the ``pack_fields`` array of the pairs' measurements:
+    pair i's fields are doubles ``8*i`` to ``8*i + 7``, NaN for absent.
+    ``scores`` holds one double per pair."""
 
     mode: str
     weights: WeightConfig
-    fields: list[tuple]
-    scores: list[float]
+    fields: array
+    scores: array
+
+    @classmethod
+    def of(cls, mode: str, weights: WeightConfig, fields: array) -> "ScoreColumn":
+        """The column that aggregates the packed ``fields`` under ``weights`` and ``mode``."""
+        rows = zip(*[iter(fields)] * _WIDTH)
+        return cls(mode, weights, fields, array("d", (aggregate(_unpacked(r), weights, mode).sas for r in rows)))
+
+    def breakdown(self, i: int) -> SASBreakdown:
+        """Pair i's score breakdown under the column's weights and mode."""
+        return aggregate(_unpacked(self.fields[_WIDTH * i:_WIDTH * (i + 1)]), self.weights, self.mode)
 
 
 def score_columns(
@@ -133,12 +173,11 @@ def score_columns(
             raise ValueError(f"unknown ablation mode: {mode!r}")
         mode_rules = EMPTY_RULESET if mode == "EXR1" else rules
         if mode_rules not in measured:
-            measured[mode_rules] = [sims for _, sims in measure_pairs(pairs, left, right, mode_rules)]
-        fields = measured[mode_rules]
-        yield ScoreColumn(mode, weights, fields, [aggregate(sims, weights, mode).sas for sims in fields])
+            measured[mode_rules] = pack_fields(sims for _, sims in measure_pairs(pairs, left, right, mode_rules))
+        yield ScoreColumn.of(mode, weights, measured[mode_rules])
 
 
-def summarize(scores: list[float], threshold: float) -> dict:
+def summarize(scores: Sequence[float], threshold: float) -> dict:
     """Orig/Filt/Out% of a score column: Filt counts the scores of at least
     ``threshold``; Out% = 100*(Orig-Filt)/Orig, 0 when empty."""
     orig = len(scores)
@@ -148,16 +187,19 @@ def summarize(scores: list[float], threshold: float) -> dict:
 
 
 def ranked(pairs: list[CandidatePair], column: ScoreColumn, threshold: float) -> Iterator[MappingResult]:
-    """Every pair's result, by score descending, then pair key: the kept
-    rows, those scoring at least ``threshold``, come first, so a kept row's
-    rank is its position. A row's breakdown, under the column's own weights
-    and mode, and its result are built only as the row is taken."""
+    """Every pair's result, by score descending, then pair key, then input
+    order: the kept rows, those scoring at least ``threshold``, come first,
+    so a kept row's rank is its position. A row's breakdown, under the
+    column's own weights and mode, and its result are built only as the
+    row is taken."""
     scores = column.scores
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], pairs[i].left, pairs[i].right))
+    # three stable sorts, least significant key first, so no key is a new tuple
+    order = sorted(range(len(scores)), key=lambda i: pairs[i].right)
+    order.sort(key=lambda i: pairs[i].left)
+    order.sort(key=scores.__getitem__, reverse=True)
     for position, i in enumerate(order, 1):
-        pair, kept = pairs[i], scores[i] >= threshold
-        breakdown = aggregate(column.fields[i], column.weights, column.mode)
-        yield MappingResult(pair.left, pair.right, pair.provenance, breakdown, kept, position if kept else None)
+        (left, right, provenance), kept = pairs[i], scores[i] >= threshold
+        yield MappingResult(left, right, provenance, column.breakdown(i), kept, position if kept else None)
 
 
 def report(results: Iterable[MappingResult], out: str | Path, fmt: str = "jsonl") -> None:

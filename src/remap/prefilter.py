@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .normalizer import FIELD_CLASS_NAME, RuleSet, tokenize
 from .records import MethodRecord, ProjectSnapshot, write_jsonl
@@ -43,13 +44,13 @@ class ClassPair:
 FORMAT_VERSION = 1  # of the pairs JSONL that ``save_pairs`` writes and ``ingest.load_pairs`` reads
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """A cross-project method pair under consideration.
 
     left is always a record id from the original project, right from the
     redesigned one; provenance names the producer (a detector, 'prefilter',
-    or 'exhaustive').
+    or 'exhaustive'). A tuple, so a pair holds no more than its three
+    references, which ``ingest.load_pairs`` shares among the pairs of a file.
     """
 
     left: str

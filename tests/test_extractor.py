@@ -61,10 +61,11 @@ def test_interface_default_method_has_a_body():
                 int y = x * 2;
                 return y;
             }
+            @SuppressWarnings("x") default int half(int x) { return x / 2; }
         }
         """
     )
-    assert [m.method_name for m in methods] == ["twice"]
+    assert [m.method_name for m in methods] == ["twice", "half"]
 
 
 def test_tostring_override_excluded():
@@ -507,11 +508,34 @@ def test_annotation_type_declares_no_methods():
         public @interface Marker {
             String value() default "";
             int weight() default 1;
+            int[] ids() default {};
+            int[] some() default {1, 2};
+            String[] names() default {"a", "b"};
         }
         """
     )
     assert [(c.qualified_name, c.class_doc) for c in classes] == [("p.Marker", "Marks things.")]
     assert methods == []
+
+
+def test_doc_comment_before_a_top_level_annotation_is_the_class_doc():
+    classes, methods = parse(
+        """\
+        package p;
+        /** Class doc here. */
+        @Deprecated
+        @SuppressWarnings({"unchecked"})
+        public class A {
+            public int f() { return 1; }
+        }
+        /** Marker doc. */
+        @Retention(RetentionPolicy.RUNTIME) public @interface M { }
+        """
+    )
+    assert [(c.qualified_name, c.class_doc) for c in classes] == [
+        ("p.A", "Class doc here."), ("p.M", "Marker doc."),
+    ]
+    assert [(m.class_name, m.method_name) for m in methods] == [("p.A", "f")]
 
 
 def test_annotated_top_level_type():
