@@ -256,14 +256,15 @@ def cmd_score(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
-    [column] = mapper.score_columns(pairs, left, right, rules, weights, [args.ablation.upper()])
+    counters = {"pairs_in": len(pairs)}
+    [column] = mapper.score_columns(pairs, left, right, rules, weights, [args.ablation.upper()], counters)
     summary = mapper.summarize(column.scores, threshold)
     if args.format == "summary":
         write_jsonl(args.out, [summary])
     else:
         mapper.report(mapper.ranked(pairs, column, threshold), args.out, args.format)
     print(json.dumps(summary, sort_keys=True))
-    return {"pairs_in": len(pairs), **summary}
+    return {**counters, **summary}
 
 
 def cmd_eval(args) -> dict:
@@ -308,14 +309,14 @@ def cmd_ablate(args) -> dict:
     pairs = _pairs_arg(args)
     labels = _labels_arg(args)
     threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
-    report = {}
-    for column in mapper.score_columns(pairs, left, right, rules, weights, ABLATION_MODES):
+    report, counters = {}, {"pairs": len(pairs)}
+    for column in mapper.score_columns(pairs, left, right, rules, weights, ABLATION_MODES, counters):
         kept = {pair.key for pair, s in zip(pairs, column.scores) if s >= threshold}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
         report[column.mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
     write_json(args.out, report)
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
-    return {"pairs": len(pairs), "settings": len(report)}
+    return {**counters, "settings": len(report)}
 
 
 def _pair_code_type(pairs, left, right) -> dict:
@@ -334,14 +335,15 @@ def cmd_impact(args) -> dict:
     settings = [args.setting.upper()] if args.setting else ["EXR1", "EXR2", "EXR3", "EXR4"]
     keys = [p.key for p in pairs]
     weights, rules = _weights_arg(args), _rules_arg(args)
-    columns = mapper.score_columns(pairs, left, right, rules, weights, ["ALL", *settings])
+    counters = {"pairs": len(pairs)}
+    columns = mapper.score_columns(pairs, left, right, rules, weights, ["ALL", *settings], counters)
     baseline = dict(zip(keys, next(columns).scores))  # a repeated pair collapses to one key
     report = {
         c.mode: evalkit.rule_impact(baseline, dict(zip(keys, c.scores)), code_types) for c in columns
     }
     write_json(args.out, report)
     print(f"wrote impact report for {', '.join(settings)} to {args.out}")
-    return {"pairs": len(pairs)}
+    return counters
 
 
 def cmd_tune(args) -> dict:

@@ -5,12 +5,26 @@
 column per ablation mode. A summary only counts a column's kept scores; a
 jsonl or csv report sorts the pairs and builds each row only as it is written.
 
-A column holds no object per pair. ``pack_fields`` stores each pair's eight
-``measure``d fields as 8 doubles of one ``array('d')``, in ``FIELDS`` order,
-with NaN for an absent field; ``masked_sim`` never gives NaN, so the marker
-cannot be a real similarity. The scores are one more ``array('d')``. A pair's
-fields are decoded back to a tuple with None for absent only where they are
-aggregated, so the NaN rule stays in this module."""
+A column holds no object per pair, and holds each distinct measurement once.
+Pairs barely differ once measured (the 27,216 pairs of the ``perfbench``
+``exhaustive`` workload at seed 1 have 857 distinct measurements), so
+``pack_fields`` interns a rule set's measurement as it packs it. Each
+distinct ``measure``d 8-tuple is one row of a table, 8 doubles of one
+``array('d')`` in ``FIELDS`` order with NaN for an absent field, and each
+pair is a 4-byte code of its row in one ``array('I')``. ``masked_sim`` never
+gives NaN, so the marker cannot be a real similarity, and it gives only
+non-negative floats or None, so tuples that are equal as dict keys have
+equal doubles. The dict that finds repeats holds at most ``INTERN_CAP``
+tuples and is cleared when full: a measurement seen again after that gets a
+row of its own, so when every measurement differs memory stays under 100
+bytes a pair, not a dict entry and a tuple of float objects each. The scores
+are one more ``array('d')``. A row is decoded back to a tuple with None for
+absent only where it is aggregated, so the NaN rule stays in this module.
+
+``ScoreColumn.of`` aggregates each table row once and fills the pairs'
+scores through their codes; ``ranked`` shares one breakdown among the rows
+of one code tied at one score, and ``report`` encodes the numeric fields of
+each shared breakdown once."""
 
 from __future__ import annotations
 
@@ -23,7 +37,7 @@ from typing import NamedTuple
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
-from .records import ProjectSnapshot, check_fields, open_output, read_jsonl, write_jsonl
+from .records import ProjectSnapshot, check_fields, encode_sorted, open_output, read_jsonl
 from .simcore import ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
 
 TASK_GENUINE_CLONE = "genuine_clone"
@@ -115,45 +129,67 @@ def measure_pairs(
         yield pair, measure(p1, p2, class_pair)
 
 
-_WIDTH = len(FIELDS)  # doubles per pair in a packed measurement
+_WIDTH = len(FIELDS)  # doubles per table row of a packed measurement
 
-
-def pack_fields(measured: Iterable[tuple]) -> array:
-    """``measure``d field tuples as one ``array('d')``, ``len(FIELDS)``
-    doubles per pair in turn, NaN for an absent (None) field."""
-    packed = array("d")
-    for fields in measured:
-        packed.extend([math.nan if v is None else v for v in fields])
-    return packed
+# distinct measurements ``pack_fields`` remembers at once, about 1.3 MB of
+# tuples; with no cap its dict would hold over 300 B per distinct pair
+INTERN_CAP = 4096
 
 
 def _unpacked(values) -> tuple:
-    """One pair's packed fields as ``measure`` gives them, None for absent (NaN)."""
+    """One packed table row as ``measure`` gives it, None for absent (NaN)."""
     return tuple([None if v != v else v for v in values])  # only NaN differs from itself
+
+
+def pack_fields(measured: Iterable[tuple]) -> tuple[array, array]:
+    """``measure``d field tuples as ``(codes, table)``: ``table`` holds
+    ``len(FIELDS)`` doubles per row, NaN for absent, and ``codes`` one 'I'
+    per tuple, its row. A tuple equal to one already in the table gets that
+    row, any other a new one. The dict that finds equal tuples is cleared
+    once it holds ``INTERN_CAP`` of them, so memory stays bounded when every
+    tuple differs, and a tuple seen again after a clear gets a second row.
+    Equal tuples have equal doubles, since ``measure`` yields only
+    non-negative floats or None: no -0.0 equals 0.0, and no NaN is unequal
+    to itself."""
+    codes, table, seen = array("I"), array("d"), {}
+    for fields in measured:
+        code = seen.get(fields)
+        if code is None:
+            if len(seen) == INTERN_CAP:
+                seen.clear()
+            code = seen[fields] = len(table) // _WIDTH
+            table.extend([math.nan if v is None else v for v in fields])
+        codes.append(code)
+    return codes, table
 
 
 class ScoreColumn(NamedTuple):
     """One ablation mode's score of each pair, with the ``measure``d fields
     and weights it aggregates.
 
-    ``fields`` is the ``pack_fields`` array of the pairs' measurements:
-    pair i's fields are doubles ``8*i`` to ``8*i + 7``, NaN for absent.
-    ``scores`` holds one double per pair."""
+    ``codes`` and ``table`` are the ``pack_fields`` measurement of the
+    pairs: pair i's fields are table row ``codes[i]``, the doubles
+    ``8*code`` to ``8*code + 7``, NaN for absent. ``scores`` holds one
+    double per pair, its row's score."""
 
     mode: str
     weights: WeightConfig
-    fields: array
+    codes: array
+    table: array
     scores: array
 
     @classmethod
-    def of(cls, mode: str, weights: WeightConfig, fields: array) -> "ScoreColumn":
-        """The column that aggregates the packed ``fields`` under ``weights`` and ``mode``."""
-        rows = zip(*[iter(fields)] * _WIDTH)
-        return cls(mode, weights, fields, array("d", (aggregate(_unpacked(r), weights, mode).sas for r in rows)))
+    def of(cls, mode: str, weights: WeightConfig, fields: tuple[array, array]) -> "ScoreColumn":
+        """The column that aggregates the packed ``fields`` under ``weights``
+        and ``mode``: once per table row, not once per pair."""
+        codes, table = fields
+        row_scores = [aggregate(_unpacked(r), weights, mode).sas for r in zip(*[iter(table)] * _WIDTH)]
+        return cls(mode, weights, codes, table, array("d", [row_scores[code] for code in codes]))
 
     def breakdown(self, i: int) -> SASBreakdown:
         """Pair i's score breakdown under the column's weights and mode."""
-        return aggregate(_unpacked(self.fields[_WIDTH * i:_WIDTH * (i + 1)]), self.weights, self.mode)
+        row = _WIDTH * self.codes[i]
+        return aggregate(_unpacked(self.table[row:row + _WIDTH]), self.weights, self.mode)
 
 
 def score_columns(
@@ -163,17 +199,23 @@ def score_columns(
     rules: RuleSet,
     weights: WeightConfig,
     modes: Iterable[str],
+    counters: dict | None = None,
 ) -> Iterator[ScoreColumn]:
     """Yield the ``ScoreColumn`` of each ablation mode in turn. The pairs are
     measured once per rule set, with the rules and, for EXR1, which disables
-    renaming, without them; every mode aggregates one of those measurements."""
+    renaming, without them; every mode aggregates one of those measurements.
+    ``counters``, when given, receives ``distinct_measurements``: the table
+    rows of each measured rule set, by rule-set name."""
     measured = {}
     for mode in modes:
         if mode not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode: {mode!r}")
         mode_rules = EMPTY_RULESET if mode == "EXR1" else rules
         if mode_rules not in measured:
-            measured[mode_rules] = pack_fields(sims for _, sims in measure_pairs(pairs, left, right, mode_rules))
+            fields = (sims for _, sims in measure_pairs(pairs, left, right, mode_rules))
+            _, table = measured[mode_rules] = pack_fields(fields)
+            if counters is not None:
+                counters.setdefault("distinct_measurements", {})[mode_rules.name] = len(table) // _WIDTH
         yield ScoreColumn.of(mode, weights, measured[mode_rules])
 
 
@@ -191,21 +233,56 @@ def ranked(pairs: list[CandidatePair], column: ScoreColumn, threshold: float) ->
     order: the kept rows, those scoring at least ``threshold``, come first,
     so a kept row's rank is its position. A row's breakdown, under the
     column's own weights and mode, and its result are built only as the
-    row is taken."""
-    scores = column.scores
+    row is taken, and shared by the rows of one measurement tied at one
+    score."""
+    scores, codes = column.scores, column.codes
     # three stable sorts, least significant key first, so no key is a new tuple
     order = sorted(range(len(scores)), key=lambda i: pairs[i].right)
     order.sort(key=lambda i: pairs[i].left)
     order.sort(key=scores.__getitem__, reverse=True)
+    shared, shared_score = {}, None  # the breakdown of each code seen at shared_score
     for position, i in enumerate(order, 1):
-        (left, right, provenance), kept = pairs[i], scores[i] >= threshold
-        yield MappingResult(left, right, provenance, column.breakdown(i), kept, position if kept else None)
+        (left, right, provenance), score, code = pairs[i], scores[i], codes[i]
+        if score != shared_score:
+            shared.clear()
+            shared_score = score
+        breakdown = shared.get(code)
+        if breakdown is None:
+            breakdown = shared[code] = column.breakdown(i)
+        kept = score >= threshold
+        yield MappingResult(left, right, provenance, breakdown, kept, position if kept else None)
+
+
+# a row's numeric fields, whose keys sort after every other key of ``to_dict``
+_TAIL_FIELDS = SASBreakdown._fields[:12]
+
+
+def _jsonl_lines(results: Iterable[MappingResult]) -> Iterator[str]:
+    """Each result's ``encode_sorted(r.to_dict())`` line: its head (``ablation``
+    to ``right``) is encoded per row, its numeric tail once per breakdown
+    object that rows tied at one score share."""
+    # (breakdown, its encoded tail) of the rows at tails_sas, keyed by value so that equal
+    # breakdowns take one entry, and reused only for the same object: an equal one may
+    # encode otherwise (1 and 1.0)
+    tails, tails_sas = {}, None
+    for r in results:
+        b = r.breakdown
+        if b.sas != tails_sas:
+            tails.clear()
+            tails_sas = b.sas
+        tail = tails.get(b)
+        if tail is None or tail[0] is not b:
+            tail = tails[b] = (b, encode_sorted(dict(zip(_TAIL_FIELDS, b)))[1:])
+        head = encode_sorted({"ablation": b.ablation, "kept": r.kept, "left": r.left,
+                              "provenance": r.provenance, "rank": r.rank, "right": r.right})
+        yield f"{head[:-1]}, {tail[1]}\n"
 
 
 def report(results: Iterable[MappingResult], out: str | Path, fmt: str = "jsonl") -> None:
     """Write results to ``out`` as jsonl or csv (CRLF row ends) rows, each as it arrives."""
     if fmt == "jsonl":
-        write_jsonl(out, (r.to_dict() for r in results))
+        with open_output(out) as fh:
+            fh.writelines(_jsonl_lines(results))
     elif fmt == "csv":
         fieldnames = [
             "left", "right", "provenance", "kept", "rank", "sas",

@@ -9,8 +9,9 @@ maps a reported file path onto the snapshot, and ``match_fragment`` binds a
 reported line span.
 
 It also holds remap's one JSON decoder and JSONL reader and its writers:
-``write_jsonl`` writes sort-keyed rows as they arrive and ``write_json`` one
-indented document, both through ``open_output``, which makes the directory.
+``write_jsonl`` writes sort-keyed rows, each ``encode_sorted`` as it arrives,
+and ``write_json`` one indented document, both through ``open_output``, which
+makes the directory.
 """
 
 from __future__ import annotations
@@ -47,11 +48,14 @@ def open_output(path: str | Path, newline: str | None = None):
     return path.open("w", encoding="utf-8", newline=newline)
 
 
+# a row's sort-keyed JSON; json.dumps would build one encoder per call
+encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl(path: str | Path, rows: Iterable) -> None:
     """Write each row as one line of sort-keyed JSON as soon as it arrives."""
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one encoder per call
     with open_output(path) as fh:
-        fh.writelines(encode(row) + "\n" for row in rows)
+        fh.writelines(encode_sorted(row) + "\n" for row in rows)
 
 
 def write_json(path: str | Path, obj) -> None:

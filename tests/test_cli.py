@@ -855,6 +855,35 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
         assert json.loads((tmp_path / "impact.json").read_text()) == expected, (pairs_file, settings)
 
 
+def test_manifests_count_distinct_measurements(pipeline, tmp_path):
+    """``score``, ``ablate`` and ``impact`` record the distinct ``measure``
+    tuples of each rule set they measure, ``none`` for EXR1's."""
+    from remap import cli, mapper
+    from remap.ingest import load_pairs
+    from remap.normalizer import EMPTY_RULESET, SOOT_SOOTUP_RULES
+    from remap.records import load_snapshot
+
+    work, left, right, _ = pipeline
+    pairs = tmp_path / "exhaustive.jsonl"
+    assert cli.main(["pairs", "--mode", "exhaustive", "--left", str(left), "--right", str(right),
+                     "--out", str(pairs)]) == 0
+    lsnap, rsnap, loaded = load_snapshot(left), load_snapshot(right), load_pairs(pairs)
+    distinct = {rules.name: len({sims for _, sims in mapper.measure_pairs(loaded, lsnap, rsnap, rules)})
+                for rules in (SOOT_SOOTUP_RULES, EMPTY_RULESET)}
+    assert distinct[SOOT_SOOTUP_RULES.name] < len(loaded) == 756
+    with_rules = {SOOT_SOOTUP_RULES.name: distinct[SOOT_SOOTUP_RULES.name]}
+    ablate, impact = _ablation_argv((work, left, right, pairs), tmp_path)
+    score = ["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
+             "--rules", "soot-sootup", "--out", str(tmp_path / "scored.jsonl")]
+    for argv, expected in ((score, with_rules), (score + ["--ablation", "exr1"], {"none": distinct["none"]}),
+                           (ablate, distinct), (impact, distinct), (impact + ["--setting", "exr2"], with_rules)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        out = argv[argv.index("--out") + 1]
+        counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+        assert counters["distinct_measurements"] == expected, argv[0]
+
+
 def test_ablate_and_impact_neither_rank_nor_build_results(pipeline, tmp_path, monkeypatch):
     from remap import cli, mapper
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -9,12 +10,13 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remap import cli
+from remap import cli, mapper
 from remap.extractor import extract
 from remap.ingest import load_pairs
 from remap.mapper import (
@@ -252,9 +254,10 @@ _typed = st.lists(st.tuples(st.sampled_from(["int", "Unit", "ValueBox"]), _names
 
 @st.composite
 def snapshots(draw, role):
-    """A snapshot of 1-4 methods in 1-3 classes, as records: methods share
+    """A snapshot of 2-5 methods in 1-3 classes, as records: methods share
     classes, classes may share a doc or have none, and parameter lists may
-    be empty."""
+    be empty. The last method repeats the first under another span, so two
+    ids measure alike against any method of the other side."""
     package = "p" if role == "original" else "q"
     docs = draw(st.lists(_texts, min_size=1, max_size=3))
     classes = [ClassRecord(f"{package}.{name}", doc) for name, doc in zip(["A", "UnitBox", "Value"], docs)]
@@ -273,6 +276,8 @@ def snapshots(draw, role):
             body_text="",
             is_test=False,
         ))
+    first = records[0]
+    records.append(dataclasses.replace(first, span=dataclasses.replace(first.span, start_line=91, end_line=95)))
     return ProjectSnapshot(package, role, "/src", records, classes)
 
 
@@ -349,8 +354,11 @@ def any_weights(draw):
 )
 def test_score_and_ablate_equal_the_reference_scorer(left, right, rules, weights, mode, data):
     indices = st.tuples(st.integers(0, len(left) - 1), st.integers(0, len(right) - 1), st.sampled_from("ab"))
-    pairs = [CandidatePair(left.records[i].id, right.records[j].id, provenance)
+    drawn = [CandidatePair(left.records[i].id, right.records[j].id, provenance)
              for i, j, provenance in data.draw(st.lists(indices, max_size=8))]  # repeats, any order
+    # the first and last left methods are twins: two keys that measure alike, so they tie at any threshold
+    twins = [CandidatePair(left.records[i].id, right.records[0].id, "a") for i in (0, -1)]
+    pairs = data.draw(st.just(drawn) | st.permutations(drawn + twins))
     ruleset = EMPTY_RULESET if rules is None else BUNDLED_RULESETS[rules]
     reference = {m: _reference_rows(pairs, left, right, ruleset, weights, m) for m in ABLATION_MODES}
     scores = [r["sas"] for r in reference[mode]]
@@ -366,16 +374,19 @@ def test_score_and_ablate_equal_the_reference_scorer(left, right, rules, weights
                 "--right", tmp / "right.jsonl", "--weights", tmp / "weights.json",
                 "--ablation", mode.lower(), "--threshold", repr(threshold)]
         argv += ["--rules", rules] if rules else []
-        written = []
-        for fmt in ("jsonl", "csv", "summary"):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main([str(a) for a in [*argv, "--format", fmt, "--out", tmp / fmt]]) == 0
-            written.append((tmp / fmt).read_bytes())
-    assert tuple(written) == _reference_report(reference[mode], threshold)
-
-    for column in score_columns(pairs, left, right, ruleset, weights, ABLATION_MODES):
-        expected = {(r["left"], r["right"]) for r in reference[column.mode] if r["sas"] >= threshold}
-        assert {p.key for p, s in zip(pairs, column.scores) if s >= threshold} == expected, column.mode
+        # caps of 1 and 2 clear the intern dict within these few pairs, so a repeat gets a second table row
+        for cap in (mapper.INTERN_CAP, 1, 2):
+            written = []
+            with mock.patch.object(mapper, "INTERN_CAP", cap):
+                for fmt in ("jsonl", "csv", "summary"):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        assert cli.main([str(a) for a in [*argv, "--format", fmt, "--out", tmp / fmt]]) == 0
+                    written.append((tmp / fmt).read_bytes())
+                columns = list(score_columns(pairs, left, right, ruleset, weights, ABLATION_MODES))
+            assert tuple(written) == _reference_report(reference[mode], threshold), cap
+            for column in columns:
+                expected = {(r["left"], r["right"]) for r in reference[column.mode] if r["sas"] >= threshold}
+                assert {p.key for p, s in zip(pairs, column.scores) if s >= threshold} == expected, (column.mode, cap)
 
 
 # -- accounting ----------------------------------------------------------------
@@ -456,21 +467,34 @@ _EDGE_TRIPLES = [
 ]
 
 
+# ids that JSON must escape: quotes, backslashes, control and non-ASCII characters
+_ids = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=6)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     score_triple=st.sampled_from(_EDGE_TRIPLES),
     header_triple=st.sampled_from(_EDGE_TRIPLES),
     fields=st.tuples(*[st.sampled_from([None, 0.0, 0.5, 1.0])] * 8),
     mode=st.sampled_from(ABLATION_MODES),
+    ids=st.lists(st.tuples(_ids, _ids, _ids), min_size=1, max_size=4),
+    kept=st.booleans(),
 )
-def test_load_results_reads_every_row_aggregate_writes(score_triple, header_triple, fields, mode):
-    """A row scored under any accepted weights loads back, though its
-    weighted sums may leave [0,1] by a few EPS."""
+def test_load_results_reads_every_row_aggregate_writes(score_triple, header_triple, fields, mode, ids, kept):
+    """Rows scored under any accepted weights load back, though their
+    weighted sums may leave [0,1] by a few EPS. Each line is the row's
+    sort-keyed JSON, also where rows share one breakdown object or hold an
+    equal one whose whole numbers are ints, which encode otherwise."""
     weights = WeightConfig(*score_triple, *header_triple)
-    row = MappingResult("l", "r", "t", aggregate(fields, weights, mode), True, 1)
+    shared = aggregate(fields, weights, mode)
+    as_ints = SASBreakdown(*(int(v) if type(v) is float and v.is_integer() else v for v in shared))
+    rows = [MappingResult(*key, as_ints if n % 3 == 2 else shared, kept, n + 1 if kept else None)
+            for n, key in enumerate(ids)]
     with tempfile.TemporaryDirectory() as d:
-        report([row], Path(d) / "s.jsonl")
-        assert load_results(Path(d) / "s.jsonl") == [row]
+        report(rows, Path(d) / "s.jsonl")
+        lines = (Path(d) / "s.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines == [json.JSONEncoder(sort_keys=True).encode(r.to_dict()) + "\n" for r in rows]
+        assert load_results(Path(d) / "s.jsonl") == rows
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -490,10 +514,11 @@ def test_report_writes_rows_as_it_makes_them(tmp_path, fmt):
 
 def test_loaded_pairs_and_score_column_hold_few_bytes_per_pair(tmp_path):
     """The toy fixture's exhaustive pairs 27 times over, 20,412 pairs, hold
-    174 B each once loaded and scored (Python 3.11), mostly a 64 B tuple of
-    shared strings, its list slot, 8 packed doubles and a score.
-    Pairs with their own copies of each id, and a tuple of float objects
-    per measurement, held 605 B each."""
+    117 B each once loaded and scored (Python 3.11), mostly a 64 B tuple of
+    shared strings, its list slot, a 4-byte code of its measurement's table
+    row and a score; the table holds each distinct measurement once. With 8
+    packed doubles per pair they held 172 B each; with their own copies of
+    each id and a tuple of float objects per measurement, 605 B."""
     left = extract(FIXTURE / "left", role="original")
     right = extract(FIXTURE / "right", role="redesigned")
     toy = exhaustive_pairs(left, right)
@@ -506,10 +531,28 @@ def test_loaded_pairs_and_score_column_hold_few_bytes_per_pair(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(pairs) == len(column.scores) == 20_412
-    assert held / len(pairs) < 200, held / len(pairs)
+    assert held / len(pairs) < 130, held / len(pairs)
     # one object per distinct id and detector, however many lines repeat it
     assert pairs[0].left is pairs[len(toy)].left and pairs[0].right is pairs[len(toy)].right
     assert pairs[0].provenance is pairs[-1].provenance
+
+
+def test_all_distinct_measurements_hold_few_bytes_per_pair():
+    """When no two pairs measure alike, the intern table is a row per pair,
+    and the dict that finds repeats is capped: 86 B a pair held, 126 B at the
+    peak (Python 3.11). Uncapped, that dict's tuples of eight floats took
+    the peak to 350 B a pair."""
+    n = 27_216
+    measured = ((i / n, None, 1.0 - i / n, 0.5, (i % 7) / 7, None, (i % 3) / 3, 0.25) for i in range(n))
+    tracemalloc.start()
+    try:
+        column = ScoreColumn.of("ALL", WeightConfig(), pack_fields(measured))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(column.scores) == n
+    assert held / n <= 100, held / n
+    assert peak / n <= 160, peak / n
 
 
 def test_default_thresholds_by_profile_and_task():
