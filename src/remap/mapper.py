@@ -5,21 +5,17 @@
 column per ablation mode. A summary only counts a column's kept scores; a
 jsonl or csv report sorts the pairs and builds each row only as it is written.
 
-A column holds no object per pair, and holds each distinct measurement once.
-Pairs barely differ once measured (the 27,216 pairs of the ``perfbench``
-``exhaustive`` workload at seed 1 have 857 distinct measurements), so
-``pack_fields`` interns a rule set's measurement as it packs it. Each
-distinct ``measure``d 8-tuple is one row of a table, 8 doubles of one
-``array('d')`` in ``FIELDS`` order with NaN for an absent field, and each
-pair is a 4-byte code of its row in one ``array('I')``. ``masked_sim`` never
-gives NaN, so the marker cannot be a real similarity, and it gives only
-non-negative floats or None, so tuples that are equal as dict keys have
-equal doubles. The dict that finds repeats holds at most ``INTERN_CAP``
-tuples and is cleared when full: a measurement seen again after that gets a
-row of its own, so when every measurement differs memory stays under 100
-bytes a pair, not a dict entry and a tuple of float objects each. The scores
-are one more ``array('d')``. A row is decoded back to a tuple with None for
-absent only where it is aggregated, so the NaN rule stays in this module.
+A column holds no object per pair, and each distinct measurement once:
+``pack_fields`` gives each pair a 4-byte code (``array('I')``) of a row in a
+table of 8 doubles per distinct ``measure``d 8-tuple (``array('d')``,
+``FIELDS`` order, NaN for absent; ``masked_sim`` never gives NaN). Rows are
+found by their 64 bytes, so pairs share one only when their doubles are
+equal bit for bit, and the dict that finds them is cleared at
+``INTERN_CAP`` keys, so memory stays bounded when no two pairs measure alike.
+Pairs may repeat measurements heavily (the ``perfbench`` ``exhaustive``
+workload, copies of one toy redesign, has 857 distinct among 27,216 at
+seed 1) or hardly at all. A row is decoded back to None for absent only
+where it is aggregated, so the NaN rule stays in this module.
 
 ``ScoreColumn.of`` aggregates each table row once and fills the pairs'
 scores through their codes; ``ranked`` shares one breakdown among the rows
@@ -30,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
@@ -130,9 +127,10 @@ def measure_pairs(
 
 
 _WIDTH = len(FIELDS)  # doubles per table row of a packed measurement
+_PACK = struct.Struct(f"{_WIDTH}d").pack  # native doubles, as array('d') holds them
 
-# distinct measurements ``pack_fields`` remembers at once, about 1.3 MB of
-# tuples; with no cap its dict would hold over 300 B per distinct pair
+# distinct measurements ``pack_fields`` remembers at once, about 0.6 MB of
+# keys; with no cap its dict would hold over 150 B per distinct pair
 INTERN_CAP = 4096
 
 
@@ -144,21 +142,21 @@ def _unpacked(values) -> tuple:
 def pack_fields(measured: Iterable[tuple]) -> tuple[array, array]:
     """``measure``d field tuples as ``(codes, table)``: ``table`` holds
     ``len(FIELDS)`` doubles per row, NaN for absent, and ``codes`` one 'I'
-    per tuple, its row. A tuple equal to one already in the table gets that
-    row, any other a new one. The dict that finds equal tuples is cleared
-    once it holds ``INTERN_CAP`` of them, so memory stays bounded when every
-    tuple differs, and a tuple seen again after a clear gets a second row.
-    Equal tuples have equal doubles, since ``measure`` yields only
-    non-negative floats or None: no -0.0 equals 0.0, and no NaN is unequal
-    to itself."""
+    per tuple, its row. A tuple whose doubles are, byte for byte, a row
+    already found gets that row, any other a new one; so a shared row holds
+    exactly each of its pairs' doubles. The dict that finds rows, keyed by
+    their bytes, is cleared once it holds ``INTERN_CAP`` of them, so memory
+    stays bounded when every tuple differs, and a tuple seen again after a
+    clear gets a second row."""
     codes, table, seen = array("I"), array("d"), {}
     for fields in measured:
-        code = seen.get(fields)
+        packed = _PACK(*[math.nan if v is None else v for v in fields])
+        code = seen.get(packed)
         if code is None:
             if len(seen) == INTERN_CAP:
                 seen.clear()
-            code = seen[fields] = len(table) // _WIDTH
-            table.extend([math.nan if v is None else v for v in fields])
+            code = seen[packed] = len(table) // _WIDTH
+            table.frombytes(packed)
         codes.append(code)
     return codes, table
 
@@ -183,8 +181,9 @@ class ScoreColumn(NamedTuple):
         """The column that aggregates the packed ``fields`` under ``weights``
         and ``mode``: once per table row, not once per pair."""
         codes, table = fields
-        row_scores = [aggregate(_unpacked(r), weights, mode).sas for r in zip(*[iter(table)] * _WIDTH)]
-        return cls(mode, weights, codes, table, array("d", [row_scores[code] for code in codes]))
+        rows = zip(*[iter(table)] * _WIDTH)
+        row_scores = array("d", (aggregate(_unpacked(r), weights, mode).sas for r in rows))
+        return cls(mode, weights, codes, table, array("d", map(row_scores.__getitem__, codes)))
 
     def breakdown(self, i: int) -> SASBreakdown:
         """Pair i's score breakdown under the column's weights and mode."""
@@ -253,29 +252,30 @@ def ranked(pairs: list[CandidatePair], column: ScoreColumn, threshold: float) ->
         yield MappingResult(left, right, provenance, breakdown, kept, position if kept else None)
 
 
-# a row's numeric fields, whose keys sort after every other key of ``to_dict``
-_TAIL_FIELDS = SASBreakdown._fields[:12]
-
-
 def _jsonl_lines(results: Iterable[MappingResult]) -> Iterator[str]:
-    """Each result's ``encode_sorted(r.to_dict())`` line: its head (``ablation``
-    to ``right``) is encoded per row, its numeric tail once per breakdown
-    object that rows tied at one score share."""
-    # (breakdown, its encoded tail) of the rows at tails_sas, keyed by value so that equal
-    # breakdowns take one entry, and reused only for the same object: an equal one may
-    # encode otherwise (1 and 1.0)
+    """Each result's ``encode_sorted(r.to_dict())`` line. Its numeric tail,
+    from ``"sas"`` on, depends only on its breakdown, and every other key
+    sorts before ``"sas"``; so a row whose breakdown object an earlier row
+    at its score had encodes only its head and reuses that row's tail."""
+    # (breakdown, its line's tail) at tails_sas. An entry is found by value, so the dict holds
+    # one per distinct breakdown however many equal objects a caller passes, but used only for
+    # the object it holds: an equal one may encode otherwise (1 and 1.0)
     tails, tails_sas = {}, None
     for r in results:
         b = r.breakdown
         if b.sas != tails_sas:
             tails.clear()
             tails_sas = b.sas
-        tail = tails.get(b)
-        if tail is None or tail[0] is not b:
-            tail = tails[b] = (b, encode_sorted(dict(zip(_TAIL_FIELDS, b)))[1:])
-        head = encode_sorted({"ablation": b.ablation, "kept": r.kept, "left": r.left,
-                              "provenance": r.provenance, "rank": r.rank, "right": r.right})
-        yield f"{head[:-1]}, {tail[1]}\n"
+        entry = tails.get(b)
+        if entry is not None and entry[0] is b:
+            head = encode_sorted({"ablation": b.ablation, "kept": r.kept, "left": r.left,
+                                  "provenance": r.provenance, "rank": r.rank, "right": r.right})
+            yield f"{head[:-1]}, {entry[1]}\n"
+        else:
+            line = encode_sorted(r.to_dict())
+            # a quote inside an encoded string is escaped, so this is the "sas" key
+            tails[b] = (b, line[line.index(', "sas": ') + 2:])
+            yield line + "\n"
 
 
 def report(results: Iterable[MappingResult], out: str | Path, fmt: str = "jsonl") -> None:
