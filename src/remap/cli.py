@@ -319,19 +319,10 @@ def cmd_ablate(args) -> dict:
     return {**counters, "settings": len(report)}
 
 
-def _pair_code_type(pairs, left, right) -> dict:
-    out = {}
-    for p in pairs:
-        lrec, rrec = left.get(p.left), right.get(p.right)
-        if lrec is not None and rrec is not None:
-            out[p.key] = "mixed" if lrec.is_test != rrec.is_test else "test" if lrec.is_test else "production"
-    return out
-
-
 def cmd_impact(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
-    code_types = _pair_code_type(pairs, left, right)
+    code_types = evalkit.code_types(pairs, left, right)
     settings = [args.setting.upper()] if args.setting else ["EXR1", "EXR2", "EXR3", "EXR4"]
     keys = [p.key for p in pairs]
     weights, rules = _weights_arg(args), _rules_arg(args)
@@ -352,8 +343,7 @@ def cmd_tune(args) -> dict:
     task = TASKS[args.task]
     label_by_key = {lab.key: lab.positive(task) for lab in labels}
     # a pair repeated in the scored file is one example, as eval and sweep count it once
-    row_by_key = {r.key: r for r in scored if r.key in label_by_key}
-    training = [evalkit.TrainingExample.from_result(r, label_by_key[key]) for key, r in row_by_key.items()]
+    training = list({r.key: (r, label_by_key[r.key]) for r in scored if r.key in label_by_key}.values())
     cfg = _config(evalkit.TunerConfig, grid_step=args.grid_step, objective_k=args.k)
     weights = evalkit.tune(training, cfg)
     weights.save(args.out)

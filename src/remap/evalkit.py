@@ -72,10 +72,10 @@ def load_labels(path: str | Path) -> list[LabeledPair]:
     (left_key,right_key,clone_type,is_code_mapping,code_type,tools).
 
     Raises ValueError naming the line of a header that lacks one of the
-    first four columns, or of a row that has no value for one or holds an
-    unknown clone type.
+    first four columns, of a row that has no value for one or holds an
+    unknown clone type, or of a row whose pair an earlier row labeled.
     """
-    out = []
+    out, lines = [], {}  # the labels, and the line that labeled each pair
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -84,9 +84,13 @@ def load_labels(path: str | Path) -> list[LabeledPair]:
                 raise ValueError(f"line 1: the header lacks {', '.join(missing)}")
             for row in reader:
                 try:
-                    out.append(_label_from_row(row))
+                    lab = _label_from_row(row)
+                    if lab.key in lines:
+                        raise ValueError(f"{lab.left} / {lab.right} is already labeled on line {lines[lab.key]}")
                 except ValueError as exc:
                     raise ValueError(f"line {reader.line_num}: {exc}") from None
+                lines[lab.key] = reader.line_num
+                out.append(lab)
         except csv.Error as exc:  # a field over the csv module's size limit, in the row after line_num
             raise ValueError(f"line {reader.line_num + 1}: {exc}") from None
     return out
@@ -195,7 +199,18 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# rule impact between two ablation score columns
+# rule impact between two ablation score columns, by code type
+
+
+def code_types(pairs, left, right) -> dict[PairKey, str]:
+    """Each pair's code type by its records' ``is_test``: production, test,
+    or mixed; a pair with an id that its snapshot lacks gets none."""
+    out = {}
+    for p in pairs:
+        lrec, rrec = left.get(p.left), right.get(p.right)
+        if lrec is not None and rrec is not None:
+            out[p.key] = "mixed" if lrec.is_test != rrec.is_test else "test" if lrec.is_test else "production"
+    return out
 
 
 def _ranks(scores: dict[PairKey, float], keys: list[PairKey]) -> dict[PairKey, int]:
@@ -211,10 +226,11 @@ def rule_impact(
     """Compare a full run's scores against one exclusion run's, both
     keyed by the same pairs.
 
-    Per code-type group: how many pairs' scores changed, the signed score
-    change of largest magnitude, and the signed rank change (full-run rank
-    minus exclusion-run rank, ranking by score descending, then by pair
-    key) of largest magnitude.
+    Per group of ``code_type_of`` (``code_types``), or in one group "all":
+    how many pairs' scores changed, the signed score change of largest
+    magnitude, and the signed rank change (full-run rank minus
+    exclusion-run rank, ranking by score descending, then by pair key) of
+    largest magnitude.
     """
     groups: dict[str, list[PairKey]] = {}
     for key in scores_all:
@@ -265,24 +281,6 @@ class TunerConfig:
             raise ValueError(f"grid_step={self.grid_step} must divide 1 evenly")
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    """Weight-independent per-field similarities plus the label."""
-
-    key: PairKey
-    fields: dict  # field name -> similarity or None (absent)
-    label: bool
-
-    @staticmethod
-    def from_result(result: MappingResult, label: bool) -> "TrainingExample":
-        b = result.breakdown
-        return TrainingExample(
-            key=result.key,
-            fields={name: getattr(b, f"sim_{name}") for name in FIELDS},
-            label=label,
-        )
-
-
 def simplex_grid(step: float) -> list[tuple[int, int, int, int]]:
     """Integer triples (i, j, k) with i+j+k == n where n = 1/step, in
     lexicographic order."""
@@ -290,10 +288,10 @@ def simplex_grid(step: float) -> list[tuple[int, int, int, int]]:
     return [(i, j, n - i - j, n) for i in range(n + 1) for j in range(n - i + 1)]
 
 
-def top_k(training: list[TrainingExample], cfg: TunerConfig) -> int:
+def top_k(training: list[tuple[MappingResult, bool]], cfg: TunerConfig) -> int:
     """K of ``tune``'s objective: ``cfg.objective_k``, or the number of
     positive examples, capped at the number of examples."""
-    k = cfg.objective_k if cfg.objective_k is not None else sum(1 for ex in training if ex.label)
+    k = cfg.objective_k if cfg.objective_k is not None else sum(1 for _, label in training if label)
     return min(k, len(training))
 
 
@@ -321,9 +319,11 @@ def top_k_positives(scores, labels, k: int):
 _BLOCK_ROWS = 32  # score configs per block; the block, not the grid, sets tune's working set
 
 
-def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> WeightConfig:
+def tune(training: list[tuple[MappingResult, bool]], cfg: TunerConfig | None = None) -> WeightConfig:
     """Exhaustive simplex grid search maximizing true positives in the top K.
 
+    Each example is a scored row and its label; the row's ``key`` and the
+    ``measure``d fields that open its breakdown are all the tuner reads.
     K (``top_k``) defaults to the number of positive examples and is capped
     at the number of examples. Under each config, every example scores what
     ``aggregate`` gives it under the config's ``WeightConfig``, and the
@@ -340,14 +340,14 @@ def tune(training: list[TrainingExample], cfg: TunerConfig | None = None) -> Wei
     cfg = cfg or TunerConfig()
     if not training:
         raise ValueError("training set is empty")
-    if not any(ex.label for ex in training):
+    if not any(label for _, label in training):
         raise ValueError("training set has no positive examples")
     k = top_k(training, cfg)
 
-    examples = sorted(training, key=lambda ex: ex.key)
-    filled = np.array([policy_filled(tuple(ex.fields[name] for name in FIELDS)) for ex in examples])
+    examples = sorted(training, key=lambda ex: ex[0].key)
+    filled = np.array([policy_filled(row.breakdown[:len(FIELDS)]) for row, _ in examples])
     sim_class, mn, rt, pm, sim_opt = filled.T
-    labels = np.array([ex.label for ex in examples])
+    labels = np.array([label for _, label in examples])
 
     grid = simplex_grid(cfg.grid_step)
     ints = np.array([g[:3] for g in grid])

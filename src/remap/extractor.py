@@ -595,8 +595,9 @@ def extract(
     """Parse every .java file under root into a ProjectSnapshot named after
     the root directory, which it records as an absolute path.
 
-    Files that fail to parse are skipped and recorded in the summary;
-    a nonexistent root is a hard error.
+    Files that fail to parse are skipped and recorded in the summary, and
+    so is a file, in path order, that declares a class or a method id
+    again; a nonexistent root is a hard error.
     """
     root = Path(os.path.abspath(root))  # abspath does not follow symlinks, as Path.resolve would
     if not root.is_dir():
@@ -604,6 +605,7 @@ def extract(
     summary = ExtractionSummary()
     classes: list[ClassRecord] = []
     methods: list[MethodRecord] = []
+    declared: dict[str, str] = {}  # "class <name>" and "method <id>" -> the file that declares it
     for path in sorted(root.rglob("*.java")):
         rel = path.relative_to(root).as_posix()
         summary.files_seen += 1
@@ -611,9 +613,15 @@ def extract(
         try:
             source = path.read_text(encoding="utf-8", errors="replace")
             cls, mth = parse_java_file(source, rel, is_test)
+            ours: dict[str, str] = {}
+            for name in [f"class {c.qualified_name}" for c in cls] + [f"method {m.id}" for m in mth]:
+                if name in declared or name in ours:
+                    raise JavaParseError(f"{name} is already declared in {declared.get(name, rel)}")
+                ours[name] = rel
         except (JavaLexError, JavaParseError, RecursionError) as exc:  # RecursionError: nested too deeply
             summary.failed_files.append((rel, str(exc)))
             continue
+        declared.update(ours)
         summary.files_parsed += 1
         classes.extend(cls)
         methods.extend(mth)

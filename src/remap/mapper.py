@@ -93,8 +93,8 @@ def measure_pairs(
     left: ProjectSnapshot,
     right: ProjectSnapshot,
     rules: RuleSet,
-) -> Iterator[tuple[CandidatePair, tuple]]:
-    """Yield each candidate pair with its ``measure``d fields under ``rules``.
+) -> Iterator[tuple]:
+    """Yield each candidate pair's ``measure``d fields under ``rules``, in order.
 
     An id that does not resolve in its snapshot is a hard error (the pairs
     file was produced against different snapshots). Each record is
@@ -123,7 +123,7 @@ def measure_pairs(
         class_pair = class_pairs.get((lclass, rclass))
         if class_pair is None:
             class_pair = class_pairs[(lclass, rclass)] = class_sims(p1, p2)
-        yield pair, measure(p1, p2, class_pair)
+        yield measure(p1, p2, class_pair)
 
 
 _WIDTH = len(FIELDS)  # doubles per table row of a packed measurement
@@ -211,8 +211,7 @@ def score_columns(
             raise ValueError(f"unknown ablation mode: {mode!r}")
         mode_rules = EMPTY_RULESET if mode == "EXR1" else rules
         if mode_rules not in measured:
-            fields = (sims for _, sims in measure_pairs(pairs, left, right, mode_rules))
-            _, table = measured[mode_rules] = pack_fields(fields)
+            _, table = measured[mode_rules] = pack_fields(measure_pairs(pairs, left, right, mode_rules))
             if counters is not None:
                 counters.setdefault("distinct_measurements", {})[mode_rules.name] = len(table) // _WIDTH
         yield ScoreColumn.of(mode, weights, measured[mode_rules])

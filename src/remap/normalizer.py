@@ -218,7 +218,8 @@ class NormalizedDetails:
     comments: tuple[str, ...]
 
 
-def _norm_field(text: str, field: str, project: str, rules: RuleSet) -> list[str]:
+def normalize_field(text: str, field: str, project: str, rules: RuleSet) -> list[str]:
+    """One detail's tokens: ``rules`` for ``field``, doc cleanup, ``tokenize``."""
     text = rules.apply(text, field, project)
     if field in DOC_FIELDS:
         text = normalize_doc(text)
@@ -238,22 +239,22 @@ def normalize_record(
     """
     params: list[str] = []
     for ptype, pname in record.params:
-        params.extend(_norm_field(ptype, FIELD_PARAM, record_project, rules))
-        params.extend(_norm_field(pname, FIELD_PARAM, record_project, rules))
+        params.extend(normalize_field(ptype, FIELD_PARAM, record_project, rules))
+        params.extend(normalize_field(pname, FIELD_PARAM, record_project, rules))
     local_vars: list[str] = []
     for vtype, vname in record.local_vars:
-        local_vars.extend(_norm_field(vtype, FIELD_LOCAL_VAR, record_project, rules))
-        local_vars.extend(_norm_field(vname, FIELD_LOCAL_VAR, record_project, rules))
+        local_vars.extend(normalize_field(vtype, FIELD_LOCAL_VAR, record_project, rules))
+        local_vars.extend(normalize_field(vname, FIELD_LOCAL_VAR, record_project, rules))
     comments: list[str] = []
     for comment in record.inline_comments:
-        comments.extend(_norm_field(comment, FIELD_COMMENT, record_project, rules))
+        comments.extend(normalize_field(comment, FIELD_COMMENT, record_project, rules))
     return NormalizedDetails(
-        class_name=tuple(_norm_field(cls.qualified_name, FIELD_CLASS_NAME, record_project, rules)),
-        class_doc=tuple(_norm_field(cls.class_doc, FIELD_CLASS_DOC, record_project, rules)),
-        method_name=tuple(_norm_field(record.method_name, FIELD_METHOD_NAME, record_project, rules)),
-        return_type=tuple(_norm_field(record.return_type, FIELD_RETURN_TYPE, record_project, rules)),
+        class_name=tuple(normalize_field(cls.qualified_name, FIELD_CLASS_NAME, record_project, rules)),
+        class_doc=tuple(normalize_field(cls.class_doc, FIELD_CLASS_DOC, record_project, rules)),
+        method_name=tuple(normalize_field(record.method_name, FIELD_METHOD_NAME, record_project, rules)),
+        return_type=tuple(normalize_field(record.return_type, FIELD_RETURN_TYPE, record_project, rules)),
         params=tuple(params),
         local_vars=tuple(local_vars),
-        method_doc=tuple(_norm_field(record.method_doc, FIELD_METHOD_DOC, record_project, rules)),
+        method_doc=tuple(normalize_field(record.method_doc, FIELD_METHOD_DOC, record_project, rules)),
         comments=tuple(comments),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .normalizer import FIELD_CLASS_NAME, RuleSet, tokenize
+from .normalizer import FIELD_CLASS_NAME, RuleSet, normalize_field, tokenize
 from .records import MethodRecord, ProjectSnapshot, write_jsonl
 from .simcore import masked, masked_sim
 
@@ -124,8 +124,9 @@ def filter_classes(
     cfg: PrefilterConfig | None = None,
     counters: dict | None = None,
 ) -> list[ClassPair]:
-    """Retain cross-product class pairs whose normalized qualified names
-    reach the similarity threshold, in (left, right) name order.
+    """Retain cross-product class pairs whose qualified names, tokenized by
+    ``normalize_field`` as ``sim_class_name`` sees them, reach the
+    similarity threshold, in (left, right) name order.
 
     A similarity join: a pair of n and m tokens reaches t only if its LCS,
     and so its count of shared tokens, reaches the least k with
@@ -140,7 +141,7 @@ def filter_classes(
 
     def names(snapshot: ProjectSnapshot) -> list[tuple[str, tuple]]:
         return [
-            (name, masked(tuple(tokenize(rules.apply(name, FIELD_CLASS_NAME, snapshot.role)))))
+            (name, masked(tuple(normalize_field(name, FIELD_CLASS_NAME, snapshot.role, rules))))
             for name in sorted(snapshot.class_index)
         ]
 
@@ -193,7 +194,8 @@ def generate_pairs(
     cfg: PrefilterConfig | None = None,
 ) -> list[CandidatePair]:
     """Pair methods within retained class pairs, dropping pairs whose line
-    counts diverge (ratio >= cutoff) or whose body embeddings disagree."""
+    counts diverge (ratio >= cutoff) or whose body embeddings disagree. A
+    snapshot declares each class and record id once, so no pair repeats."""
     cfg = cfg or PrefilterConfig()
     embedder = BagOfTokensEmbedder()
     by_class_left: dict[str, list[MethodRecord]] = {}
@@ -203,19 +205,14 @@ def generate_pairs(
     for rec in right.records:
         by_class_right.setdefault(rec.class_name, []).append(rec)
     out: list[CandidatePair] = []
-    seen: set[tuple[str, str]] = set()
     for cp in classes:
         for lrec in by_class_left.get(cp.left, []):
             for rrec in by_class_right.get(cp.right, []):
-                key = (lrec.id, rrec.id)
-                if key in seen:
-                    continue
                 ratio = max(lrec.loc, rrec.loc) / min(lrec.loc, rrec.loc)
                 if ratio >= cfg.line_ratio_cutoff:
                     continue
                 if embedder.similarity(lrec, rrec) < cfg.embed_threshold:
                     continue
-                seen.add(key)
                 out.append(CandidatePair(lrec.id, rrec.id, "prefilter"))
     out.sort(key=lambda p: (p.left, p.right))
     return out

@@ -4,9 +4,9 @@ A ProjectSnapshot is the parsed view of one Java source tree: every concrete
 method as a MethodRecord plus a ClassRecord index. Snapshots are written as
 JSON Lines (one method per line) with a sidecar JSON file holding project
 metadata and the class index, so every later stage can run from files alone.
-Detector reports bind to methods here too: ``ProjectSnapshot.resolve_path``
-maps a reported file path onto the snapshot, and ``match_fragment`` binds a
-reported line span.
+Detector reports bind to methods here too: ``ProjectSnapshot.resolve_key``
+maps a reported method key, ``resolve_path`` a reported file path, and
+``match_fragment`` binds a reported line span.
 
 It also holds remap's one JSON decoder and JSONL reader and its writers:
 ``write_jsonl`` writes sort-keyed rows, each ``encode_sorted`` as it arrives,
@@ -17,6 +17,7 @@ makes the directory.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -228,7 +229,8 @@ class ProjectSnapshot:
 
     ``role`` must be "original" or "redesigned"; scoring resolves renaming
     rules against it. Records are kept sorted by (file path, start line) so
-    repeated extraction of the same tree is byte-identical.
+    repeated extraction of the same tree is byte-identical. A class name or
+    record id that appears twice is a ValueError, so each names one thing.
     """
 
     def __init__(
@@ -247,6 +249,11 @@ class ProjectSnapshot:
         self.root_path = root_path
         self.records = sorted(records, key=lambda r: (r.span.file_path, r.span.start_line))
         self.class_index = {c.qualified_name: c for c in classes}
+        for what, keys in (("class", [c.qualified_name for c in classes]),
+                           ("record id", [r.id for r in self.records])):
+            repeated = [key for key, n in Counter(keys).items() if n > 1]
+            if repeated:
+                raise ValueError(f"{what} {repeated[0]} appears twice")
         for rec in self.records:
             if rec.class_name not in self.class_index:
                 raise ValueError(
@@ -255,12 +262,11 @@ class ProjectSnapshot:
         self.summary = summary or ExtractionSummary()
         self._by_id = {r.id: r for r in self.records}
         self._by_file: dict[str, list[MethodRecord]] = {}
-        self._by_sig: dict[str, list[MethodRecord]] = {}
-        self._by_short: dict[str, list[MethodRecord]] = {}
+        self._by_key: dict[str, list[MethodRecord]] = {}  # signature and Class#method keys
         for r in self.records:
             self._by_file.setdefault(r.span.file_path, []).append(r)
-            self._by_sig.setdefault(r.signature_key, []).append(r)
-            self._by_short.setdefault(f"{r.class_name}#{r.method_name}", []).append(r)
+            for key in (r.signature_key, f"{r.class_name}#{r.method_name}"):
+                self._by_key.setdefault(key, []).append(r)
         self.root_prefix = Path(root_path).as_posix().rstrip("/") + "/"
         dirs = self.root_prefix.strip("/").split("/")
         self._root_tails = ["/".join(dirs[k:]) + "/" for k in range(len(dirs))]  # longest first
@@ -310,16 +316,14 @@ class ProjectSnapshot:
     def resolve_key(self, key: str) -> MethodRecord | None:
         """Resolve a full id, a signature key, or a class#method key.
 
-        Returns None when absent or ambiguous.
+        Returns None when absent or ambiguous. One index holds both kinds
+        of key; they cannot collide, as only a signature holds ``(``.
         """
         rec = self._by_id.get(key)
         if rec is not None:
             return rec
-        for index in (self._by_sig, self._by_short):
-            matches = index.get(key)
-            if matches is not None:
-                return matches[0] if len(matches) == 1 else None
-        return None
+        matches = self._by_key.get(key, ())
+        return matches[0] if len(matches) == 1 else None
 
     def to_sidecar_dict(self) -> dict:
         return {

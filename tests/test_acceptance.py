@@ -13,7 +13,6 @@ from pathlib import Path
 from remap.evalkit import (
     ConfusionCounts,
     LabeledPair,
-    TrainingExample,
     TunerConfig,
     evaluate,
     metrics_from_confusion,
@@ -32,7 +31,7 @@ from remap.normalizer import (
     SOOT_SOOTUP_RULES,
 )
 from remap.normalizer import NormalizedDetails
-from remap.simcore import SASBreakdown, WeightConfig, aggregate, components
+from remap.simcore import FIELDS, SASBreakdown, WeightConfig, aggregate, components
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
 
@@ -286,6 +285,13 @@ def test_acceptance_end_to_end_exhaustive_summary():
     report("Exhaustive pipeline summary matches the planted design", ok, str(summary))
 
 
+def scored_row(i: int, fields: dict) -> MappingResult:
+    """A scored row whose breakdown holds the measured ``fields``, by name;
+    the tuner reads nothing else of a row but its key."""
+    b = SASBreakdown(*(fields[name] for name in FIELDS), 0.0, 0.0, 0.0, 0.0, "ALL")
+    return MappingResult(f"l{i:03d}", f"r{i:03d}", "syn", b, False, None)
+
+
 def test_acceptance_tuner_grid_search():
     rng = random.Random(4242)
 
@@ -299,7 +305,7 @@ def test_acceptance_tuner_grid_search():
             "return_type": f(), "param": f(), "local_var": f(),
             "method_doc": None, "comment": lo(),
         }
-        return TrainingExample((f"l{i:03d}", f"r{i:03d}"), fields, positive)
+        return scored_row(i, fields), positive
 
     training = [example(i, i < 12) for i in range(40)]
     k = 12
@@ -307,8 +313,9 @@ def test_acceptance_tuner_grid_search():
 
     def objective(weights):
         rows = []
-        for ex in training:
-            g = lambda n, a=0.0: ex.fields[n] if ex.fields[n] is not None else a
+        for row, positive in training:
+            fields = {n: getattr(row.breakdown, f"sim_{n}") for n in FIELDS}
+            g = lambda n, a=0.0: fields[n] if fields[n] is not None else a
             cls = g("class_name") + (1 - g("class_name")) * g("class_doc")
             hdr = (
                 weights.delta * g("method_name")
@@ -316,13 +323,13 @@ def test_acceptance_tuner_grid_search():
                 + weights.phi * g("param", 1.0)
             )
             present = [
-                ex.fields[n]
+                fields[n]
                 for n in ("local_var", "method_doc", "comment")
-                if ex.fields[n] is not None
+                if fields[n] is not None
             ]
             opt = sum(present) / len(present) if present else 0.0
             score = weights.alpha * cls + weights.beta * hdr + weights.theta * opt
-            rows.append((score, ex.key, ex.label))
+            rows.append((score, row.key, positive))
         rows.sort(key=lambda r: (-r[0], r[1]))
         return sum(1 for r in rows[:k] if r[2])
 
@@ -334,16 +341,16 @@ def test_acceptance_tuner_grid_search():
     )
     # constant-objective fixture: a single positive that tops every ranking
     const = [
-        TrainingExample(("l0", "r0"), {
+        (scored_row(0, {
             "class_name": 1.0, "class_doc": None, "method_name": 1.0,
             "return_type": 1.0, "param": 1.0, "local_var": 1.0,
             "method_doc": 1.0, "comment": 1.0,
-        }, True),
-        TrainingExample(("l1", "r1"), {
+        }), True),
+        (scored_row(1, {
             "class_name": 0.0, "class_doc": None, "method_name": 0.0,
             "return_type": 0.0, "param": 0.0, "local_var": 0.0,
             "method_doc": 0.0, "comment": 0.0,
-        }, False),
+        }), False),
     ]
     balanced = tune(const, TunerConfig(grid_step=0.25))
     balanced_ok = (

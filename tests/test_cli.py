@@ -216,6 +216,14 @@ def _write_labels(path, left_snap, right_snap):
             ])
 
 
+def test_committed_toy_labels_are_the_planted_pairs(pipeline, tmp_path):
+    """``tests/fixtures/toy/labels.csv``, which the console-script CI step
+    evaluates and tunes on, holds what ``_write_labels`` writes."""
+    work, left, right, _ = pipeline
+    _write_labels(tmp_path / "labels.csv", left, right)
+    assert (FIXTURE / "labels.csv").read_bytes() == (tmp_path / "labels.csv").read_bytes()
+
+
 def test_eval_sweep_tune_ablate_impact(pipeline, tmp_path):
     work, left, right, pairs = pipeline
     labels = tmp_path / "labels.csv"
@@ -559,6 +567,8 @@ def test_scored_row_fields_keep_their_json_types(scored, tmp_path, capsys):
     ("left_key,right_key,is_code_mapping\na,b,true\n", "line 1: the header lacks clone_type"),
     ('left_key,right_key,clone_type,is_code_mapping\n"' + "x" * 200_000 + '",b,T1,true\n',
      "line 2: field larger than field limit"),
+    ("left_key,right_key,clone_type,is_code_mapping\na,b,T1,true\na,b,non_clone,false\n",
+     "line 3: a / b is already labeled on line 2"),
 ])
 def test_bad_labels_file_is_usage_error(scored, tmp_path, capsys, text, culprit):
     scores, labels = scored
@@ -602,6 +612,27 @@ def test_bad_snapshot_sidecar_is_usage_error(pipeline, tmp_path, capsys, edit, c
     assert code == 2
     assert err["error"] == "usage"
     assert f"invalid left snapshot {bad}: sidecar {tmp_path / 'left.classes.json'}: {culprit}" in err["message"]
+
+
+@pytest.mark.parametrize("repeat", ["class", "record"])
+def test_snapshot_that_repeats_a_class_or_record_is_usage_error(pipeline, tmp_path, capsys, repeat):
+    work, left, right, pairs = pipeline
+    lines = left.read_text().splitlines(keepends=True)
+    meta = json.loads(left.with_suffix(".classes.json").read_text())
+    if repeat == "class":
+        meta["classes"].append({**meta["classes"][0], "class_doc": "a second doc"})
+        culprit = f"class {meta['classes'][0]['qualified_name']}"
+    else:
+        lines.append(lines[0])
+        culprit = f"record id {json.loads(lines[0])['id']}"
+    bad = tmp_path / "left.jsonl"
+    bad.write_text("".join(lines))
+    (tmp_path / "left.classes.json").write_text(json.dumps(meta))
+    code, err = _main_error(capsys, "pairs", "--mode", "exhaustive", "--left", bad, "--right", right,
+                            "--out", tmp_path / "p.jsonl")
+    assert code == 2
+    assert err["error"] == "usage"
+    assert err["message"] == f"invalid left snapshot {bad}: {culprit} appears twice"
 
 
 def test_sweep_zero_step_is_usage_error(pipeline, tmp_path, capsys):
@@ -846,7 +877,7 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
             expected[mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
         assert json.loads((tmp_path / "ablate.json").read_text()) == expected, pairs_file
 
-        code_types = cli._pair_code_type(loaded, lsnap, rsnap)
+        code_types = evalkit.code_types(loaded, lsnap, rsnap)
         baseline = {r.key: r.sas for r in rows["ALL"]}
         expected = {
             mode: evalkit.rule_impact(baseline, {r.key: r.sas for r in rows[mode]}, code_types)
@@ -868,7 +899,7 @@ def test_manifests_count_distinct_measurements(pipeline, tmp_path):
     assert cli.main(["pairs", "--mode", "exhaustive", "--left", str(left), "--right", str(right),
                      "--out", str(pairs)]) == 0
     lsnap, rsnap, loaded = load_snapshot(left), load_snapshot(right), load_pairs(pairs)
-    distinct = {rules.name: len({sims for _, sims in mapper.measure_pairs(loaded, lsnap, rsnap, rules)})
+    distinct = {rules.name: len(set(mapper.measure_pairs(loaded, lsnap, rsnap, rules)))
                 for rules in (SOOT_SOOTUP_RULES, EMPTY_RULESET)}
     assert distinct[SOOT_SOOTUP_RULES.name] < len(loaded) == 756
     with_rules = {SOOT_SOOTUP_RULES.name: distinct[SOOT_SOOTUP_RULES.name]}

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from remap.evalkit import (
     ConfusionCounts,
     LabeledPair,
-    TrainingExample,
     TunerConfig,
+    code_types,
     evaluate,
     load_labels,
     metrics_from_confusion,
@@ -124,6 +124,9 @@ def test_labels_csv_roundtrip(tmp_path):
      "line 4: unknown clone type: 'T9'"),  # a quoted field spans lines 3-4
     ("left_key,right_key,clone_type,is_code_mapping\na,b,non_clone,true\n", "line 2: a / b: code mappings"),
     ("left_key,clone_type\n", "line 1: the header lacks right_key, is_code_mapping"),
+    # eval would count the pair twice, and tune keep only one of its labels
+    ("left_key,right_key,clone_type,is_code_mapping\na,b,T1,true\nc,d,T1,true\na,b,non_clone,false\n",
+     "line 4: a / b is already labeled on line 2"),
 ])
 def test_labels_csv_names_the_bad_line(tmp_path, text, culprit):
     path = tmp_path / "labels.csv"
@@ -207,6 +210,19 @@ def test_impact_grouped_by_code_type():
     assert report["production"]["max_sas_change"] == pytest.approx(0.5)
 
 
+def test_code_types_from_each_side_is_test():
+    from types import SimpleNamespace as Rec
+
+    from remap.prefilter import CandidatePair
+
+    left = {"a": Rec(is_test=False), "t": Rec(is_test=True)}
+    right = {"b": Rec(is_test=False), "u": Rec(is_test=True)}
+    pairs = [CandidatePair(lid, rid, "x") for lid, rid in (("a", "b"), ("t", "u"), ("a", "u"), ("t", "b"), ("a", "x"))]
+    assert code_types(pairs, left, right) == {
+        ("a", "b"): "production", ("t", "u"): "test", ("a", "u"): "mixed", ("t", "b"): "mixed",
+    }
+
+
 def test_impact_ranks_equal_scores_by_pair_key():
     # full run: l000 ranks 1, l001 ranks 2 on the key; the exclusion run
     # swaps them, and the first key in order holds the reported change
@@ -223,13 +239,14 @@ def oracle_objective(examples, weights, k):
     a, b, t = weights.alpha, weights.beta, weights.theta
     d, e, f = weights.delta, weights.eta, weights.phi
     rows = []
-    for ex in examples:
-        g = lambda name, absent=0.0: ex.fields[name] if ex.fields[name] is not None else absent
+    for row, positive in examples:
+        fields = {name: getattr(row.breakdown, f"sim_{name}") for name in FIELDS}
+        g = lambda name, absent=0.0: fields[name] if fields[name] is not None else absent
         sim_class = g("class_name") + (1 - g("class_name")) * g("class_doc")
         header = d * g("method_name") + e * g("return_type") + f * g("param", 1.0)
-        present = [ex.fields[n] for n in ("local_var", "method_doc", "comment") if ex.fields[n] is not None]
+        present = [fields[n] for n in ("local_var", "method_doc", "comment") if fields[n] is not None]
         opt = sum(present) / len(present) if present else 0.0
-        rows.append((a * sim_class + b * header + t * opt, ex.key, ex.label))
+        rows.append((a * sim_class + b * header + t * opt, row.key, positive))
     rows.sort(key=lambda r: (-r[0], r[1]))
     return sum(1 for r in rows[:k] if r[2])
 
@@ -241,7 +258,7 @@ def example(i, label_, **fields):
         "method_doc": None, "comment": None,
     }
     base.update(fields)
-    return TrainingExample((f"l{i:03d}", f"r{i:03d}"), base, label_)
+    return result(i, 0.0, fields=base), label_  # tune reads a row's key and measured fields
 
 
 def test_simplex_grid_counts():
@@ -301,10 +318,11 @@ def brute_force_tune(training, step, k):
     for a, b, c, n in simplex_grid(step):
         for d, e, f, _ in simplex_grid(step):
             w = WeightConfig(a / n, b / n, c / n, d / n, e / n, f / n)
-            sas = {ex.key: aggregate(tuple(ex.fields[name] for name in FIELDS), w).sas for ex in training}
-            ranked = sorted(training, key=lambda ex: (-sas[ex.key], ex.key))
+            sas = {row.key: aggregate(tuple(getattr(row.breakdown, f"sim_{name}") for name in FIELDS), w).sas
+                   for row, _ in training}
+            ranked = sorted(training, key=lambda ex: (-sas[ex[0].key], ex[0].key))
             ints = (a, b, c, d, e, f)
-            key = (sum(ex.label for ex in ranked[:k]), min(ints), ints)
+            key = (sum(positive for _, positive in ranked[:k]), min(ints), ints)
             if best is None or key > best[0]:
                 best = (key, w)
     return best[1]
@@ -392,10 +410,3 @@ def test_tune_working_set_is_bounded_by_the_block():
     assert peaks[1] < 1.5 * peaks[0]
     assert peaks[1] < 3_000_000
 
-
-def test_training_example_from_result():
-    r = result(0, 0.7, fields={"class_name": 0.5, "method_name": 0.25})
-    ex = TrainingExample.from_result(r, True)
-    assert ex.fields["class_name"] == 0.5
-    assert ex.fields["param"] is None
-    assert ex.label is True

@@ -265,6 +265,32 @@ def test_unparseable_file_is_skipped_not_fatal(tmp_path):
     assert snap.summary.failed_files[0][0] == "src/main/B.java"
 
 
+def test_a_later_file_that_declares_a_class_again_is_skipped(tmp_path):
+    # two copies of one class: both methods would get one id, and one class doc would be kept
+    source = "package p;\nclass A {\n\n  int f() {\n    int x = 1;\n    return x;\n  }\n}\n"
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "A.java").write_text(source)
+    (tmp_path / "b" / "C.java").write_text("package p;\nclass C { int g() { return 1; } }\n")
+    snap = extract(tmp_path)
+    assert [r.id for r in snap.records] == ["p.A#f():4-7", "p.C#g():2-2"]
+    assert snap.summary.failed_files == [("b/A.java", "class p.A is already declared in a/A.java")]
+    s = snap.summary
+    assert (s.files_seen, s.files_parsed, s.classes, s.methods) == (3, 2, 2, 2)
+
+
+@pytest.mark.parametrize("body, culprit", [
+    ("class A { int f() { return 1; } }\nclass A { int g() { return 2; } }\n", "class p.A"),
+    ("class A { int f() { return 1; } int f() { return 2; } }\n", "method p.A#f():2-2"),
+])
+def test_a_file_that_declares_a_name_twice_is_skipped(tmp_path, body, culprit):
+    (tmp_path / "A.java").write_text("package p;\n" + body)
+    (tmp_path / "Z.java").write_text("package p;\nclass A { int f() { return 1; } }\n")
+    snap = extract(tmp_path)  # a skipped file declares nothing, so it blocks no later file
+    assert [r.span.file_path for r in snap.records] == ["Z.java"] and list(snap.class_index) == ["p.A"]
+    assert snap.summary.failed_files == [("A.java", f"{culprit} is already declared in A.java")]
+
+
 @pytest.mark.parametrize("tail", ["public class", "public record", "class Inner { record"])
 def test_file_cut_after_a_type_keyword_is_skipped(tmp_path, tail):
     good = tmp_path / "src" / "main" / "A.java"

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remap.extractor import extract
-from remap.normalizer import EMPTY_RULESET, FIELD_CLASS_NAME, SOOT_SOOTUP_RULES, tokenize
+from remap import prefilter
+from remap.normalizer import (
+    BUNDLED_RULESETS, EMPTY_RULESET, FIELD_CLASS_NAME, SOOT_SOOTUP_RULES, normalize_record, tokenize,
+)
 from remap.prefilter import (
     BagOfTokensEmbedder,
     ClassPair,
@@ -128,6 +131,19 @@ def test_filter_classes_matches_full_scan(left_names, right_names, rules, t):
     got = filter_classes(left, right, rules, PrefilterConfig(class_sim_threshold=t), counters)
     assert got == _full_scan(left, right, rules, t)
     assert len(got) <= counters["class_pairs_scored"] <= len(left_names) * len(right_names)
+
+
+@pytest.mark.parametrize("rules", sorted(BUNDLED_RULESETS))
+def test_filter_classes_sees_the_class_name_tokens_that_scoring_sees(monkeypatch, rules):
+    rules = BUNDLED_RULESETS[rules]
+    compared = []  # the token sequences filter_classes masks, left classes then right, each in name order
+    monkeypatch.setattr(prefilter, "masked", lambda seq: compared.append(seq) or masked(seq))
+    left, right = extract(FIXTURE / "left", role="original"), extract(FIXTURE / "right", role="redesigned")
+    filter_classes(left, right, rules)
+    # a class's name tokens do not depend on the method, so any stands in for the class's own
+    expected = [normalize_record(method(name, "m", 1), snap.class_index[name], rules, snap.role).class_name
+                for snap in (left, right) for name in sorted(snap.class_index)]
+    assert compared == expected and len(expected) == len(left.class_index) + len(right.class_index)
 
 
 def test_filter_classes_keeps_pairs_at_a_float_edge():

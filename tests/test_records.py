@@ -138,6 +138,57 @@ def test_resolve_path_matches_linear_scan(data):
     assert snapshot.resolve_path(path) == _scan_resolve(path, root_path, files)
 
 
+def _scan_resolve_key(snapshot: ProjectSnapshot, key: str) -> MethodRecord | None:
+    """Reference: the record whose id is ``key``, else the one whose
+    signature key is, else the one whose ``Class#method`` key is, each
+    found by a linear scan; None when no record has the key, or several."""
+    for key_of in (lambda r: r.id, lambda r: r.signature_key, lambda r: f"{r.class_name}#{r.method_name}"):
+        found = [r for r in snapshot.records if key_of(r) == key]
+        if found:
+            return found[0] if len(found) == 1 else None
+    return None
+
+
+# few classes, names and parameter lists, so that records overload a name
+# and repeat a signature at other lines
+_METHODS = st.lists(
+    st.tuples(st.sampled_from(["p.A", "p.B", "q.A"]), st.sampled_from(["m", "n"]),
+              st.sampled_from([(), ("int",), ("String",), ("int", "String")]), st.integers(1, 3)),
+    min_size=1, max_size=8, unique=True,
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_resolve_key_matches_linear_scan(data):
+    records = [
+        MethodRecord(
+            class_name=cls, method_name=name, return_type="void",
+            params=tuple((t, f"a{i}") for i, t in enumerate(types)), local_vars=(), method_doc="",
+            inline_comments=(), span=SourceSpan(f"{cls}.java", start, start + 1), body_text="", is_test=False,
+        )
+        for cls, name, types, start in data.draw(_METHODS, "methods")
+    ]
+    classes = [ClassRecord(name, "") for name in sorted({r.class_name for r in records})]
+    snapshot = ProjectSnapshot("t", "original", "/t", records, classes)
+    keys = sorted({k for r in records for k in (r.id, r.signature_key, f"{r.class_name}#{r.method_name}")})
+    unknown = ["", "p.A", "p.C#m", "p.A#m(", "p.A#m(long)", "p.A#m():9-10", "q.A#n(int,String):1-1"]
+    key = data.draw(st.sampled_from(keys + unknown), "key")
+    assert snapshot.resolve_key(key) == _scan_resolve_key(snapshot, key)
+
+
+def test_snapshot_rejects_a_repeated_class_or_record_id(frag_snapshot):
+    rec = frag_snapshot.records[0]
+    cls = frag_snapshot.class_of(rec)
+    with pytest.raises(ValueError, match="^class p.A appears twice$"):
+        ProjectSnapshot("t", "original", "/t", [rec], [cls, ClassRecord("p.A", "another doc")])
+    twin = MethodRecord.from_dict(rec.to_dict())
+    with pytest.raises(ValueError, match=re.escape(f"record id {rec.id} appears twice")):
+        ProjectSnapshot("t", "original", "/t", [rec, twin], [cls])
+    with pytest.raises(ValueError, match=re.escape(f"record id {rec.id} appears twice")):
+        ProjectSnapshot("t", "original", "/t", [rec, rec], [cls])
+
+
 def test_match_resolves_the_reported_path(frag_snapshot):
     first = frag_snapshot.records[0]
     frag = SourceSpan(f"{frag_snapshot.root_path}/p/A.java", first.span.start_line, first.span.end_line)
