@@ -160,6 +160,13 @@ def _scored_arg(args) -> list:
     return _read_file(args, "scored", "scored file", mapper.load_results)
 
 
+def _labels_unmatched(labels: list, rows) -> int:
+    """The labels whose key names none of the scored rows or pairs ``rows``:
+    a label keyed otherwise than by the two record ids matches nothing."""
+    keys = {r.key for r in rows}
+    return sum(lab.key not in keys for lab in labels)
+
+
 MAX_THRESHOLDS = 10_000
 
 
@@ -277,7 +284,8 @@ def cmd_eval(args) -> dict:
         {"task": TASKS[args.task], "confusion": counts.to_dict(), "metrics": metrics.to_dict()},
     )
     print(json.dumps(metrics.to_dict(), sort_keys=True))
-    return {"labeled": len(labels), "kept": len(kept), **counts.to_dict()}
+    return {"labeled": len(labels), "labels_unmatched": _labels_unmatched(labels, scored), "kept": len(kept),
+            **counts.to_dict()}
 
 
 def cmd_sweep(args) -> dict:
@@ -301,7 +309,7 @@ def cmd_sweep(args) -> dict:
     }
     write_json(args.out, payload)
     print(json.dumps({"best_threshold": best}, sort_keys=True))
-    return {"points": len(points)}
+    return {"points": len(points), "labels_unmatched": _labels_unmatched(labels, scored)}
 
 
 def cmd_ablate(args) -> dict:
@@ -316,7 +324,7 @@ def cmd_ablate(args) -> dict:
         report[column.mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
     write_json(args.out, report)
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
-    return {**counters, "settings": len(report)}
+    return {**counters, "settings": len(report), "labels_unmatched": _labels_unmatched(labels, pairs)}
 
 
 def cmd_impact(args) -> dict:
@@ -351,6 +359,7 @@ def cmd_tune(args) -> dict:
     grid_points = len(evalkit.simplex_grid(cfg.grid_step))
     return {
         "training": len(training),
+        "labels_unmatched": _labels_unmatched(labels, scored),
         "k": evalkit.top_k(training, cfg),
         "grid_points": grid_points,
         "weight_configs": grid_points ** 2,

@@ -14,13 +14,13 @@ reads the report formats.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
-from .prefilter import FORMAT_VERSION, CandidatePair
-from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment, parse_json, read_jsonl
+from .prefilter import FORMAT_VERSION, PAIR_LINE, CandidatePair
+from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment, parse_json, read_lines
 
 
 class IngestError(RuntimeError):
@@ -182,7 +182,7 @@ def _pair_from_json(obj, strings: dict[str, str]) -> CandidatePair:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
     version = obj.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # not true, not 1.0
         raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}")
     for side in ("left", "right"):
         fragment = obj.get(side)
@@ -192,12 +192,30 @@ def _pair_from_json(obj, strings: dict[str, str]) -> CandidatePair:
     return CandidatePair._make(map(strings.setdefault, values, values))
 
 
+# ``PAIR_LINE`` with strings that hold no quote, backslash or control character, which JSON
+# decodes to themselves: the line of any such pair that ``save_pairs`` wrote
+_PAIR_LINE = re.compile(re.escape(PAIR_LINE).replace("%s", r'"([^"\\\x00-\x1f]*)"'))
+
+
 def load_pairs(path: str | Path) -> list[CandidatePair]:
     """Load key-based pair JSONL previously written by this tool.
 
     Raises ValueError naming the first line that is not a format-1 pair
     object with ``left.key`` and ``right.key`` strings and a string
-    ``detector``, if any. A file repeats few ids over many pairs, so the
-    pairs share one string object per distinct id and detector.
+    ``detector``, if any. A line of ``save_pairs``' own shape is read by one
+    regex match, any other is decoded as JSON, to the same pair. A file
+    repeats few ids over many pairs, so the pairs share one string object
+    per distinct id and detector.
     """
-    return read_jsonl(path, partial(_pair_from_json, strings={}))
+    strings: dict[str, str] = {}
+    match = _PAIR_LINE.fullmatch
+
+    def parse(line: str) -> CandidatePair:
+        m = match(line)
+        if m is None:
+            return _pair_from_json(parse_json(line), strings)
+        detector, left, right = m.groups()
+        return CandidatePair(strings.setdefault(left, left), strings.setdefault(right, right),
+                             strings.setdefault(detector, detector))
+
+    return read_lines(path, parse)

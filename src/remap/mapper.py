@@ -5,6 +5,11 @@
 column per ablation mode. A summary only counts a column's kept scores; a
 jsonl or csv report sorts the pairs and builds each row only as it is written.
 
+``measure_pairs`` measures a run of pairs that share a left record, as a
+cross product gives, by one kernel pass per left field over the run's right
+fields packed side by side (``simcore.pack_row``), and a short run, as a
+detector's report or the class pre-filter mostly gives, pair by pair.
+
 A column holds no object per pair, and each distinct measurement once:
 ``pack_fields`` gives each pair a 4-byte code (``array('I')``) of a row in a
 table of 8 doubles per distinct ``measure``d 8-tuple (``array('d')``,
@@ -20,7 +25,7 @@ where it is aggregated, so the NaN rule stays in this module.
 ``ScoreColumn.of`` aggregates each table row once and fills the pairs'
 scores through their codes; ``ranked`` shares one breakdown among the rows
 of one code tied at one score, and ``report`` encodes the numeric fields of
-each shared breakdown once."""
+each shared breakdown once and each distinct id once."""
 
 from __future__ import annotations
 
@@ -29,13 +34,18 @@ import math
 import struct
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
-from .records import ProjectSnapshot, check_fields, encode_sorted, open_output, read_jsonl
-from .simcore import ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, prepare
+from .records import EncodedStrings, ProjectSnapshot, check_fields, encode_sorted, open_output, read_jsonl
+from .simcore import (
+    ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, pack_row, packed_sims,
+    prepare,
+)
 
 TASK_GENUINE_CLONE = "genuine_clone"
 TASK_CODE_MAPPING = "code_mapping"
@@ -88,11 +98,34 @@ class UnresolvedPairError(RuntimeError):
     pass
 
 
+_WIDTH = len(FIELDS)  # doubles per table row of a packed measurement, and fields per measurement
+
+# the shortest run that ``measure_pairs`` packs: a shorter one costs less pair by pair
+RUN_MIN = 4
+RUN_CAP = 128  # pairs per packed run, so a run's kernel row stays a few thousand bits
+# run packs that ``measure_pairs`` keeps at once: a cross product reuses every pack while the
+# right side has at most RUN_CACHE_CAP * RUN_CAP methods; a pack of 128 right methods of the
+# benchmark's traffic holds about 230 KB
+RUN_CACHE_CAP = 64
+
+
+def _runs(pairs: Iterable[CandidatePair]) -> Iterator[list[CandidatePair]]:
+    """The pairs in order, as runs of consecutive pairs that share a left id;
+    a longer run is split evenly into runs of at most ``RUN_CAP``."""
+    for _, group in groupby(pairs, attrgetter("left")):
+        run = list(group)
+        parts = -(-len(run) // RUN_CAP)  # ceiling divisions
+        size = -(-len(run) // parts)
+        for start in range(0, len(run), size):
+            yield run[start:start + size]
+
+
 def measure_pairs(
     pairs: Iterable[CandidatePair],
     left: ProjectSnapshot,
     right: ProjectSnapshot,
     rules: RuleSet,
+    counters: dict | None = None,
 ) -> Iterator[tuple]:
     """Yield each candidate pair's ``measure``d fields under ``rules``, in order.
 
@@ -100,10 +133,22 @@ def measure_pairs(
     file was produced against different snapshots). Each record is
     normalized once, and the class-level similarities taken once per class
     pair.
+
+    Pairs are taken in runs that share a left record (``_runs``). A run of
+    at least ``RUN_MIN`` pairs packs each of its right records' six method
+    fields into one row per field (``pack_row``), and each left field takes
+    one kernel pass over its row; a shorter run costs less pair by pair. The
+    rows are kept by the run's right ids, so a cross product builds them
+    once; all are dropped once ``RUN_CACHE_CAP`` are kept. Either way each
+    similarity is ``masked_sim``'s, bit for bit. ``counters``, when given,
+    receives ``packed_pairs``, the pairs measured in packed runs, and
+    ``run_packs_built`` once the pairs are exhausted.
     """
     prepared_left: dict[str, tuple] = {}
     prepared_right: dict[str, tuple] = {}
     class_pairs: dict[tuple[str, str], tuple] = {}
+    packs: dict[tuple[str, ...], tuple] = {}  # a run's right ids -> their prepared records and rows
+    packed_pairs = packs_built = 0
 
     def prepared(snapshot: ProjectSnapshot, cache: dict, rec_id: str) -> tuple:
         entry = cache.get(rec_id)
@@ -117,16 +162,36 @@ def measure_pairs(
             entry = cache[rec_id] = (rec.class_name, prepare(details))
         return entry
 
-    for pair in pairs:
-        lclass, p1 = prepared(left, prepared_left, pair.left)
-        rclass, p2 = prepared(right, prepared_right, pair.right)
-        class_pair = class_pairs.get((lclass, rclass))
-        if class_pair is None:
-            class_pair = class_pairs[(lclass, rclass)] = class_sims(p1, p2)
-        yield measure(p1, p2, class_pair)
+    def class_pair(lclass: str, p1: tuple, rclass: str, p2: tuple) -> tuple:
+        sims = class_pairs.get((lclass, rclass))
+        if sims is None:
+            sims = class_pairs[(lclass, rclass)] = class_sims(p1, p2)
+        return sims
+
+    for run in _runs(pairs):
+        lclass, p1 = prepared(left, prepared_left, run[0].left)
+        if len(run) < RUN_MIN:
+            for pair in run:
+                rclass, p2 = prepared(right, prepared_right, pair.right)
+                yield measure(p1, p2, class_pair(lclass, p1, rclass, p2))
+            continue
+        key = tuple(pair.right for pair in run)
+        pack = packs.get(key)
+        if pack is None:
+            if len(packs) == RUN_CACHE_CAP:
+                packs.clear()
+            rights = [prepared(right, prepared_right, rec_id) for rec_id in key]
+            pack = packs[key] = rights, [pack_row([p2[f] for _, p2 in rights]) for f in range(2, _WIDTH)]
+            packs_built += 1
+        rights, rows = pack
+        columns = [packed_sims(a, row) for a, row in zip(p1[2:], rows)]
+        for (rclass, p2), sims in zip(rights, zip(*columns)):
+            yield class_pair(lclass, p1, rclass, p2) + sims
+        packed_pairs += len(run)
+    if counters is not None:
+        counters.update(packed_pairs=packed_pairs, run_packs_built=packs_built)
 
 
-_WIDTH = len(FIELDS)  # doubles per table row of a packed measurement
 _PACK = struct.Struct(f"{_WIDTH}d").pack  # native doubles, as array('d') holds them
 
 # distinct measurements ``pack_fields`` remembers at once, about 0.6 MB of
@@ -203,17 +268,20 @@ def score_columns(
     """Yield the ``ScoreColumn`` of each ablation mode in turn. The pairs are
     measured once per rule set, with the rules and, for EXR1, which disables
     renaming, without them; every mode aggregates one of those measurements.
-    ``counters``, when given, receives ``distinct_measurements``: the table
-    rows of each measured rule set, by rule-set name."""
+    ``counters``, when given, receives, by rule-set name, each measured rule
+    set's ``distinct_measurements`` (its table rows) and its
+    ``measure_pairs`` counts, ``packed_pairs`` and ``run_packs_built``."""
     measured = {}
     for mode in modes:
         if mode not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode: {mode!r}")
         mode_rules = EMPTY_RULESET if mode == "EXR1" else rules
         if mode_rules not in measured:
-            _, table = measured[mode_rules] = pack_fields(measure_pairs(pairs, left, right, mode_rules))
+            runs = {}
+            _, table = measured[mode_rules] = pack_fields(measure_pairs(pairs, left, right, mode_rules, runs))
             if counters is not None:
-                counters.setdefault("distinct_measurements", {})[mode_rules.name] = len(table) // _WIDTH
+                for name, count in (("distinct_measurements", len(table) // _WIDTH), *runs.items()):
+                    counters.setdefault(name, {})[mode_rules.name] = count
         yield ScoreColumn.of(mode, weights, measured[mode_rules])
 
 
@@ -251,11 +319,17 @@ def ranked(pairs: list[CandidatePair], column: ScoreColumn, threshold: float) ->
         yield MappingResult(left, right, provenance, breakdown, kept, position if kept else None)
 
 
+_TAIL_FIELDS = SASBreakdown._fields[:12]  # a row's numeric fields: every key from "sas" on
+
+
 def _jsonl_lines(results: Iterable[MappingResult]) -> Iterator[str]:
-    """Each result's ``encode_sorted(r.to_dict())`` line. Its numeric tail,
-    from ``"sas"`` on, depends only on its breakdown, and every other key
-    sorts before ``"sas"``; so a row whose breakdown object an earlier row
-    at its score had encodes only its head and reuses that row's tail."""
+    """Each result's ``encode_sorted(r.to_dict())`` line, built from pieces.
+    Its keys sort as a head of strings, a bool and a rank, up to
+    ``"right"``, and then a numeric tail, from ``"sas"`` on. The head's
+    strings are encoded once per distinct string. The tail depends only on
+    the breakdown, so a row whose breakdown object an earlier row at its
+    score had reuses that row's tail."""
+    strings = EncodedStrings()
     # (breakdown, its line's tail) at tails_sas. An entry is found by value, so the dict holds
     # one per distinct breakdown however many equal objects a caller passes, but used only for
     # the object it holds: an equal one may encode otherwise (1 and 1.0)
@@ -266,15 +340,11 @@ def _jsonl_lines(results: Iterable[MappingResult]) -> Iterator[str]:
             tails.clear()
             tails_sas = b.sas
         entry = tails.get(b)
-        if entry is not None and entry[0] is b:
-            head = encode_sorted({"ablation": b.ablation, "kept": r.kept, "left": r.left,
-                                  "provenance": r.provenance, "rank": r.rank, "right": r.right})
-            yield f"{head[:-1]}, {entry[1]}\n"
-        else:
-            line = encode_sorted(r.to_dict())
-            # a quote inside an encoded string is escaped, so this is the "sas" key
-            tails[b] = (b, line[line.index(', "sas": ') + 2:])
-            yield line + "\n"
+        if entry is None or entry[0] is not b:
+            entry = tails[b] = (b, encode_sorted(dict(zip(_TAIL_FIELDS, b)))[1:])
+        yield (f'{{"ablation": {strings[b.ablation]}, "kept": {"true" if r.kept else "false"}, '
+               f'"left": {strings[r.left]}, "provenance": {strings[r.provenance]}, '
+               f'"rank": {"null" if r.rank is None else r.rank}, "right": {strings[r.right]}, {entry[1]}\n')
 
 
 def report(results: Iterable[MappingResult], out: str | Path, fmt: str = "jsonl") -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .normalizer import FIELD_CLASS_NAME, RuleSet, normalize_field, tokenize
-from .records import MethodRecord, ProjectSnapshot, write_jsonl
+from .records import EncodedStrings, MethodRecord, ProjectSnapshot, open_output
 from .simcore import masked, masked_sim
 
 
@@ -42,6 +42,9 @@ class ClassPair:
 
 
 FORMAT_VERSION = 1  # of the pairs JSONL that ``save_pairs`` writes and ``ingest.load_pairs`` reads
+# a pair's line, ``encode_sorted(pair.to_dict())``, with the JSON encodings of its detector,
+# left and right ids in place of the ``%s``: the one shape that ``save_pairs`` writes
+PAIR_LINE = '{"detector": %s, "format_version": ' + str(FORMAT_VERSION) + ', "left": {"key": %s}, "right": {"key": %s}}'
 
 
 class CandidatePair(NamedTuple):
@@ -229,4 +232,8 @@ def exhaustive_pairs(
 
 
 def save_pairs(pairs: list[CandidatePair], out: Path) -> None:
-    write_jsonl(out, (p.to_dict() for p in pairs))
+    """Write each pair's ``PAIR_LINE``, its strings encoded once per distinct string."""
+    strings = EncodedStrings()
+    with open_output(out) as fh:
+        fh.writelines(PAIR_LINE % (strings[p.provenance], strings[p.left], strings[p.right]) + "\n"
+                      for p in pairs)

@@ -52,6 +52,22 @@ def open_output(path: str | Path, newline: str | None = None):
 # a row's sort-keyed JSON; json.dumps would build one encoder per call
 encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
+# strings an ``EncodedStrings`` keeps at once, about 0.5 MB of method ids
+ENCODED_CAP = 4096
+
+
+class EncodedStrings(dict):
+    """``encode_sorted`` of each string looked up, kept for the next lookup of
+    that string: a writer that builds lines from pieces repeats a few ids over
+    many rows. Cleared once it holds ``ENCODED_CAP`` strings, so memory stays
+    bounded when the strings do not repeat."""
+
+    def __missing__(self, s: str) -> str:
+        if len(self) >= ENCODED_CAP:
+            self.clear()
+        piece = self[s] = encode_sorted(s)
+        return piece
+
 
 def write_jsonl(path: str | Path, rows: Iterable) -> None:
     """Write each row as one line of sort-keyed JSON as soon as it arrives."""
@@ -74,11 +90,11 @@ def parse_json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
-def read_jsonl(path: str | Path, parse) -> list:
-    """``parse`` of each non-blank line's JSON value, in file order.
+def read_lines(path: str | Path, parse) -> list:
+    """``parse`` of each non-blank line, stripped, in file order.
 
-    Raises ValueError naming the first line that is not JSON or that
-    ``parse`` rejects with a ValueError.
+    Raises ValueError naming the first line that ``parse`` rejects with a
+    ValueError.
     """
     out = []
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -87,10 +103,19 @@ def read_jsonl(path: str | Path, parse) -> list:
             if not line:
                 continue
             try:
-                out.append(parse(parse_json(line)))
+                out.append(parse(line))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return out
+
+
+def read_jsonl(path: str | Path, parse) -> list:
+    """``parse`` of each non-blank line's JSON value, in file order.
+
+    Raises ValueError naming the first line that is not JSON or that
+    ``parse`` rejects with a ValueError.
+    """
+    return read_lines(path, lambda line: parse(parse_json(line)))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,10 @@ score it ranks by has the bits ``aggregate`` gives under the same weights.
 To score many pairs, ``prepare`` each record's fields (token sequences with
 their LCS match masks) once, take ``class_sims`` once per class pair, and
 ``measure`` each pair once; one measurement serves every weight config and
-every ablation mode but EXR1. ``components`` does it all for one pair.
+every ablation mode but EXR1. ``components`` does it all for one pair. To
+compare one field with the same field of many records, ``pack_row`` those
+fields once and take ``packed_sims``: one kernel pass for them all, with
+``masked_sim``'s similarities, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .lcs import lcs_masked, match_masks
+from .lcs import lcs_bits, match_masks, pack_masks
 from .normalizer import NormalizedDetails
 from .records import open_output, parse_json
 
@@ -139,9 +142,35 @@ def masked_sim(a: tuple, b: tuple) -> float | None:
     n, m = len(s1), len(s2)
     if n == 0 or m == 0:
         return None if n + m == 0 else 0.0
-    # walk the shorter sequence over the longer one's masks
-    lcs = lcs_masked(s2, a[1], n) if m <= n else lcs_masked(s1, b[1], m)
+    # walk the shorter sequence over the longer one's masks: a one-segment row
+    if m <= n:
+        lcs = n - lcs_bits(s2, a[1], (1 << n) - 1).bit_count()
+    else:
+        lcs = m - lcs_bits(s1, b[1], (1 << m) - 1).bit_count()
     return 2.0 * lcs / (n + m)
+
+
+def pack_row(seqs: list[tuple]) -> tuple:
+    """Several ``masked`` sequences side by side in one kernel row, for
+    ``packed_sims``. Build it once per list of sequences that one sequence
+    after another is compared with."""
+    lengths = [len(s[0]) for s in seqs]
+    masks, offsets, keep = pack_masks([s[1] for s in seqs], lengths)
+    top = sum(lengths) + len(lengths)  # the row's width, guards included
+    # with bit ``top`` set, a row prints as top + 1 binary digits, bit k at index top - k
+    spans = [(top - o - m + 1, top - o + 1, m) for o, m in zip(offsets, lengths)]
+    return masks, keep, 1 << top, spans
+
+
+def packed_sims(a: tuple, row: tuple) -> list:
+    """``masked_sim`` of ``a`` and each sequence of a ``pack_row`` row, in
+    order, by one kernel pass of ``a`` over the row."""
+    n = len(a[0])
+    masks, keep, top, spans = row
+    if n == 0:
+        return [None if m == 0 else 0.0 for _, _, m in spans]
+    bits = f"{lcs_bits(a[0], masks, keep) | top:b}"
+    return [2.0 * (m - bits.count("1", i, j)) / (n + m) if m else 0.0 for i, j, m in spans]
 
 
 def prepare(d: NormalizedDetails) -> tuple:

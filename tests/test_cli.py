@@ -425,6 +425,10 @@ def test_bad_rules_file_is_usage_error(pipeline, tmp_path, capsys, body, culprit
     ("[1]", "expected a JSON object"),
     ('{"format_version": 1, "left": {"key": "a"}}', "right.key"),
     ('{"format_version": 2, "left": {"key": "a"}, "right": {"key": "b"}}', "format_version 2"),
+    ('{"detector": "d", "format_version": true, "left": {"key": "a"}, "right": {"key": "b"}}',
+     "format_version True is not 1"),
+    ('{"detector": "d", "format_version": 1.0, "left": {"key": "a"}, "right": {"key": "b"}}',
+     "format_version 1.0 is not 1"),
     ('{"format_version": 1, "detector": null, "left": {"key": "a"}, "right": {"key": "b"}}',
      "detector None is not a string"),
 ])
@@ -888,7 +892,9 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
 
 def test_manifests_count_distinct_measurements(pipeline, tmp_path):
     """``score``, ``ablate`` and ``impact`` record the distinct ``measure``
-    tuples of each rule set they measure, ``none`` for EXR1's."""
+    tuples of each rule set they measure, ``none`` for EXR1's, and how many
+    pairs each measured in packed runs from how many run packs: the toy's
+    cross product pairs every left method with the same 27 right ones."""
     from remap import cli, mapper
     from remap.ingest import load_pairs
     from remap.normalizer import EMPTY_RULESET, SOOT_SOOTUP_RULES
@@ -913,6 +919,58 @@ def test_manifests_count_distinct_measurements(pipeline, tmp_path):
         out = argv[argv.index("--out") + 1]
         counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
         assert counters["distinct_measurements"] == expected, argv[0]
+        assert counters["packed_pairs"] == dict.fromkeys(expected, 756), argv[0]
+        assert counters["run_packs_built"] == dict.fromkeys(expected, 1), argv[0]
+
+
+def test_manifests_count_labels_that_match_no_row(pipeline, tmp_path):
+    """``eval``, ``sweep``, ``ablate`` and ``tune`` record how many labels
+    name no scored row or pair: the toy labels keyed by signatures, their
+    line spans dropped, match nothing. ``tune`` trains on matched labels
+    alone, so they do not change its weights."""
+    import csv
+    import re
+
+    from remap import cli
+
+    work, left, right, pairs = pipeline
+    with (FIXTURE / "labels.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, labels = rows[0], rows[1:]
+    signatures = [[re.sub(r":\d+-\d+$", "", key) for key in row[:2]] + row[2:] for row in labels]
+    assert all(sig[:2] != row[:2] for sig, row in zip(signatures, labels))
+
+    def labels_file(name, body):
+        path = tmp_path / name
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *body])
+        return path
+
+    full, mixed, signed = (labels_file("full.csv", labels), labels_file("mixed.csv", labels + signatures),
+                           labels_file("signed.csv", signatures))
+    scored = tmp_path / "scored.jsonl"
+    common = ["--left", str(left), "--right", str(right), "--rules", "soot-sootup", "--task", "cm"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["score", "--pairs", str(pairs), *common, "--threshold", "0.6", "--out", str(scored)]) == 0
+
+    def run(command, labels_path, out, *extra):
+        inputs = ["--pairs", str(pairs), *common] if command == "ablate" else ["--scored", str(scored), "--task", "cm"]
+        argv = [command, *inputs, "--labels", str(labels_path), *extra, "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+        return out.read_bytes(), json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+
+    for command, extra in (("eval", []), ("sweep", []), ("ablate", ["--threshold", "0.6"]),
+                           ("tune", ["--grid-step", "0.25"])):
+        out_full, counters_full = run(command, full, tmp_path / f"{command}.full.json", *extra)
+        out_mixed, counters_mixed = run(command, mixed, tmp_path / f"{command}.mixed.json", *extra)
+        assert counters_full["labels_unmatched"] == 0, command
+        assert counters_mixed["labels_unmatched"] == len(signatures), command
+        if command == "tune":  # with no label matched, tune has nothing to train on
+            assert out_mixed == out_full
+        else:
+            _, counters_signed = run(command, signed, tmp_path / f"{command}.signed.json", *extra)
+            assert counters_signed["labels_unmatched"] == len(labels), command
 
 
 def test_ablate_and_impact_neither_rank_nor_build_results(pipeline, tmp_path, monkeypatch):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from remap import ingest
 from remap.extractor import extract
 from remap.ingest import IngestError, ingest_generic, ingest_nicad_xml, load_pairs
-from remap.prefilter import save_pairs
+from remap.prefilter import CandidatePair, save_pairs
+from remap.records import encode_sorted
 
 LEFT_SOURCE = """\
 package soot;
@@ -278,6 +280,55 @@ def test_pairs_roundtrip(snapshots, tmp_path):
     save_pairs(pairs, out)
     loaded = load_pairs(out)
     assert [(p.left, p.right) for p in loaded] == [(p.left, p.right) for p in pairs]
+
+
+# strings that JSON escapes: quotes, backslashes, control, non-ASCII and line-separator characters
+_awkward = st.text(st.sampled_from('ab#:() "\\/\x00\x1f\x7f\x85\u00e9\u2028\U0001f600') | st.characters(),
+                   max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_awkward, _awkward, _awkward), max_size=5), st.booleans())
+def test_pair_lines_are_sorted_json_and_load_as_json_decodes_them(triples, ascii_only):
+    """``save_pairs`` writes each pair's ``encode_sorted`` line. ``load_pairs``
+    reads such a line, and one whose non-ASCII characters are left raw, to
+    the pair that decoding the line as JSON gives: the regex path where the
+    strings need no escape, the JSON path elsewhere."""
+    pairs = [CandidatePair(*t) for t in triples]
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "pairs.jsonl"
+        save_pairs(pairs, out)
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert lines == [encode_sorted(p.to_dict()) for p in pairs] + [""]
+        if not ascii_only:
+            lines = [json.dumps(p.to_dict(), sort_keys=True, ensure_ascii=False) for p in pairs]
+            out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert load_pairs(out) == pairs
+        assert pairs == [ingest._pair_from_json(json.loads(line), {}) for line in lines if line]
+
+
+def test_other_pair_line_shapes_are_read_as_json(tmp_path):
+    """The regex takes only the canonical line; reordered keys and other
+    spacing decode as JSON to the same pair, and a format version of 1.0
+    or true is rejected there, naming the line."""
+    pair = CandidatePair("p.A#f():1-2", "q.B#g():3-4", "d")
+    canonical = encode_sorted(pair.to_dict())
+    assert ingest._PAIR_LINE.fullmatch(canonical)
+    variants = [
+        json.dumps(dict(reversed(pair.to_dict().items()))),
+        json.dumps(pair.to_dict(), sort_keys=True, separators=(",", ":")),
+        canonical.replace(": ", ":  "),
+        canonical.replace("{", "{ "),
+    ]
+    path = tmp_path / "pairs.jsonl"
+    for line in variants:
+        assert not ingest._PAIR_LINE.fullmatch(line), line
+        path.write_text(f"{canonical}\n  {line}\t\n")
+        assert load_pairs(path) == [pair, pair]
+    for version in ("1.0", "true"):
+        path.write_text(canonical + "\n\n" + canonical.replace('"format_version": 1', f'"format_version": {version}'))
+        with pytest.raises(ValueError, match=f"^line 3: format_version {version.title()} is not 1$"):
+            load_pairs(path)
 
 
 NICAD_TEMPLATE = """<?xml version="1.0" encoding="utf-8"?>

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -34,7 +35,9 @@ from remap.mapper import (
 from remap.normalizer import BUNDLED_RULESETS, EMPTY_RULESET, SOOT_SOOTUP_RULES, normalize_record
 from remap.prefilter import CandidatePair, exhaustive_pairs, save_pairs
 from remap.records import ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan, save_snapshot
-from remap.simcore import ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, components
+from remap.simcore import (
+    ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, components, measure, prepare,
+)
 from test_simcore import dp_lcs
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
@@ -389,6 +392,54 @@ def test_score_and_ablate_equal_the_reference_scorer(left, right, rules, weights
                 assert {p.key for p, s in zip(pairs, column.scores) if s >= threshold} == expected, (column.mode, cap)
 
 
+def _run_sizes(pairs, cap):
+    """The sizes of the runs ``measure_pairs`` takes: each group of consecutive
+    pairs that share a left id, split evenly into runs of at most ``cap``."""
+    sizes = []
+    for _, group in itertools.groupby(pairs, lambda p: p.left):
+        n = len(list(group))
+        size = -(-n // -(-n // cap))
+        sizes += [min(size, n - start) for start in range(0, n, size)]
+    return sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    left=snapshots("original"),
+    right=snapshots("redesigned"),
+    rules=st.sampled_from([None, "soot-sootup"]),
+    caps=st.tuples(st.sampled_from([3, 4, 5, mapper.RUN_CAP]), st.sampled_from([1, mapper.RUN_CACHE_CAP])),
+    data=st.data(),
+)
+def test_packed_runs_measure_every_pair_as_measure_does(left, right, rules, caps, data):
+    """Runs of 1-10 pairs that share a left record, in any order, some
+    longer than the run cap and some on either side of ``RUN_MIN``: every
+    pair's eight similarities equal ``measure``'s of that pair alone, bit
+    for bit, whether its run was packed or not, and with a pack cache that
+    keeps one run."""
+    run = st.tuples(st.integers(0, len(left) - 1), st.lists(st.integers(0, len(right) - 1), min_size=1, max_size=10))
+    pairs = [CandidatePair(left.records[i].id, right.records[j].id, "t")
+             for i, js in data.draw(st.lists(run, max_size=6)) for j in js]
+    ruleset = EMPTY_RULESET if rules is None else BUNDLED_RULESETS[rules]
+
+    def prepared(snapshot, rec_id):
+        rec = snapshot.get(rec_id)
+        return prepare(normalize_record(rec, snapshot.class_of(rec), ruleset, snapshot.role))
+
+    expected = []
+    for pair in pairs:
+        p1, p2 = prepared(left, pair.left), prepared(right, pair.right)
+        expected.append(measure(p1, p2, class_sims(p1, p2)))
+    run_cap, cache_cap = caps
+    counters = {}
+    with mock.patch.object(mapper, "RUN_CAP", run_cap), mock.patch.object(mapper, "RUN_CACHE_CAP", cache_cap):
+        measured = list(mapper.measure_pairs(pairs, left, right, ruleset, counters))
+    assert repr(measured) == repr(expected)  # repr tells every two doubles apart
+    packed = [n for n in _run_sizes(pairs, run_cap) if n >= mapper.RUN_MIN]
+    assert counters["packed_pairs"] == sum(packed)
+    assert (counters["run_packs_built"] > 0) == bool(packed)
+
+
 # -- accounting ----------------------------------------------------------------
 
 
@@ -555,6 +606,31 @@ def test_all_distinct_measurements_hold_few_bytes_per_pair():
     assert len(column.scores) == n
     assert held / n <= 100, held / n
     assert peak / n <= 95, peak / n
+
+
+def test_run_packs_stay_bounded_as_pairs_grow():
+    """The packs of runs that never repeat are dropped once
+    ``RUN_CACHE_CAP`` are kept: measuring 800 runs of 8 pairs peaks no
+    higher than 200 runs (about 1 MB each, Python 3.11). Kept without a
+    cap, the packs took the peak from 2.5 to 9.8 MB."""
+    left = extract(FIXTURE / "left", role="original")
+    right = extract(FIXTURE / "right", role="redesigned")
+    lids, rids = [r.id for r in left.records], [r.id for r in right.records]
+    rng = random.Random(0)
+    peaks = []
+    for runs in (200, 800):  # each run pairs one left record with 8 right ones, drawn anew
+        pairs = [CandidatePair(lids[r % len(lids)], rid, "exhaustive")
+                 for r in range(runs) for rid in sorted(rng.sample(rids, 8))]
+        tracemalloc.start()
+        try:
+            counters = {}
+            for _ in mapper.measure_pairs(pairs, left, right, SOOT_SOOTUP_RULES, counters):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert counters == {"packed_pairs": len(pairs), "run_packs_built": runs}
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_default_thresholds_by_profile_and_task():

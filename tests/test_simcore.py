@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remap.lcs import lcs_length
+from remap.lcs import lcs_bits, lcs_length, match_masks, pack_masks
 from remap.normalizer import NormalizedDetails
 from remap.simcore import (
     ABLATION_MODES,
@@ -16,6 +16,8 @@ from remap.simcore import (
     components,
     masked,
     masked_sim,
+    pack_row,
+    packed_sims,
     policy_filled,
     weighted_sum,
 )
@@ -128,6 +130,34 @@ def test_lcs_length_matches_dp_oracle(pair):
     assert lcs_length(s2, s1) == expected
     sim = lcs_sim(s1, s2)
     assert sim == (None if not s1 and not s2 else 2.0 * expected / (len(s1) + len(s2)))
+
+
+@st.composite
+def packed_rows(draw):
+    # 1-20 segments of 0-70 tokens over 1-3 tokens, so segments cross 64-bit words and carries
+    # run up to the guards; the query also holds tokens that no mask holds
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    segments = draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=70), min_size=1, max_size=20))
+    return draw(st.lists(st.sampled_from(alphabet + "xy"), max_size=10)), segments
+
+
+@given(packed_rows())
+@example((list("aaaaaaaaaa"), [list("a" * 63), [], list("a" * 64), list("a" * 70), ["a"]]))
+@example((list("xyxyxyxyxy"), [list("abc" * 20), []]))
+@settings(max_examples=150, deadline=None)
+def test_packed_segments_match_the_oracle_one_by_one(row):
+    """One kernel pass over segments side by side gives each segment's LCS
+    as that segment alone would, and ``packed_sims`` gives each segment's
+    ``masked_sim`` bit for bit."""
+    query, segments = row
+    masks, offsets, keep = pack_masks([match_masks(seg) for seg in segments], [len(seg) for seg in segments])
+    v = lcs_bits(query, masks, keep)
+    assert v & ~keep == 0  # no guard bit survives a step
+    for seg, offset in zip(segments, offsets):
+        bits = (v >> offset) & ((1 << len(seg)) - 1)
+        assert len(seg) - bits.bit_count() == oracle_lcs(query, seg), (query, seg)
+    a, row = masked(tuple(query)), pack_row([masked(tuple(seg)) for seg in segments])
+    assert repr(packed_sims(a, row)) == repr([masked_sim(a, masked(tuple(seg))) for seg in segments])
 
 
 def test_default_weights():
