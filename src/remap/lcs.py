@@ -17,7 +17,7 @@ carry out of a segment stops at its guard; and since ``u`` is a subset of
 ``v``, ``v - u`` never borrows. Each segment then steps exactly as it would
 alone, and one pass of the first sequence gives every segment's LCS:
 its length minus the set bits of its part of the row. One sequence alone
-is the one-segment case.
+is the one-segment case, ``lcs_masked``.
 """
 
 from __future__ import annotations
@@ -64,8 +64,14 @@ def lcs_bits(s1, masks: dict, keep: int) -> int:
     return v
 
 
+def lcs_masked(s1, masks: dict, m: int) -> int:
+    """LCS length of ``s1`` and the length-``m`` sequence behind ``masks``:
+    ``lcs_bits`` with one segment."""
+    return m - lcs_bits(s1, masks, (1 << m) - 1).bit_count()
+
+
 def lcs_length(s1, s2) -> int:
     """Length of the LCS of two token sequences."""
     if not s1 or not s2:
         return 0
-    return len(s2) - lcs_bits(s1, match_masks(s2), (1 << len(s2)) - 1).bit_count()
+    return lcs_masked(s1, match_masks(s2), len(s2))

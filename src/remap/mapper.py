@@ -5,10 +5,12 @@
 column per ablation mode. A summary only counts a column's kept scores; a
 jsonl or csv report sorts the pairs and builds each row only as it is written.
 
-``measure_pairs`` measures a run of pairs that share a left record, as a
-cross product gives, by one kernel pass per left field over the run's right
-fields packed side by side (``simcore.pack_row``), and a short run, as a
-detector's report or the class pre-filter mostly gives, pair by pair.
+``measure_pairs`` measures a run of pairs that share a left record, when
+an earlier run had the same right records, as a cross product gives, by one
+kernel pass per left field over the run's right fields packed side by side
+(``simcore.pack_row``); a run seen for the first time, as most of a
+detector's report is, and a short run, as the class pre-filter gives, pair
+by pair.
 
 A column holds no object per pair, and each distinct measurement once:
 ``pack_fields`` gives each pair a 4-byte code (``array('I')``) of a row in a
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
-from .records import EncodedStrings, ProjectSnapshot, check_fields, encode_sorted, open_output, read_jsonl
+from .records import ProjectSnapshot, check_fields, encode_sorted, encode_string, open_output, read_jsonl
 from .simcore import (
     ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, pack_row, packed_sims,
     prepare,
@@ -100,13 +102,16 @@ class UnresolvedPairError(RuntimeError):
 
 _WIDTH = len(FIELDS)  # doubles per table row of a packed measurement, and fields per measurement
 
-# the shortest run that ``measure_pairs`` packs: a shorter one costs less pair by pair
+# the shortest run that ``measure_pairs`` packs: a packed pass over fewer right records costs no
+# less than measuring them pair by pair, however often the pack is reused
 RUN_MIN = 4
 RUN_CAP = 128  # pairs per packed run, so a run's kernel row stays a few thousand bits
-# run packs that ``measure_pairs`` keeps at once: a cross product reuses every pack while the
-# right side has at most RUN_CACHE_CAP * RUN_CAP methods; a pack of 128 right methods of the
-# benchmark's traffic holds about 230 KB
+# run packs that ``measure_pairs`` keeps at once, about 230 KB each for 128 right methods of the
+# benchmark's traffic; a run that comes again once they are all kept is measured pair by pair
 RUN_CACHE_CAP = 64
+# runs whose right ids ``measure_pairs`` remembers, so that a run seen again is packed; the runs
+# and packs are dropped together once this many are remembered
+RUNS_SEEN_CAP = 1024
 
 
 def _runs(pairs: Iterable[CandidatePair]) -> Iterator[list[CandidatePair]]:
@@ -135,11 +140,15 @@ def measure_pairs(
     pair.
 
     Pairs are taken in runs that share a left record (``_runs``). A run of
-    at least ``RUN_MIN`` pairs packs each of its right records' six method
-    fields into one row per field (``pack_row``), and each left field takes
-    one kernel pass over its row; a shorter run costs less pair by pair. The
-    rows are kept by the run's right ids, so a cross product builds them
-    once; all are dropped once ``RUN_CACHE_CAP`` are kept. Either way each
+    at least ``RUN_MIN`` pairs whose right ids an earlier run had packs each
+    of its right records' six method fields into one row per field
+    (``pack_row``), and each left field takes one kernel pass over its row.
+    A pack costs about two passes pair by pair to build, so it pays only when
+    it is used again: a run seen for the first time is measured pair by
+    pair, as is a shorter run, and a run that comes again when
+    ``RUN_CACHE_CAP`` packs are already kept. The packs are kept by the
+    run's right ids, so a cross product builds each once, and dropped with
+    the runs remembered when ``RUNS_SEEN_CAP`` runs are. Either way each
     similarity is ``masked_sim``'s, bit for bit. ``counters``, when given,
     receives ``packed_pairs``, the pairs measured in packed runs, and
     ``run_packs_built`` once the pairs are exhausted.
@@ -148,6 +157,7 @@ def measure_pairs(
     prepared_right: dict[str, tuple] = {}
     class_pairs: dict[tuple[str, str], tuple] = {}
     packs: dict[tuple[str, ...], tuple] = {}  # a run's right ids -> their prepared records and rows
+    seen: set[tuple[str, ...]] = set()  # the right ids of each run of RUN_MIN or more since the last clear
     packed_pairs = packs_built = 0
 
     def prepared(snapshot: ProjectSnapshot, cache: dict, rec_id: str) -> tuple:
@@ -168,21 +178,33 @@ def measure_pairs(
             sims = class_pairs[(lclass, rclass)] = class_sims(p1, p2)
         return sims
 
+    def pack_of(run: list[CandidatePair]) -> tuple | None:
+        """The run's pack, if the run is to be measured packed."""
+        nonlocal packs_built
+        if len(run) < RUN_MIN:
+            return None
+        key = tuple(pair.right for pair in run)
+        if key not in seen:
+            if len(seen) == RUNS_SEEN_CAP:
+                seen.clear()
+                packs.clear()
+            seen.add(key)
+            return None
+        pack = packs.get(key)
+        if pack is None and len(packs) < RUN_CACHE_CAP:
+            rights = [prepared(right, prepared_right, rec_id) for rec_id in key]
+            pack = packs[key] = rights, [pack_row([p2[f] for _, p2 in rights]) for f in range(2, _WIDTH)]
+            packs_built += 1
+        return pack
+
     for run in _runs(pairs):
         lclass, p1 = prepared(left, prepared_left, run[0].left)
-        if len(run) < RUN_MIN:
+        pack = pack_of(run)
+        if pack is None:
             for pair in run:
                 rclass, p2 = prepared(right, prepared_right, pair.right)
                 yield measure(p1, p2, class_pair(lclass, p1, rclass, p2))
             continue
-        key = tuple(pair.right for pair in run)
-        pack = packs.get(key)
-        if pack is None:
-            if len(packs) == RUN_CACHE_CAP:
-                packs.clear()
-            rights = [prepared(right, prepared_right, rec_id) for rec_id in key]
-            pack = packs[key] = rights, [pack_row([p2[f] for _, p2 in rights]) for f in range(2, _WIDTH)]
-            packs_built += 1
         rights, rows = pack
         columns = [packed_sims(a, row) for a, row in zip(p1[2:], rows)]
         for (rclass, p2), sims in zip(rights, zip(*columns)):
@@ -326,10 +348,9 @@ def _jsonl_lines(results: Iterable[MappingResult]) -> Iterator[str]:
     """Each result's ``encode_sorted(r.to_dict())`` line, built from pieces.
     Its keys sort as a head of strings, a bool and a rank, up to
     ``"right"``, and then a numeric tail, from ``"sas"`` on. The head's
-    strings are encoded once per distinct string. The tail depends only on
+    strings are ``encode_sorted``'s. The tail depends only on
     the breakdown, so a row whose breakdown object an earlier row at its
     score had reuses that row's tail."""
-    strings = EncodedStrings()
     # (breakdown, its line's tail) at tails_sas. An entry is found by value, so the dict holds
     # one per distinct breakdown however many equal objects a caller passes, but used only for
     # the object it holds: an equal one may encode otherwise (1 and 1.0)
@@ -342,9 +363,9 @@ def _jsonl_lines(results: Iterable[MappingResult]) -> Iterator[str]:
         entry = tails.get(b)
         if entry is None or entry[0] is not b:
             entry = tails[b] = (b, encode_sorted(dict(zip(_TAIL_FIELDS, b)))[1:])
-        yield (f'{{"ablation": {strings[b.ablation]}, "kept": {"true" if r.kept else "false"}, '
-               f'"left": {strings[r.left]}, "provenance": {strings[r.provenance]}, '
-               f'"rank": {"null" if r.rank is None else r.rank}, "right": {strings[r.right]}, {entry[1]}\n')
+        yield (f'{{"ablation": {encode_string(b.ablation)}, "kept": {"true" if r.kept else "false"}, '
+               f'"left": {encode_string(r.left)}, "provenance": {encode_string(r.provenance)}, '
+               f'"rank": {"null" if r.rank is None else r.rank}, "right": {encode_string(r.right)}, {entry[1]}\n')
 
 
 def report(results: Iterable[MappingResult], out: str | Path, fmt: str = "jsonl") -> None:

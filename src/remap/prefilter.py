@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .normalizer import FIELD_CLASS_NAME, RuleSet, normalize_field, tokenize
-from .records import EncodedStrings, MethodRecord, ProjectSnapshot, open_output
+from .records import MethodRecord, ProjectSnapshot, encode_string, open_output
 from .simcore import masked, masked_sim
 
 
@@ -232,8 +232,7 @@ def exhaustive_pairs(
 
 
 def save_pairs(pairs: list[CandidatePair], out: Path) -> None:
-    """Write each pair's ``PAIR_LINE``, its strings encoded once per distinct string."""
-    strings = EncodedStrings()
+    """Write each pair's ``PAIR_LINE``."""
     with open_output(out) as fh:
-        fh.writelines(PAIR_LINE % (strings[p.provenance], strings[p.left], strings[p.right]) + "\n"
-                      for p in pairs)
+        fh.writelines(PAIR_LINE % (encode_string(p.provenance), encode_string(p.left), encode_string(p.right))
+                      + "\n" for p in pairs)

@@ -51,22 +51,8 @@ def open_output(path: str | Path, newline: str | None = None):
 
 # a row's sort-keyed JSON; json.dumps would build one encoder per call
 encode_sorted = json.JSONEncoder(sort_keys=True).encode
-
-# strings an ``EncodedStrings`` keeps at once, about 0.5 MB of method ids
-ENCODED_CAP = 4096
-
-
-class EncodedStrings(dict):
-    """``encode_sorted`` of each string looked up, kept for the next lookup of
-    that string: a writer that builds lines from pieces repeats a few ids over
-    many rows. Cleared once it holds ``ENCODED_CAP`` strings, so memory stays
-    bounded when the strings do not repeat."""
-
-    def __missing__(self, s: str) -> str:
-        if len(self) >= ENCODED_CAP:
-            self.clear()
-        piece = self[s] = encode_sorted(s)
-        return piece
+# ``encode_sorted`` of a string, by the C function that the encoder calls for one
+encode_string = json.encoder.encode_basestring_ascii
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> None:

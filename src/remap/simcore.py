@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .lcs import lcs_bits, match_masks, pack_masks
+from .lcs import lcs_bits, lcs_masked, match_masks, pack_masks
 from .normalizer import NormalizedDetails
 from .records import open_output, parse_json
 
@@ -142,11 +142,8 @@ def masked_sim(a: tuple, b: tuple) -> float | None:
     n, m = len(s1), len(s2)
     if n == 0 or m == 0:
         return None if n + m == 0 else 0.0
-    # walk the shorter sequence over the longer one's masks: a one-segment row
-    if m <= n:
-        lcs = n - lcs_bits(s2, a[1], (1 << n) - 1).bit_count()
-    else:
-        lcs = m - lcs_bits(s1, b[1], (1 << m) - 1).bit_count()
+    # walk the shorter sequence over the longer one's masks
+    lcs = lcs_masked(s2, a[1], n) if m <= n else lcs_masked(s1, b[1], m)
     return 2.0 * lcs / (n + m)
 
 

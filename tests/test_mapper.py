@@ -392,15 +392,37 @@ def test_score_and_ablate_equal_the_reference_scorer(left, right, rules, weights
                 assert {p.key for p, s in zip(pairs, column.scores) if s >= threshold} == expected, (column.mode, cap)
 
 
-def _run_sizes(pairs, cap):
-    """The sizes of the runs ``measure_pairs`` takes: each group of consecutive
-    pairs that share a left id, split evenly into runs of at most ``cap``."""
-    sizes = []
+def _runs(pairs, cap):
+    """The runs ``measure_pairs`` takes, as their right ids: each group of
+    consecutive pairs that share a left id, split evenly into runs of at
+    most ``cap``."""
+    runs = []
     for _, group in itertools.groupby(pairs, lambda p: p.left):
-        n = len(list(group))
-        size = -(-n // -(-n // cap))
-        sizes += [min(size, n - start) for start in range(0, n, size)]
-    return sizes
+        rights = [p.right for p in group]
+        size = -(-len(rights) // -(-len(rights) // cap))
+        runs += [tuple(rights[start:start + size]) for start in range(0, len(rights), size)]
+    return runs
+
+
+def _packed_runs(runs, cache_cap, seen_cap):
+    """Which of ``runs`` ``measure_pairs`` measures from a pack: a run of at
+    least ``RUN_MIN`` whose right ids came before, since the last clear,
+    while a pack is kept for them or fewer than ``cache_cap`` are; the runs
+    remembered and the packs are dropped when a new run finds ``seen_cap``
+    remembered."""
+    seen, packs, packed = set(), set(), []
+    for key in runs:
+        if len(key) < mapper.RUN_MIN:
+            pass
+        elif key not in seen:
+            if len(seen) == seen_cap:
+                seen.clear()
+                packs.clear()
+            seen.add(key)
+        elif key in packs or len(packs) < cache_cap:
+            packs.add(key)
+        packed.append(key in packs)
+    return packed
 
 
 @settings(max_examples=80, deadline=None)
@@ -408,18 +430,22 @@ def _run_sizes(pairs, cap):
     left=snapshots("original"),
     right=snapshots("redesigned"),
     rules=st.sampled_from([None, "soot-sootup"]),
-    caps=st.tuples(st.sampled_from([3, 4, 5, mapper.RUN_CAP]), st.sampled_from([1, mapper.RUN_CACHE_CAP])),
+    caps=st.tuples(st.sampled_from([3, 4, 5, mapper.RUN_CAP]), st.sampled_from([0, 1, mapper.RUN_CACHE_CAP]),
+                   st.sampled_from([1, 2, mapper.RUNS_SEEN_CAP])),
     data=st.data(),
 )
 def test_packed_runs_measure_every_pair_as_measure_does(left, right, rules, caps, data):
     """Runs of 1-10 pairs that share a left record, in any order, some
-    longer than the run cap and some on either side of ``RUN_MIN``: every
-    pair's eight similarities equal ``measure``'s of that pair alone, bit
-    for bit, whether its run was packed or not, and with a pack cache that
-    keeps one run."""
-    run = st.tuples(st.integers(0, len(left) - 1), st.lists(st.integers(0, len(right) - 1), min_size=1, max_size=10))
-    pairs = [CandidatePair(left.records[i].id, right.records[j].id, "t")
-             for i, js in data.draw(st.lists(run, max_size=6)) for j in js]
+    longer than the run cap, some on either side of ``RUN_MIN`` and some
+    repeating an earlier run's right ids:
+    every pair's eight similarities equal ``measure``'s of that pair alone,
+    bit for bit, whether its run was packed or not, and with caches that
+    keep no pack, one pack, or one or two runs."""
+    rights = st.lists(st.integers(0, len(right) - 1), min_size=1, max_size=10)
+    runs = data.draw(st.lists(st.tuples(st.integers(1, 3), rights), max_size=4))  # a right list for 1-3 left records
+    lefts = itertools.count(data.draw(st.integers(0, len(left) - 1)))  # each left record after the one before
+    pairs = [CandidatePair(left.records[i % len(left)].id, right.records[j].id, "t")
+             for times, js in runs for i in itertools.islice(lefts, times) for j in js]
     ruleset = EMPTY_RULESET if rules is None else BUNDLED_RULESETS[rules]
 
     def prepared(snapshot, rec_id):
@@ -430,14 +456,60 @@ def test_packed_runs_measure_every_pair_as_measure_does(left, right, rules, caps
     for pair in pairs:
         p1, p2 = prepared(left, pair.left), prepared(right, pair.right)
         expected.append(measure(p1, p2, class_sims(p1, p2)))
-    run_cap, cache_cap = caps
+    run_cap, cache_cap, seen_cap = caps
     counters = {}
-    with mock.patch.object(mapper, "RUN_CAP", run_cap), mock.patch.object(mapper, "RUN_CACHE_CAP", cache_cap):
+    with mock.patch.multiple(mapper, RUN_CAP=run_cap, RUN_CACHE_CAP=cache_cap, RUNS_SEEN_CAP=seen_cap):
         measured = list(mapper.measure_pairs(pairs, left, right, ruleset, counters))
     assert repr(measured) == repr(expected)  # repr tells every two doubles apart
-    packed = [n for n in _run_sizes(pairs, run_cap) if n >= mapper.RUN_MIN]
-    assert counters["packed_pairs"] == sum(packed)
-    assert (counters["run_packs_built"] > 0) == bool(packed)
+    taken = _runs(pairs, run_cap)
+    packed = _packed_runs(taken, cache_cap, seen_cap)
+    assert counters["packed_pairs"] == sum(len(key) for key, p in zip(taken, packed) if p)
+
+
+def test_a_cross_product_wider_than_the_pack_cache_builds_each_pack_once():
+    """When a left record's runs outnumber the packs kept, as a right side
+    of more than ``RUN_CACHE_CAP * RUN_CAP`` methods gives, the first packs
+    built are kept and every later left record reuses them; the other runs
+    are measured pair by pair. No pack is built twice, so none is built and
+    used only once."""
+    left = extract(FIXTURE / "left", role="original")
+    right = extract(FIXTURE / "right", role="redesigned")
+    pairs = exhaustive_pairs(left, right)
+    lefts = len({p.left for p in pairs})
+    assert [len(run) for run in _runs(pairs, 4)[:7]] == [4, 4, 4, 4, 4, 4, 3]  # 27 right methods
+    counters = {}
+    with mock.patch.multiple(mapper, RUN_CAP=4, RUN_CACHE_CAP=3):
+        for _ in mapper.measure_pairs(pairs, left, right, SOOT_SOOTUP_RULES, counters):
+            pass
+    assert counters == {"packed_pairs": (lefts - 1) * 3 * 4, "run_packs_built": 3}
+
+
+def test_run_packs_stay_bounded_as_pairs_grow():
+    """The runs remembered and the packs of runs that repeat are dropped
+    once ``RUNS_SEEN_CAP`` runs are remembered, and no more than
+    ``RUN_CACHE_CAP`` packs are kept: measuring 800 runs of 8 pairs, each
+    right side twice, peaks no higher than 200 runs (1.0 and 1.2 MB,
+    Python 3.11). With neither cap, the peak went from 1.3 to 5.1 MB."""
+    left = extract(FIXTURE / "left", role="original")
+    right = extract(FIXTURE / "right", role="redesigned")
+    lids, rids = [r.id for r in left.records], [r.id for r in right.records]
+    rng = random.Random(0)
+    peaks = []
+    for runs in (200, 800):  # each pairs a left record, never the one before, with 8 right ones, drawn anew
+        rights = [sorted(rng.sample(rids, 8)) for _ in range(runs // 2)]
+        pairs = [CandidatePair(lids[r % len(lids)], rid, "exhaustive")
+                 for r in range(runs) for rid in rights[r // 2]]
+        tracemalloc.start()
+        try:
+            counters = {}
+            with mock.patch.object(mapper, "RUNS_SEEN_CAP", 128):
+                for _ in mapper.measure_pairs(pairs, left, right, SOOT_SOOTUP_RULES, counters):
+                    pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert counters["run_packs_built"] >= mapper.RUN_CACHE_CAP
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 # -- accounting ----------------------------------------------------------------
@@ -606,31 +678,6 @@ def test_all_distinct_measurements_hold_few_bytes_per_pair():
     assert len(column.scores) == n
     assert held / n <= 100, held / n
     assert peak / n <= 95, peak / n
-
-
-def test_run_packs_stay_bounded_as_pairs_grow():
-    """The packs of runs that never repeat are dropped once
-    ``RUN_CACHE_CAP`` are kept: measuring 800 runs of 8 pairs peaks no
-    higher than 200 runs (about 1 MB each, Python 3.11). Kept without a
-    cap, the packs took the peak from 2.5 to 9.8 MB."""
-    left = extract(FIXTURE / "left", role="original")
-    right = extract(FIXTURE / "right", role="redesigned")
-    lids, rids = [r.id for r in left.records], [r.id for r in right.records]
-    rng = random.Random(0)
-    peaks = []
-    for runs in (200, 800):  # each run pairs one left record with 8 right ones, drawn anew
-        pairs = [CandidatePair(lids[r % len(lids)], rid, "exhaustive")
-                 for r in range(runs) for rid in sorted(rng.sample(rids, 8))]
-        tracemalloc.start()
-        try:
-            counters = {}
-            for _ in mapper.measure_pairs(pairs, left, right, SOOT_SOOTUP_RULES, counters):
-                pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert counters == {"packed_pairs": len(pairs), "run_packs_built": runs}
-    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_default_thresholds_by_profile_and_task():
