@@ -88,7 +88,7 @@ def _write_manifest(args, argv: list[str], started_at: float, counters: dict) ->
             "command": argv,
             "inputs": list(args.inputs),
             "input_sha256": {path: digest for path, digest in args.inputs.items() if digest},
-            "outputs": [str(out)],
+            "outputs": [str(out), *([args.csv] if getattr(args, "csv", None) else [])],
             "config_hashes": {args.command: _args_hash(args)},
             "started_at": started_at,
             "finished_at": time.time(),
@@ -117,7 +117,9 @@ def _read_file(args, dest: str, what: str, read):
 
 def _snapshot_arg(args, dest: str, what: str):
     def read(path: Path):
-        _record_input(args, sidecar_path(path))
+        side = _record_input(args, sidecar_path(path))
+        if not side.is_file():
+            raise UsageError(f"{what} sidecar not found: {side}")
         return load_snapshot(path)  # a ValueError: a bad records line, role or class index
 
     return _read_file(args, dest, what, read)
@@ -331,7 +333,7 @@ def cmd_impact(args) -> dict:
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     code_types = evalkit.code_types(pairs, left, right)
-    settings = [args.setting.upper()] if args.setting else ["EXR1", "EXR2", "EXR3", "EXR4"]
+    settings = [args.setting.upper()] if args.setting else list(ABLATION_MODES[1:])
     keys = [p.key for p in pairs]
     weights, rules = _weights_arg(args), _rules_arg(args)
     counters = {"pairs": len(pairs)}
@@ -451,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["gc", "cm"], required=True)
 
     p = command("impact", cmd_impact, "per-rule impact of ablation on scores and ranks", scoring)
-    p.add_argument("--setting", choices=["exr1", "exr2", "exr3", "exr4"], default=None,
+    p.add_argument("--setting", choices=[m.lower() for m in ABLATION_MODES[1:]], default=None,
                    help="one exclusion setting (default: all four)")
     p.add_argument("--task", choices=["gc", "cm"], default="gc")
 

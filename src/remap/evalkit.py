@@ -57,11 +57,14 @@ def _label_from_row(row: dict) -> LabeledPair:
     missing = [c for c in _LABEL_COLUMNS if row[c] is None]
     if missing:
         raise ValueError(f"the row has no {', '.join(missing)}")
+    mapping = row["is_code_mapping"].strip().lower()
+    if mapping not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"is_code_mapping {row['is_code_mapping']!r} is not true, false, yes, no, 1 or 0")
     return LabeledPair(
         left=row["left_key"],
         right=row["right_key"],
         clone_type=row["clone_type"],
-        is_code_mapping=row["is_code_mapping"].strip().lower() in ("true", "1", "yes"),
+        is_code_mapping=mapping in ("true", "yes", "1"),
         code_type=row.get("code_type") or "production",
         source_tools=frozenset(t for t in (row.get("tools") or "").split(";") if t),
     )
@@ -72,8 +75,9 @@ def load_labels(path: str | Path) -> list[LabeledPair]:
     (left_key,right_key,clone_type,is_code_mapping,code_type,tools).
 
     Raises ValueError naming the line of a header that lacks one of the
-    first four columns, of a row that has no value for one or holds an
-    unknown clone type, or of a row whose pair an earlier row labeled.
+    first four columns, of a row that has no value for one, an unknown
+    clone type or an ``is_code_mapping`` not true, false, yes, no, 1 or 0
+    (in any case), or of a row whose pair an earlier row labeled.
     """
     out, lines = [], {}  # the labels, and the line that labeled each pair
     with Path(path).open("r", encoding="utf-8", newline="") as fh:

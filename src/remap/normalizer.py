@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .records import ROLE_ORIGINAL, ROLE_REDESIGNED, ClassRecord, MethodRecord, parse_json
@@ -20,7 +21,7 @@ from .records import ROLE_ORIGINAL, ROLE_REDESIGNED, ClassRecord, MethodRecord, 
 SCOPE_ALL = "all_details"
 SCOPE_METHOD_NAME = "method_name_only"
 
-# field kinds, used for rule scope gating
+# field kinds: a method_name_only rule rewrites FIELD_METHOD_NAME alone
 FIELD_CLASS_NAME = "class_name"
 FIELD_CLASS_DOC = "class_doc"
 FIELD_METHOD_NAME = "method_name"
@@ -68,25 +69,28 @@ class RenameRule:
         except (re.error, IndexError) as exc:  # IndexError: an unknown group name
             raise ValueError(f"bad rule {self.pattern!r} -> {self.replacement!r}: {exc}") from None
 
-    def applies_to(self, field: str, record_project: str) -> bool:
-        if record_project != self.target_project:
-            return False
-        return self.scope == SCOPE_ALL or field == FIELD_METHOD_NAME
-
 
 class RuleSet:
-    """Ordered renaming rules for one project pair."""
+    """Ordered renaming rules for one project pair. A rule rewrites its
+    target project's records: every field under scope ``all_details``, the
+    method name alone under ``method_name_only``."""
 
     def __init__(self, name: str, rules: list[RenameRule]):
         self.name = name
         self.rules = sorted(rules, key=lambda r: r.order)
-        self._compiled = [(r, re.compile(r.pattern)) for r in self.rules]
+
+        def scoped(project: str, method_name: bool) -> list:
+            return [(re.compile(r.pattern), r.replacement) for r in self.rules
+                    if r.target_project == project and (r.scope == SCOPE_ALL or method_name)]
+
+        # per project: the rules for any field but the method name, then those for the method name
+        self._scoped = {p: (scoped(p, False), scoped(p, True)) for p in (ROLE_ORIGINAL, ROLE_REDESIGNED)}
 
     def apply(self, text: str, field: str, record_project: str) -> str:
-        """Apply every applicable rule once, in order, as a global substitution."""
-        for rule, rx in self._compiled:
-            if rule.applies_to(field, record_project):
-                text = rx.sub(rule.replacement, text)
+        """Apply each rule that rewrites ``field`` of ``record_project``'s
+        records once, in order, as a global substitution."""
+        for rx, replacement in self._scoped[record_project][field == FIELD_METHOD_NAME]:
+            text = rx.sub(replacement, text)
         return text
 
     def to_dict(self) -> dict:
@@ -237,24 +241,20 @@ def normalize_record(
     Params and local variables are flattened type-then-name in declaration
     order; inline comments are concatenated in source order.
     """
-    params: list[str] = []
-    for ptype, pname in record.params:
-        params.extend(normalize_field(ptype, FIELD_PARAM, record_project, rules))
-        params.extend(normalize_field(pname, FIELD_PARAM, record_project, rules))
-    local_vars: list[str] = []
-    for vtype, vname in record.local_vars:
-        local_vars.extend(normalize_field(vtype, FIELD_LOCAL_VAR, record_project, rules))
-        local_vars.extend(normalize_field(vname, FIELD_LOCAL_VAR, record_project, rules))
-    comments: list[str] = []
-    for comment in record.inline_comments:
-        comments.extend(normalize_field(comment, FIELD_COMMENT, record_project, rules))
+
+    def tokens(field: str, *texts: str) -> tuple[str, ...]:
+        out: list[str] = []
+        for text in texts:
+            out += normalize_field(text, field, record_project, rules)
+        return tuple(out)
+
     return NormalizedDetails(
-        class_name=tuple(normalize_field(cls.qualified_name, FIELD_CLASS_NAME, record_project, rules)),
-        class_doc=tuple(normalize_field(cls.class_doc, FIELD_CLASS_DOC, record_project, rules)),
-        method_name=tuple(normalize_field(record.method_name, FIELD_METHOD_NAME, record_project, rules)),
-        return_type=tuple(normalize_field(record.return_type, FIELD_RETURN_TYPE, record_project, rules)),
-        params=tuple(params),
-        local_vars=tuple(local_vars),
-        method_doc=tuple(normalize_field(record.method_doc, FIELD_METHOD_DOC, record_project, rules)),
-        comments=tuple(comments),
+        class_name=tokens(FIELD_CLASS_NAME, cls.qualified_name),
+        class_doc=tokens(FIELD_CLASS_DOC, cls.class_doc),
+        method_name=tokens(FIELD_METHOD_NAME, record.method_name),
+        return_type=tokens(FIELD_RETURN_TYPE, record.return_type),
+        params=tokens(FIELD_PARAM, *chain.from_iterable(record.params)),
+        local_vars=tokens(FIELD_LOCAL_VAR, *chain.from_iterable(record.local_vars)),
+        method_doc=tokens(FIELD_METHOD_DOC, record.method_doc),
+        comments=tokens(FIELD_COMMENT, *record.inline_comments),
     )

@@ -83,10 +83,8 @@ def _cosine(a: tuple[Counter, float], b: tuple[Counter, float]) -> float:
     (ca, na), (cb, nb) = a, b
     if not ca or not cb:
         return 1.0 if not ca and not cb else 0.0
-    dot = sum(cnt * cb[tok] for tok, cnt in ca.items())
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
+    # a non-empty count vector has a norm of at least 1
+    return sum(cnt * cb[tok] for tok, cnt in ca.items()) / (na * nb)
 
 
 class BagOfTokensEmbedder:
@@ -196,21 +194,16 @@ def generate_pairs(
     right: ProjectSnapshot,
     cfg: PrefilterConfig | None = None,
 ) -> list[CandidatePair]:
-    """Pair methods within retained class pairs, dropping pairs whose line
-    counts diverge (ratio >= cutoff) or whose body embeddings disagree. A
-    snapshot declares each class and record id once, so no pair repeats."""
+    """Pair the methods of each retained class pair, as each snapshot lists
+    them by class (``in_class``), dropping pairs whose line counts diverge
+    (ratio >= cutoff) or whose body embeddings disagree. A snapshot
+    declares each class and record id once, so no pair repeats."""
     cfg = cfg or PrefilterConfig()
     embedder = BagOfTokensEmbedder()
-    by_class_left: dict[str, list[MethodRecord]] = {}
-    for rec in left.records:
-        by_class_left.setdefault(rec.class_name, []).append(rec)
-    by_class_right: dict[str, list[MethodRecord]] = {}
-    for rec in right.records:
-        by_class_right.setdefault(rec.class_name, []).append(rec)
     out: list[CandidatePair] = []
     for cp in classes:
-        for lrec in by_class_left.get(cp.left, []):
-            for rrec in by_class_right.get(cp.right, []):
+        for lrec in left.in_class(cp.left):
+            for rrec in right.in_class(cp.right):
                 ratio = max(lrec.loc, rrec.loc) / min(lrec.loc, rrec.loc)
                 if ratio >= cfg.line_ratio_cutoff:
                     continue

@@ -240,7 +240,8 @@ class ProjectSnapshot:
 
     ``role`` must be "original" or "redesigned"; scoring resolves renaming
     rules against it. Records are kept sorted by (file path, start line) so
-    repeated extraction of the same tree is byte-identical. A class name or
+    repeated extraction of the same tree is byte-identical; ``in_file`` and
+    ``in_class`` list a file's or a class's records in that order. A class name or
     record id that appears twice is a ValueError, so each names one thing.
     """
 
@@ -273,9 +274,11 @@ class ProjectSnapshot:
         self.summary = summary or ExtractionSummary()
         self._by_id = {r.id: r for r in self.records}
         self._by_file: dict[str, list[MethodRecord]] = {}
+        self._by_class: dict[str, list[MethodRecord]] = {}
         self._by_key: dict[str, list[MethodRecord]] = {}  # signature and Class#method keys
         for r in self.records:
             self._by_file.setdefault(r.span.file_path, []).append(r)
+            self._by_class.setdefault(r.class_name, []).append(r)
             for key in (r.signature_key, f"{r.class_name}#{r.method_name}"):
                 self._by_key.setdefault(key, []).append(r)
         self.root_prefix = Path(root_path).as_posix().rstrip("/") + "/"
@@ -297,6 +300,9 @@ class ProjectSnapshot:
 
     def in_file(self, file_path: str) -> list[MethodRecord]:
         return self._by_file.get(file_path, [])
+
+    def in_class(self, class_name: str) -> list[MethodRecord]:
+        return self._by_class.get(class_name, [])
 
     def below_root(self, path: str) -> str | None:
         """The part of a ``/``-separated report path below the snapshot root,
@@ -383,16 +389,13 @@ def save_snapshot(snapshot: ProjectSnapshot, out: Path) -> None:
 def load_snapshot(records_path: Path) -> ProjectSnapshot:
     """Read a snapshot that ``save_snapshot`` wrote.
 
-    Raises ValueError naming the first records line that is not JSON or not
-    a method record, or naming the sidecar when it is not JSON or lacks a
-    field of its own, of a class entry or of the summary.
+    Raises FileNotFoundError when the records file or its sidecar is
+    missing, and ValueError naming the first records line that is not JSON
+    or not a method record, or naming the sidecar when it is not JSON or
+    lacks a field of its own, of a class entry or of the summary.
     """
     records_path = Path(records_path)
     side = sidecar_path(records_path)
-    if not records_path.exists():
-        raise FileNotFoundError(f"snapshot not found: {records_path}")
-    if not side.exists():
-        raise FileNotFoundError(f"snapshot sidecar not found: {side}")
     records = read_jsonl(records_path, MethodRecord.from_dict)
     try:  # the sidecar's shape is that of ``to_sidecar_dict``
         meta = parse_json(side.read_text(encoding="utf-8"))

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -170,19 +171,14 @@ def packed_sims(a: tuple, row: tuple) -> list:
     return [2.0 * (m - bits.count("1", i, j)) / (n + m) if m else 0.0 for i, j, m in spans]
 
 
+# a record's eight token sequences, in the order ``NormalizedDetails`` declares them: ``FIELDS`` order
+_details = attrgetter(*(f.name for f in dataclass_fields(NormalizedDetails)))
+
+
 def prepare(d: NormalizedDetails) -> tuple:
     """The eight scored fields of one record as ``masked`` sequences, in
     ``SASBreakdown`` order; the first two are the class fields."""
-    return (
-        masked(d.class_name),
-        masked(d.class_doc),
-        masked(d.method_name),
-        masked(d.return_type),
-        masked(d.params),
-        masked(d.local_vars),
-        masked(d.method_doc),
-        masked(d.comments),
-    )
+    return tuple(map(masked, _details(d)))
 
 
 def class_sims(p1: tuple, p2: tuple) -> tuple[float | None, float | None]:

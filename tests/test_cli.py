@@ -330,6 +330,53 @@ def test_prefilter_manifest_counts_scored_class_pairs(pipeline, tmp_path):
     assert counters["0"]["class_pairs_scored"] == counters["0"]["class_pairs"] == product
 
 
+def _java_class(package: str, name: str, methods: list[str]) -> str:
+    """A class whose every method spans six lines."""
+    bodies = "".join(
+        f"    public int {m}(int x) {{\n        int acc = x;\n        acc += {i};\n        acc *= 2;\n"
+        f"        return acc;\n    }}\n"
+        for i, m in enumerate(methods)
+    )
+    return f"package {package};\npublic class {name} {{\n{bodies}}}\n"
+
+
+def test_extract_marks_test_sources_and_impact_groups_every_pair_by_code_type(tmp_path):
+    """Test code on both sides: extract marks what lies under src/test/, and
+    impact's production, test and mixed groups share out all the pairs."""
+    from remap import cli
+    from remap.records import load_snapshot
+
+    trees = {
+        "left": ("soot", {"main": ["add", "sub"], "test": ["checkAdd"]}),
+        "right": ("sootup", {"main": ["add"], "test": ["checkAdd", "checkSub"]}),
+    }
+    for side, (package, kinds) in trees.items():
+        for kind, methods in kinds.items():
+            name = "Calc" if kind == "main" else "CalcTest"
+            d = tmp_path / side / "src" / kind / "java" / package
+            d.mkdir(parents=True)
+            (d / f"{name}.java").write_text(_java_class(package, name, methods))
+    snaps = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for side, role in (("left", "original"), ("right", "redesigned")):
+            snaps[side] = tmp_path / f"{side}.jsonl"
+            assert cli.main(["extract", "--root", str(tmp_path / side), "--role", role,
+                             "--out", str(snaps[side])]) == 0
+        for side, (_, kinds) in trees.items():
+            marked = {(r.method_name, r.is_test) for r in load_snapshot(snaps[side]).records}
+            assert marked == {(m, kind == "test") for kind, methods in kinds.items() for m in methods}, side
+        pairs, impact = tmp_path / "pairs.jsonl", tmp_path / "impact.json"
+        both = ["--left", str(snaps["left"]), "--right", str(snaps["right"])]
+        assert cli.main(["pairs", "--mode", "exhaustive", *both, "--out", str(pairs)]) == 0
+        assert cli.main(["impact", "--pairs", str(pairs), *both, "--rules", "soot-sootup",
+                         "--out", str(impact)]) == 0
+    report = json.loads(impact.read_text())
+    assert list(report) == ["EXR1", "EXR2", "EXR3", "EXR4"]
+    for setting, groups in report.items():
+        # production 2 x 1, test 1 x 2, mixed 2 x 2 + 1 x 1: all 3 x 3 pairs
+        assert {g: groups[g]["pairs"] for g in groups} == {"mixed": 5, "production": 2, "test": 2}, setting
+
+
 def test_normalize_command(pipeline, tmp_path):
     work, left, right, _ = pipeline
     out = tmp_path / "norm.jsonl"
@@ -584,6 +631,26 @@ def test_bad_labels_file_is_usage_error(scored, tmp_path, capsys, text, culprit)
     assert err["error"] == "usage" and culprit in err["message"]
 
 
+def test_a_mistyped_code_mapping_label_is_usage_error_wherever_labels_are_read(pipeline, scored, tmp_path,
+                                                                                capsys):
+    """A planted mapping labeled ``ture`` is no label at all, not a
+    non-mapping that eval would count as a false positive."""
+    work, left, right, pairs = pipeline
+    scores, labels = scored
+    header, row = labels.read_text().splitlines()[:2]
+    assert ",T2,true," in row
+    bad = tmp_path / "labels.csv"
+    bad.write_text(f"{header}\n{row.replace(',true,', ',ture,')}\n")
+    evaluated = ["--scored", scores, "--labels", bad, "--task", "cm"]
+    for argv in (["eval", *evaluated], ["sweep", *evaluated], ["tune", *evaluated, "--grid-step", "0.5"],
+                 ["ablate", "--pairs", pairs, "--left", left, "--right", right, "--labels", bad,
+                  "--task", "cm"]):
+        code, err = _main_error(capsys, *argv, "--out", tmp_path / "out.json")
+        assert code == 2 and err["error"] == "usage", argv[0]
+        assert f"invalid labels file {bad}: line 2: is_code_mapping 'ture'" in err["message"], argv[0]
+        assert not (tmp_path / "out.json").exists()
+
+
 def test_bad_snapshot_line_is_usage_error(pipeline, tmp_path, capsys):
     work, left, right, pairs = pipeline
     bad = tmp_path / "left.jsonl"
@@ -616,6 +683,18 @@ def test_bad_snapshot_sidecar_is_usage_error(pipeline, tmp_path, capsys, edit, c
     assert code == 2
     assert err["error"] == "usage"
     assert f"invalid left snapshot {bad}: sidecar {tmp_path / 'left.classes.json'}: {culprit}" in err["message"]
+
+
+def test_snapshot_without_its_sidecar_is_usage_error(pipeline, tmp_path, capsys):
+    work, left, right, pairs = pipeline
+    lonely = tmp_path / "lonely.jsonl"
+    lonely.write_bytes(left.read_bytes())
+    for argv in (["score", "--pairs", pairs, "--left", lonely, "--right", right],
+                 ["normalize", "--snapshot", lonely]):
+        code, err = _main_error(capsys, *argv, "--out", tmp_path / "out.jsonl")
+        assert code == 2 and err["error"] == "usage", argv[0]
+        assert str(tmp_path / "lonely.classes.json") in err["message"], argv[0]
+        assert err["message"].endswith("sidecar not found: " + str(tmp_path / "lonely.classes.json"))
 
 
 @pytest.mark.parametrize("repeat", ["class", "record"])
@@ -674,6 +753,20 @@ def test_sweep_failed_csv_leaves_no_out(pipeline, tmp_path, capsys):
     assert code == 1 and set(err) == {"error", "message"}
     assert not (tmp_path / "sw.json").exists()
     assert not (tmp_path / "sw.json.manifest.json").exists()
+
+
+def test_sweep_manifest_lists_its_csv_among_the_outputs(scored, tmp_path):
+    from remap import cli
+
+    scores, labels = scored
+    out, csv_path = tmp_path / "sweep.json", tmp_path / "plots" / "sweep.csv"
+    argv = ["sweep", "--scored", str(scores), "--labels", str(labels), "--task", "cm", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["outputs"] == [str(out)]
+        assert cli.main([*argv, "--csv", str(csv_path)]) == 0
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["outputs"] == [str(out), str(csv_path)]
+    assert csv_path.is_file()
 
 
 def test_sweep_range_stops_at_hi(pipeline, tmp_path):

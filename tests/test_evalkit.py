@@ -127,6 +127,12 @@ def test_labels_csv_roundtrip(tmp_path):
     # eval would count the pair twice, and tune keep only one of its labels
     ("left_key,right_key,clone_type,is_code_mapping\na,b,T1,true\nc,d,T1,true\na,b,non_clone,false\n",
      "line 4: a / b is already labeled on line 2"),
+    # a typo is no label, not a non-mapping
+    ("left_key,right_key,clone_type,is_code_mapping\na,b,T2,ture\n",
+     "line 2: is_code_mapping 'ture' is not true, false, yes, no, 1 or 0"),
+    ("left_key,right_key,clone_type,is_code_mapping\na,b,T2,true\nc,d,T2,\n",
+     "line 3: is_code_mapping '' is not true"),
+    ("left_key,right_key,clone_type,is_code_mapping\na,b,T2,y\n", "line 2: is_code_mapping 'y' is not true"),
 ])
 def test_labels_csv_names_the_bad_line(tmp_path, text, culprit):
     path = tmp_path / "labels.csv"
@@ -134,6 +140,15 @@ def test_labels_csv_names_the_bad_line(tmp_path, text, culprit):
     with pytest.raises(ValueError) as exc:
         load_labels(path)
     assert str(exc.value).startswith(culprit)
+
+
+def test_code_mapping_label_takes_six_words_in_any_case(tmp_path):
+    values = {"true": True, " TRUE ": True, "Yes": True, "1": True,
+              "false": False, "False ": False, " no": False, "0": False}
+    path = tmp_path / "labels.csv"
+    path.write_text("left_key,right_key,clone_type,is_code_mapping\n"
+                    + "".join(f"l{i},r{i},T1,{v}\n" for i, v in enumerate(values)))
+    assert [lab.is_code_mapping for lab in load_labels(path)] == list(values.values())
 
 
 def test_empty_labels_csv_holds_no_labels(tmp_path):

@@ -3,14 +3,17 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from remap import normalizer
 from remap.normalizer import (
     DEFAULT_CONTRACTIONS,
     FIELD_CLASS_NAME,
     FIELD_METHOD_NAME,
     FINDBUGS_SPOTBUGS_RULES,
+    SCOPE_ALL,
+    SCOPE_METHOD_NAME,
     SOOT_SOOTUP_RULES,
     RenameRule,
     RuleSet,
@@ -116,6 +119,51 @@ def test_rule_order_is_total():
     )
     # order 1 runs first: a->b, then b->c maps the result again
     assert rs.apply("a", FIELD_CLASS_NAME, "original") == "c"
+
+
+def reference_apply(rules: list[RenameRule], text: str, field: str, project: str) -> str:
+    """The scope rule, rule by rule: in order, each rule that targets the
+    record's project and whose scope is all_details or whose field is the
+    method name rewrites the text once."""
+    for rule in sorted(rules, key=lambda r: r.order):
+        if rule.target_project == project and (rule.scope == SCOPE_ALL or field == FIELD_METHOD_NAME):
+            text = re.sub(rule.pattern, rule.replacement, text)
+    return text
+
+
+BUNDLED_RULES = SOOT_SOOTUP_RULES.rules + FINDBUGS_SPOTBUGS_RULES.rules
+FIELDS = [v for k, v in vars(normalizer).items() if k.startswith("FIELD_")]
+# the words the bundled rules rewrite, whole and in parts, the words they
+# write, and the separators their patterns look at
+RULE_WORDS = ["UnitBox", "UnitBoxes", "ValueBoxes", "DefBox", "Unit", "Box", "es", "Use", "BodyTransformer",
+              "Body", "BasicBlock", "Block", "setUnit", "setName", "set", "with", "Stmt", "Const",
+              "Constants", "spotbugsTestCases", "findbugs", "x", " ", "_", "."]
+
+
+@st.composite
+def rule_lists(draw):
+    """Every bundled pattern once, each with a drawn scope, target and order,
+    listed in an order of its own."""
+    orders = draw(st.permutations(range(len(BUNDLED_RULES))))
+    rules = [
+        RenameRule(draw(st.sampled_from([SCOPE_ALL, SCOPE_METHOD_NAME])),
+                   draw(st.sampled_from(["original", "redesigned"])), r.pattern, r.replacement, order)
+        for r, order in zip(BUNDLED_RULES, orders)
+    ]
+    return draw(st.permutations(rules))
+
+
+@given(
+    rules=st.one_of(st.sampled_from([[], SOOT_SOOTUP_RULES.rules, FINDBUGS_SPOTBUGS_RULES.rules]), rule_lists()),
+    text=st.lists(st.sampled_from(RULE_WORDS), max_size=10).map("".join),
+    field=st.sampled_from(FIELDS),
+    project=st.sampled_from(["original", "redesigned"]),
+)
+@example(rules=SOOT_SOOTUP_RULES.rules, text="setName", field=FIELD_CLASS_NAME, project="original")
+@example(rules=SOOT_SOOTUP_RULES.rules[::-1], text="UnitBox", field=FIELD_CLASS_NAME, project="original")
+@settings(max_examples=400)
+def test_ruleset_apply_equals_the_rule_by_rule_scope_test(rules, text, field, project):
+    assert RuleSet("drawn", rules).apply(text, field, project) == reference_apply(rules, text, field, project)
 
 
 def test_bad_rule_rejected():

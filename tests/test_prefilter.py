@@ -212,6 +212,45 @@ def test_embedder_equals_uncached_cosine():
             assert e.similarity(a, b) == cosine(a, b)  # bit-identical, not approx
 
 
+_CLASSES = ["p.A", "p.B", "p.C"]
+
+
+@st.composite
+def _snapshots(draw, role):
+    """Records of three classes spread over two files, in no file order."""
+    drawn = draw(st.lists(st.tuples(
+        st.sampled_from(_CLASSES), st.sampled_from(["G.java", "F.java"]), st.integers(1, 12),
+        st.sampled_from(["a b c", "a b d", "x y z", "{}"]),
+    ), max_size=10))
+    records = [method(cls, f"m{i}", loc, body=body, file=file, start=1 + 20 * i)
+               for i, (cls, file, loc, body) in enumerate(drawn)]
+    return snapshot(role, _CLASSES, records)
+
+
+@given(
+    left=_snapshots("original"),
+    right=_snapshots("redesigned"),
+    class_pairs=st.lists(st.tuples(st.sampled_from(_CLASSES), st.sampled_from(_CLASSES)), unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_generate_pairs_pairs_the_records_of_each_class_pair(left, right, class_pairs):
+    for snap in (left, right):
+        for cls in [*_CLASSES, "p.Missing"]:
+            assert snap.in_class(cls) == [r for r in snap.records if r.class_name == cls]
+    cfg, embedder = PrefilterConfig(), BagOfTokensEmbedder()
+    classes = [ClassPair(lcls, rcls, 1.0) for lcls, rcls in class_pairs]
+    scan = sorted(
+        (lrec.id, rrec.id)
+        for cp in classes for lrec in left.records for rrec in right.records
+        if (lrec.class_name, rrec.class_name) == (cp.left, cp.right)
+        and max(lrec.loc, rrec.loc) / min(lrec.loc, rrec.loc) < cfg.line_ratio_cutoff
+        and embedder.similarity(lrec, rrec) >= cfg.embed_threshold
+    )
+    got = generate_pairs(classes, left, right, cfg)
+    assert [p.key for p in got] == scan
+    assert {p.provenance for p in got} <= {"prefilter"}
+
+
 def test_exhaustive_cross_product_and_min_loc():
     lrecs = [method("p.A", f"f{i}", 6, start=1 + 10 * i) for i in range(3)]
     # file order (g3 first) differs from id order (g0 first)

@@ -1,5 +1,6 @@
 """Similarity component tests, anchored on an independent LCS oracle."""
 
+import dataclasses
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from remap.lcs import lcs_bits, lcs_length, match_masks, pack_masks
 from remap.normalizer import NormalizedDetails
 from remap.simcore import (
     ABLATION_MODES,
+    FIELDS,
     WeightConfig,
     aggregate,
     components,
@@ -19,6 +21,7 @@ from remap.simcore import (
     pack_row,
     packed_sims,
     policy_filled,
+    prepare,
     weighted_sum,
 )
 
@@ -62,6 +65,14 @@ def details(**kwargs):
     }
     base.update({k: tuple(v) for k, v in kwargs.items()})
     return NormalizedDetails(**base)
+
+
+def test_prepare_masks_every_detail_in_fields_order():
+    names = [f.name for f in dataclasses.fields(NormalizedDetails)]
+    # a detail is named for its field, in the plural where it joins several values
+    assert tuple(name.removesuffix("s") for name in names) == FIELDS
+    d = details(**{name: [name, str(i)] for i, name in enumerate(names)})
+    assert prepare(d) == tuple(masked((name, str(i))) for i, name in enumerate(names))
 
 
 def lcs_sim(s1, s2):
