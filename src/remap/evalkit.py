@@ -80,7 +80,7 @@ def load_labels(path: str | Path) -> list[LabeledPair]:
     (in any case), or of a row whose pair an earlier row labeled.
     """
     out, lines = [], {}  # the labels, and the line that labeled each pair
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+    with Path(path).open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             missing = [c for c in _LABEL_COLUMNS if c not in (reader.fieldnames or _LABEL_COLUMNS)]

@@ -611,7 +611,7 @@ def extract(
         summary.files_seen += 1
         is_test = any(rel.startswith(prefix) for prefix in test_roots)
         try:
-            source = path.read_text(encoding="utf-8", errors="replace")
+            source = path.read_text(encoding="utf-8-sig", errors="replace")
             cls, mth = parse_java_file(source, rel, is_test)
             ours: dict[str, str] = {}
             for name in [f"class {c.qualified_name}" for c in cls] + [f"method {m.id}" for m in mth]:

@@ -67,7 +67,7 @@ def _fragment(frag) -> str | SourceSpan:
 
 def _generic_clones(path: Path):
     """(``line N``, two fragments or the error, detector) per non-blank line."""
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

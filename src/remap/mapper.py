@@ -5,12 +5,12 @@
 column per ablation mode. A summary only counts a column's kept scores; a
 jsonl or csv report sorts the pairs and builds each row only as it is written.
 
-``measure_pairs`` measures a run of pairs that share a left record, when
-an earlier run had the same right records, as a cross product gives, by one
-kernel pass per left field over the run's right fields packed side by side
-(``simcore.pack_row``); a run seen for the first time, as most of a
-detector's report is, and a short run, as the class pre-filter gives, pair
-by pair.
+``measure_pairs`` measures the pairs of a left record whose right records
+are the previous left record's, as a cross product gives, by one kernel
+pass per left field over those right fields packed side by side
+(``simcore.pack_row``); any other left record's pairs, as most of a
+detector's report and the class pre-filter's short lists give, pair by
+pair.
 
 A column holds no object per pair, and each distinct measurement once:
 ``pack_fields`` gives each pair a 4-byte code (``array('I')``) of a row in a
@@ -102,27 +102,10 @@ class UnresolvedPairError(RuntimeError):
 
 _WIDTH = len(FIELDS)  # doubles per table row of a packed measurement, and fields per measurement
 
-# the shortest run that ``measure_pairs`` packs: a packed pass over fewer right records costs no
+# the shortest group that ``measure_pairs`` packs: a packed pass over fewer right records costs no
 # less than measuring them pair by pair, however often the pack is reused
 RUN_MIN = 4
 RUN_CAP = 128  # pairs per packed run, so a run's kernel row stays a few thousand bits
-# run packs that ``measure_pairs`` keeps at once, about 230 KB each for 128 right methods of the
-# benchmark's traffic; a run that comes again once they are all kept is measured pair by pair
-RUN_CACHE_CAP = 64
-# runs whose right ids ``measure_pairs`` remembers, so that a run seen again is packed; the runs
-# and packs are dropped together once this many are remembered
-RUNS_SEEN_CAP = 1024
-
-
-def _runs(pairs: Iterable[CandidatePair]) -> Iterator[list[CandidatePair]]:
-    """The pairs in order, as runs of consecutive pairs that share a left id;
-    a longer run is split evenly into runs of at most ``RUN_CAP``."""
-    for _, group in groupby(pairs, attrgetter("left")):
-        run = list(group)
-        parts = -(-len(run) // RUN_CAP)  # ceiling divisions
-        size = -(-len(run) // parts)
-        for start in range(0, len(run), size):
-            yield run[start:start + size]
 
 
 def measure_pairs(
@@ -139,25 +122,24 @@ def measure_pairs(
     normalized once, and the class-level similarities taken once per class
     pair.
 
-    Pairs are taken in runs that share a left record (``_runs``). A run of
-    at least ``RUN_MIN`` pairs whose right ids an earlier run had packs each
-    of its right records' six method fields into one row per field
-    (``pack_row``), and each left field takes one kernel pass over its row.
-    A pack costs about two passes pair by pair to build, so it pays only when
-    it is used again: a run seen for the first time is measured pair by
-    pair, as is a shorter run, and a run that comes again when
-    ``RUN_CACHE_CAP`` packs are already kept. The packs are kept by the
-    run's right ids, so a cross product builds each once, and dropped with
-    the runs remembered when ``RUNS_SEEN_CAP`` runs are. Either way each
+    Pairs are taken in groups of consecutive pairs that share a left record.
+    A group of at least ``RUN_MIN`` pairs whose right ids are the previous
+    group's, as a cross product gives, is measured from packs: its right
+    records are split evenly into runs of at most ``RUN_CAP``, each run's
+    six method fields are packed into one row per field (``pack_row``), and
+    each left field takes one kernel pass over each row. A pack costs about
+    two passes pair by pair to build, so it pays only when it is used again:
+    the packs are built on the first repeat and kept while the groups keep
+    repeating, and any other group is measured pair by pair. Either way each
     similarity is ``masked_sim``'s, bit for bit. ``counters``, when given,
-    receives ``packed_pairs``, the pairs measured in packed runs, and
+    receives ``packed_pairs``, the pairs measured from packs, and
     ``run_packs_built`` once the pairs are exhausted.
     """
     prepared_left: dict[str, tuple] = {}
     prepared_right: dict[str, tuple] = {}
     class_pairs: dict[tuple[str, str], tuple] = {}
-    packs: dict[tuple[str, ...], tuple] = {}  # a run's right ids -> their prepared records and rows
-    seen: set[tuple[str, ...]] = set()  # the right ids of each run of RUN_MIN or more since the last clear
+    last: tuple[str, ...] = ()  # the right ids of the group before
+    packs: list[tuple] = []  # while groups repeat ``last``: each run's prepared records and rows
     packed_pairs = packs_built = 0
 
     def prepared(snapshot: ProjectSnapshot, cache: dict, rec_id: str) -> tuple:
@@ -178,38 +160,26 @@ def measure_pairs(
             sims = class_pairs[(lclass, rclass)] = class_sims(p1, p2)
         return sims
 
-    def pack_of(run: list[CandidatePair]) -> tuple | None:
-        """The run's pack, if the run is to be measured packed."""
-        nonlocal packs_built
-        if len(run) < RUN_MIN:
-            return None
-        key = tuple(pair.right for pair in run)
-        if key not in seen:
-            if len(seen) == RUNS_SEEN_CAP:
-                seen.clear()
-                packs.clear()
-            seen.add(key)
-            return None
-        pack = packs.get(key)
-        if pack is None and len(packs) < RUN_CACHE_CAP:
-            rights = [prepared(right, prepared_right, rec_id) for rec_id in key]
-            pack = packs[key] = rights, [pack_row([p2[f] for _, p2 in rights]) for f in range(2, _WIDTH)]
-            packs_built += 1
-        return pack
-
-    for run in _runs(pairs):
-        lclass, p1 = prepared(left, prepared_left, run[0].left)
-        pack = pack_of(run)
-        if pack is None:
-            for pair in run:
-                rclass, p2 = prepared(right, prepared_right, pair.right)
+    for left_id, group in groupby(pairs, attrgetter("left")):
+        key = tuple([pair.right for pair in group])
+        lclass, p1 = prepared(left, prepared_left, left_id)
+        if len(key) < RUN_MIN or key != last:
+            last, packs = key, []
+            for rec_id in key:
+                rclass, p2 = prepared(right, prepared_right, rec_id)
                 yield measure(p1, p2, class_pair(lclass, p1, rclass, p2))
             continue
-        rights, rows = pack
-        columns = [packed_sims(a, row) for a, row in zip(p1[2:], rows)]
-        for (rclass, p2), sims in zip(rights, zip(*columns)):
-            yield class_pair(lclass, p1, rclass, p2) + sims
-        packed_pairs += len(run)
+        if not packs:
+            size = -(-len(key) // -(-len(key) // RUN_CAP))  # split evenly: ceiling divisions
+            for start in range(0, len(key), size):
+                rights = [prepared(right, prepared_right, rec_id) for rec_id in key[start:start + size]]
+                packs.append((rights, [pack_row([p2[f] for _, p2 in rights]) for f in range(2, _WIDTH)]))
+            packs_built += len(packs)
+        for rights, rows in packs:
+            columns = [packed_sims(a, row) for a, row in zip(p1[2:], rows)]
+            for (rclass, p2), sims in zip(rights, zip(*columns)):
+                yield class_pair(lclass, p1, rclass, p2) + sims
+        packed_pairs += len(key)
     if counters is not None:
         counters.update(packed_pairs=packed_pairs, run_packs_built=packs_built)
 

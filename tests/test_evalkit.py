@@ -151,6 +151,13 @@ def test_code_mapping_label_takes_six_words_in_any_case(tmp_path):
     assert [lab.is_code_mapping for lab in load_labels(path)] == list(values.values())
 
 
+def test_labels_csv_with_a_byte_order_mark_reads_its_header(tmp_path):
+    # spreadsheet exports start the file with a UTF-8 BOM
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\xef\xbb\xbfleft_key,right_key,clone_type,is_code_mapping\na,b,T1,true\n")
+    assert [(lab.left, lab.right, lab.is_code_mapping) for lab in load_labels(path)] == [("a", "b", True)]
+
+
 def test_empty_labels_csv_holds_no_labels(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("")

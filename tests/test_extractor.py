@@ -303,6 +303,19 @@ def test_file_cut_after_a_type_keyword_is_skipped(tmp_path, tail):
     assert [path for path, _ in snap.summary.failed_files] == ["src/main/B.java"]
 
 
+def test_a_file_that_starts_with_a_byte_order_mark_keeps_its_package_and_class_doc(tmp_path):
+    # editors on Windows write a UTF-8 BOM; read as text it is U+FEFF, which is no Java token
+    for pkg in ("p", "q"):
+        (tmp_path / pkg).mkdir()
+        (tmp_path / pkg / "A.java").write_bytes(
+            b"\xef\xbb\xbf" + f"package {pkg};\n/** Doc. */\npublic class A {{ int f() {{ return 1; }} }}\n".encode()
+        )
+    snap = extract(tmp_path)
+    assert [(c.qualified_name, c.class_doc) for c in snap.class_index.values()] == [("p.A", "Doc."), ("q.A", "Doc.")]
+    assert [r.id for r in snap.records] == ["p.A#f():3-3", "q.A#f():3-3"]
+    assert snap.summary.failed_files == []
+
+
 def test_missing_root_is_hard_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         extract(tmp_path / "nope")

@@ -132,6 +132,17 @@ def test_generic_line_nested_too_deeply_is_malformed(snapshots, tmp_path):
     assert stats.diagnostics == ["line 2: JSON nested too deeply"]
 
 
+def test_generic_report_with_a_byte_order_mark_reads_its_first_line(snapshots, tmp_path):
+    _, left, right = snapshots
+    lrec, rrec = _rec(left, "first"), _rec(right, "primary")
+    report = tmp_path / "report.jsonl"
+    line = json.dumps({"detector": "d", "left": span_frag(lrec), "right": span_frag(rrec)})
+    report.write_bytes(b"\xef\xbb\xbf" + line.encode() + b"\n")
+    pairs, stats = ingest_generic(report, left, right)
+    assert [(q.left, q.right) for q in pairs] == [(lrec.id, rrec.id)]
+    assert (stats.lines, stats.resolved, stats.malformed) == (1, 1, 0)
+
+
 def test_generic_malformed_and_unknown_file(snapshots, tmp_path):
     _, left, right = snapshots
     lrec, rrec = _rec(left, "first"), _rec(right, "primary")

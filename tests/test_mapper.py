@@ -392,37 +392,16 @@ def test_score_and_ablate_equal_the_reference_scorer(left, right, rules, weights
                 assert {p.key for p, s in zip(pairs, column.scores) if s >= threshold} == expected, (column.mode, cap)
 
 
-def _runs(pairs, cap):
-    """The runs ``measure_pairs`` takes, as their right ids: each group of
-    consecutive pairs that share a left id, split evenly into runs of at
-    most ``cap``."""
-    runs = []
+def _packed_groups(pairs):
+    """Which groups ``measure_pairs`` measures from packs, as ``(right ids,
+    packed)`` per group of consecutive pairs that share a left id: a group
+    of at least ``RUN_MIN`` pairs whose right ids are the previous group's."""
+    groups, last = [], None
     for _, group in itertools.groupby(pairs, lambda p: p.left):
-        rights = [p.right for p in group]
-        size = -(-len(rights) // -(-len(rights) // cap))
-        runs += [tuple(rights[start:start + size]) for start in range(0, len(rights), size)]
-    return runs
-
-
-def _packed_runs(runs, cache_cap, seen_cap):
-    """Which of ``runs`` ``measure_pairs`` measures from a pack: a run of at
-    least ``RUN_MIN`` whose right ids came before, since the last clear,
-    while a pack is kept for them or fewer than ``cache_cap`` are; the runs
-    remembered and the packs are dropped when a new run finds ``seen_cap``
-    remembered."""
-    seen, packs, packed = set(), set(), []
-    for key in runs:
-        if len(key) < mapper.RUN_MIN:
-            pass
-        elif key not in seen:
-            if len(seen) == seen_cap:
-                seen.clear()
-                packs.clear()
-            seen.add(key)
-        elif key in packs or len(packs) < cache_cap:
-            packs.add(key)
-        packed.append(key in packs)
-    return packed
+        key = tuple(p.right for p in group)
+        groups.append((key, len(key) >= mapper.RUN_MIN and key == last))
+        last = key
+    return groups
 
 
 @settings(max_examples=80, deadline=None)
@@ -430,17 +409,16 @@ def _packed_runs(runs, cache_cap, seen_cap):
     left=snapshots("original"),
     right=snapshots("redesigned"),
     rules=st.sampled_from([None, "soot-sootup"]),
-    caps=st.tuples(st.sampled_from([3, 4, 5, mapper.RUN_CAP]), st.sampled_from([0, 1, mapper.RUN_CACHE_CAP]),
-                   st.sampled_from([1, 2, mapper.RUNS_SEEN_CAP])),
+    run_cap=st.sampled_from([3, 4, 5, mapper.RUN_CAP]),
     data=st.data(),
 )
-def test_packed_runs_measure_every_pair_as_measure_does(left, right, rules, caps, data):
-    """Runs of 1-10 pairs that share a left record, in any order, some
+def test_packed_runs_measure_every_pair_as_measure_does(left, right, rules, run_cap, data):
+    """Groups of 1-10 pairs that share a left record, in any order, some
     longer than the run cap, some on either side of ``RUN_MIN`` and some
-    repeating an earlier run's right ids:
+    repeating the previous group's right ids:
     every pair's eight similarities equal ``measure``'s of that pair alone,
-    bit for bit, whether its run was packed or not, and with caches that
-    keep no pack, one pack, or one or two runs."""
+    bit for bit, whether its group was packed or not, and with packs split
+    into runs of 3 to ``RUN_CAP`` pairs."""
     rights = st.lists(st.integers(0, len(right) - 1), min_size=1, max_size=10)
     runs = data.draw(st.lists(st.tuples(st.integers(1, 3), rights), max_size=4))  # a right list for 1-3 left records
     lefts = itertools.count(data.draw(st.integers(0, len(left) - 1)))  # each left record after the one before
@@ -456,40 +434,35 @@ def test_packed_runs_measure_every_pair_as_measure_does(left, right, rules, caps
     for pair in pairs:
         p1, p2 = prepared(left, pair.left), prepared(right, pair.right)
         expected.append(measure(p1, p2, class_sims(p1, p2)))
-    run_cap, cache_cap, seen_cap = caps
     counters = {}
-    with mock.patch.multiple(mapper, RUN_CAP=run_cap, RUN_CACHE_CAP=cache_cap, RUNS_SEEN_CAP=seen_cap):
+    with mock.patch.object(mapper, "RUN_CAP", run_cap):
         measured = list(mapper.measure_pairs(pairs, left, right, ruleset, counters))
     assert repr(measured) == repr(expected)  # repr tells every two doubles apart
-    taken = _runs(pairs, run_cap)
-    packed = _packed_runs(taken, cache_cap, seen_cap)
-    assert counters["packed_pairs"] == sum(len(key) for key, p in zip(taken, packed) if p)
+    assert counters["packed_pairs"] == sum(len(key) for key, packed in _packed_groups(pairs) if packed)
 
 
-def test_a_cross_product_wider_than_the_pack_cache_builds_each_pack_once():
-    """When a left record's runs outnumber the packs kept, as a right side
-    of more than ``RUN_CACHE_CAP * RUN_CAP`` methods gives, the first packs
-    built are kept and every later left record reuses them; the other runs
-    are measured pair by pair. No pack is built twice, so none is built and
-    used only once."""
+def test_a_cross_product_builds_each_run_pack_once():
+    """In a cross product every left record after the first repeats the
+    right ids of the one before, so each is measured from packs: at a run
+    cap of 4 the 27 right methods make 7 runs, and each run's pack is built
+    once and reused by every later left record."""
     left = extract(FIXTURE / "left", role="original")
     right = extract(FIXTURE / "right", role="redesigned")
     pairs = exhaustive_pairs(left, right)
-    lefts = len({p.left for p in pairs})
-    assert [len(run) for run in _runs(pairs, 4)[:7]] == [4, 4, 4, 4, 4, 4, 3]  # 27 right methods
+    groups = _packed_groups(pairs)
+    assert {len(key) for key, _ in groups} == {27}
     counters = {}
-    with mock.patch.multiple(mapper, RUN_CAP=4, RUN_CACHE_CAP=3):
+    with mock.patch.object(mapper, "RUN_CAP", 4):
         for _ in mapper.measure_pairs(pairs, left, right, SOOT_SOOTUP_RULES, counters):
             pass
-    assert counters == {"packed_pairs": (lefts - 1) * 3 * 4, "run_packs_built": 3}
+    assert counters == {"packed_pairs": (len(groups) - 1) * 27, "run_packs_built": 7}
 
 
 def test_run_packs_stay_bounded_as_pairs_grow():
-    """The runs remembered and the packs of runs that repeat are dropped
-    once ``RUNS_SEEN_CAP`` runs are remembered, and no more than
-    ``RUN_CACHE_CAP`` packs are kept: measuring 800 runs of 8 pairs, each
-    right side twice, peaks no higher than 200 runs (1.0 and 1.2 MB,
-    Python 3.11). With neither cap, the peak went from 1.3 to 5.1 MB."""
+    """Only the packs of the group before are kept: measuring 800 left
+    records of 8 pairs, each right list used by two consecutive left
+    records, peaks no higher than 200 of them (0.38 and 0.34 MB, Python
+    3.11), and each repeat builds one pack."""
     left = extract(FIXTURE / "left", role="original")
     right = extract(FIXTURE / "right", role="redesigned")
     lids, rids = [r.id for r in left.records], [r.id for r in right.records]
@@ -502,13 +475,12 @@ def test_run_packs_stay_bounded_as_pairs_grow():
         tracemalloc.start()
         try:
             counters = {}
-            with mock.patch.object(mapper, "RUNS_SEEN_CAP", 128):
-                for _ in mapper.measure_pairs(pairs, left, right, SOOT_SOOTUP_RULES, counters):
-                    pass
+            for _ in mapper.measure_pairs(pairs, left, right, SOOT_SOOTUP_RULES, counters):
+                pass
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert counters["run_packs_built"] >= mapper.RUN_CACHE_CAP
+        assert counters["run_packs_built"] == runs // 2
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
