@@ -9,6 +9,10 @@ command returns; inputs are recorded as the command resolves them.
 Exit codes: 0 success, 2 usage error (bad flags, missing inputs, schema
 violations), 1 runtime failure (with a machine-readable JSON error line on
 stderr).
+
+Each command imports the pipeline modules it runs inside its own body, so
+``--version``, ``--help`` and usage errors load none of them, ``extract``
+loads no scorer and the label commands no parser.
 """
 
 from __future__ import annotations
@@ -17,22 +21,24 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__
-from . import evalkit, ingest, mapper, prefilter
-from .extractor import DEFAULT_TEST_ROOTS, extract
-from .normalizer import BUNDLED_RULESETS, EMPTY_RULESET, RuleSet, normalize_record
-from .records import load_snapshot, open_output, save_snapshot, sidecar_path, write_json, write_jsonl
-from .simcore import ABLATION_MODES, WeightConfig
+from . import ABLATION_MODES, TASK_CODE_MAPPING, TASK_GENUINE_CLONE, PipelineError, __version__
+
+if TYPE_CHECKING:
+    from .normalizer import RuleSet
+    from .records import ProjectSnapshot
+    from .simcore import WeightConfig
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-TASKS = {"gc": mapper.TASK_GENUINE_CLONE, "cm": mapper.TASK_CODE_MAPPING}
+TASKS = {"gc": TASK_GENUINE_CLONE, "cm": TASK_CODE_MAPPING}
 
 
 class UsageError(Exception):
@@ -80,6 +86,8 @@ def _record_input(args, path: Path) -> Path:
 
 
 def _write_manifest(args, argv: list[str], started_at: float, counters: dict) -> None:
+    from .records import write_json
+
     out = Path(args.out)
     write_json(
         f"{out}.manifest.json",
@@ -115,7 +123,33 @@ def _read_file(args, dest: str, what: str, read):
         raise UsageError(f"invalid {what} {path}: {exc}") from None
 
 
+# perfbench/tracer.py times the calls that the commands make through the
+# next three names of this module, so they stay module-level functions that
+# the commands call, each importing its module when called. They can go
+# once the tracer wraps the functions in their own modules (ROADMAP item 1a).
+
+
+def extract(root: Path, role: str, test_roots: tuple[str, ...]) -> ProjectSnapshot:
+    from .extractor import extract
+
+    return extract(root, role=role, test_roots=test_roots)
+
+
+def save_snapshot(snapshot: ProjectSnapshot, out: Path) -> None:
+    from .records import save_snapshot
+
+    save_snapshot(snapshot, out)
+
+
+def load_snapshot(path: Path) -> ProjectSnapshot:
+    from .records import load_snapshot
+
+    return load_snapshot(path)
+
+
 def _snapshot_arg(args, dest: str, what: str):
+    from .records import sidecar_path
+
     def read(path: Path):
         side = _record_input(args, sidecar_path(path))
         if not side.is_file():
@@ -137,6 +171,8 @@ def _load_two_snapshots(args):
 
 
 def _rules_arg(args) -> RuleSet:
+    from .normalizer import BUNDLED_RULESETS, EMPTY_RULESET, RuleSet
+
     if args.rules is None:
         return EMPTY_RULESET
     if args.rules in BUNDLED_RULESETS:
@@ -145,20 +181,28 @@ def _rules_arg(args) -> RuleSet:
 
 
 def _weights_arg(args) -> WeightConfig:
+    from .simcore import WeightConfig
+
     if args.weights:
         return _read_file(args, "weights", "weights file", WeightConfig.load)
     return WeightConfig()
 
 
 def _pairs_arg(args) -> list:
+    from . import ingest
+
     return _read_file(args, "pairs", "pairs file", ingest.load_pairs)
 
 
 def _labels_arg(args) -> list:
+    from . import evalkit
+
     return _read_file(args, "labels", "labels file", evalkit.load_labels)
 
 
 def _scored_arg(args) -> list:
+    from . import mapper
+
     return _read_file(args, "scored", "scored file", mapper.load_results)
 
 
@@ -201,6 +245,8 @@ def _parse_thresholds(spec: str) -> list[float]:
 
 
 def cmd_extract(args) -> dict:
+    from .extractor import DEFAULT_TEST_ROOTS
+
     root = Path(args.root)
     if not root.is_dir():
         raise UsageError(f"source root not found: {args.root}")
@@ -217,6 +263,8 @@ def cmd_extract(args) -> dict:
 
 
 def cmd_pairs(args) -> dict:
+    from . import prefilter
+
     left, right = _load_two_snapshots(args)
     if args.mode == "exhaustive":
         pairs = prefilter.exhaustive_pairs(left, right, min_loc=args.min_loc)
@@ -239,6 +287,8 @@ def cmd_pairs(args) -> dict:
 
 
 def cmd_ingest(args) -> dict:
+    from . import ingest, prefilter
+
     left, right = _load_two_snapshots(args)
     report_path = _require_file(args, "report", "detector report")
     if args.format == "generic":
@@ -254,6 +304,8 @@ def cmd_ingest(args) -> dict:
 
 def _threshold(args) -> float:
     """``--threshold``, or the default of ``--profile`` for ``--task``."""
+    from . import mapper
+
     if args.threshold is None:
         return mapper.default_threshold(args.profile, TASKS[args.task])
     if not 0.0 <= args.threshold <= 1.0:
@@ -262,6 +314,9 @@ def _threshold(args) -> float:
 
 
 def cmd_score(args) -> dict:
+    from . import mapper
+    from .records import write_jsonl
+
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
@@ -277,6 +332,9 @@ def cmd_score(args) -> dict:
 
 
 def cmd_eval(args) -> dict:
+    from . import evalkit
+    from .records import write_json
+
     scored = _scored_arg(args)
     labels = _labels_arg(args)
     kept = {r.key for r in scored if r.kept}
@@ -291,6 +349,9 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
+    from . import evalkit
+    from .records import open_output, write_json
+
     scored = _scored_arg(args)
     labels = _labels_arg(args)
     thresholds = _parse_thresholds(args.thresholds)
@@ -315,6 +376,9 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_ablate(args) -> dict:
+    from . import evalkit, mapper
+    from .records import write_json
+
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     labels = _labels_arg(args)
@@ -330,6 +394,9 @@ def cmd_ablate(args) -> dict:
 
 
 def cmd_impact(args) -> dict:
+    from . import evalkit, mapper
+    from .records import write_json
+
     left, right = _load_two_snapshots(args)
     pairs = _pairs_arg(args)
     code_types = evalkit.code_types(pairs, left, right)
@@ -348,6 +415,12 @@ def cmd_impact(args) -> dict:
 
 
 def cmd_tune(args) -> dict:
+    # tune calls no BLAS routine (only partition, compare, sum and cumsum), so
+    # the thread pool that OpenBLAS starts when numpy loads is pure start-up
+    # cost; set before evalkit.tune first imports numpy, and a user's value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import evalkit
+
     scored = _scored_arg(args)
     labels = _labels_arg(args)
     task = TASKS[args.task]
@@ -369,6 +442,9 @@ def cmd_tune(args) -> dict:
 
 
 def cmd_normalize(args) -> dict:
+    from .normalizer import normalize_record
+    from .records import write_jsonl
+
     snapshot = _snapshot_arg(args, "snapshot", "snapshot")
     rules = _rules_arg(args)
     rows = ({"id": rec.id, **vars(normalize_record(rec, snapshot.class_of(rec), rules, snapshot.role))}
@@ -497,8 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         OSError,  # from the file system: an --out that names a directory, say
         ValueError,
         KeyError,
-        ingest.IngestError,
-        mapper.UnresolvedPairError,
+        PipelineError,  # ingest.IngestError and mapper.UnresolvedPairError
     ) as exc:
         _error_line(type(exc).__name__, exc)
         return EXIT_RUNTIME

@@ -14,7 +14,8 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .mapper import MappingResult, TASK_CODE_MAPPING, TASK_GENUINE_CLONE
+from . import TASK_CODE_MAPPING, TASK_GENUINE_CLONE
+from .mapper import MappingResult
 from .simcore import EPS, FIELDS, WeightConfig, policy_filled, weighted_sum
 
 CLONE_TYPES = ("non_clone", "T1", "T2", "T3", "T4")

@@ -15,15 +15,15 @@ reads the report formats.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import PipelineError
 from .prefilter import FORMAT_VERSION, PAIR_LINE, CandidatePair
 from .records import MethodRecord, ProjectSnapshot, SourceSpan, match_fragment, parse_json, read_lines
 
 
-class IngestError(RuntimeError):
+class IngestError(PipelineError):
     pass
 
 
@@ -83,6 +83,8 @@ def _generic_clones(path: Path):
 
 def _nicad_clones(path: Path):
     """(``clone N``, two spans or the error, ``"nicad"``) per <clone> element."""
+    import xml.etree.ElementTree as ET  # only the NiCad reader needs it
+
     try:
         tree = ET.parse(str(path))
     except ET.ParseError as exc:

@@ -41,16 +41,13 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
+from . import ABLATION_MODES, TASK_CODE_MAPPING, TASK_GENUINE_CLONE, PipelineError
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
 from .records import ProjectSnapshot, check_fields, encode_sorted, encode_string, open_output, read_jsonl
 from .simcore import (
-    ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, pack_row, packed_sims,
-    prepare,
+    EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, pack_row, packed_sims, prepare,
 )
-
-TASK_GENUINE_CLONE = "genuine_clone"
-TASK_CODE_MAPPING = "code_mapping"
 
 # default thresholds per (redesign profile, task); heavy redesign pairs use
 # lower cutoffs than lightly redesigned ones
@@ -96,7 +93,7 @@ class MappingResult(NamedTuple):
         }
 
 
-class UnresolvedPairError(RuntimeError):
+class UnresolvedPairError(PipelineError):
     pass
 
 

@@ -130,7 +130,7 @@ class RuleSet:
 
     @staticmethod
     def load(path: str | Path) -> "RuleSet":
-        return RuleSet.from_dict(parse_json(Path(path).read_text(encoding="utf-8")))
+        return RuleSet.from_dict(parse_json(Path(path).read_text(encoding="utf-8-sig")))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")

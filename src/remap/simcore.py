@@ -52,11 +52,6 @@ from .records import open_output, parse_json
 
 EPS = 1e-9
 
-# ALL keeps every signal; EXR1 disables renaming during normalization;
-# EXR2 zeroes simLocalVar and simMethodHeader; EXR3 zeroes simMethodDoc and
-# simClassDoc; EXR4 zeroes simComment
-ABLATION_MODES = ("ALL", "EXR1", "EXR2", "EXR3", "EXR4")
-
 # the eight measured fields; ``SASBreakdown`` names each ``sim_<field>``
 FIELDS = (
     "class_name", "class_doc", "method_name", "return_type",
@@ -101,7 +96,7 @@ class WeightConfig:
 
     @staticmethod
     def load(path: str | Path) -> "WeightConfig":
-        return WeightConfig.from_dict(parse_json(Path(path).read_text(encoding="utf-8")))
+        return WeightConfig.from_dict(parse_json(Path(path).read_text(encoding="utf-8-sig")))
 
     def save(self, path: str | Path) -> None:
         with open_output(path) as fh:
@@ -240,7 +235,7 @@ def components(
     mode: str = "ALL",
 ) -> SASBreakdown:
     """Per-field LCS similarities aggregated into the score breakdown under
-    ablation ``mode``, one of ``ABLATION_MODES``."""
+    ablation ``mode``, one of ``remap.ABLATION_MODES``."""
     p1, p2 = prepare(d1), prepare(d2)
     return aggregate(measure(p1, p2, class_sims(p1, p2)), w or WeightConfig(), mode)
 

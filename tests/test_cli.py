@@ -133,6 +133,7 @@ def test_score_with_stale_pairs_is_runtime_error(pipeline, tmp_path):
         "--left", left, "--right", right, "--out", tmp_path / "o.jsonl",
     )
     assert p.returncode == 1
+    assert json.loads(p.stderr.strip().split("\n")[-1])["error"] == "IngestError"
     # a pairs file with ids that no longer exist: score-time hard error
     stale_pairs = tmp_path / "stale_pairs.jsonl"
     stale_pairs.write_text(json.dumps({
@@ -147,7 +148,7 @@ def test_score_with_stale_pairs_is_runtime_error(pipeline, tmp_path):
     )
     assert p.returncode == 1
     err = json.loads(p.stderr.strip().split("\n")[-1])
-    assert "soot.Gone#f():1-5" in err["message"]
+    assert err["error"] == "UnresolvedPairError" and "soot.Gone#f():1-5" in err["message"]
 
 
 def test_ingest_skips_a_line_whose_detector_is_not_a_string(pipeline, tmp_path):
@@ -807,6 +808,44 @@ def test_importing_the_cli_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+_MODULES_AFTER_MAIN = "import json, sys\nfrom remap import cli\ncli.main(sys.argv[1:])\nprint(json.dumps(sorted(sys.modules)))"
+
+
+def _modules_loaded(*argv) -> set[str]:
+    """The modules that a fresh interpreter holds once ``cli.main(argv)`` returns."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *map(str, argv)], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_each_command_loads_only_its_modules(pipeline, tmp_path):
+    work, left, right, pairs = pipeline
+    snapshots = ["--left", left, "--right", right]
+    scored = tmp_path / "scored.jsonl"
+    labeled = ["--scored", scored, "--labels", FIXTURE / "labels.csv", "--task", "cm"]
+    loaded = {  # in pipeline order: eval and tune read what score writes
+        "--version": _modules_loaded("--version"),
+        "--help": _modules_loaded("--help"),
+        "usage error": _modules_loaded("score", "--bogus"),
+        "extract": _modules_loaded("extract", "--root", FIXTURE / "left", "--out", tmp_path / "left.jsonl"),
+        "ingest": _modules_loaded("ingest", "--format", "generic", "--report", FIXTURE / "pairs.jsonl",
+                                  *snapshots, "--out", tmp_path / "pairs.jsonl"),
+        "pairs": _modules_loaded("pairs", "--mode", "exhaustive", *snapshots, "--out", tmp_path / "all.jsonl"),
+        "score": _modules_loaded("score", "--pairs", pairs, *snapshots, "--out", scored),
+        "eval": _modules_loaded("eval", *labeled, "--out", tmp_path / "eval.json"),
+        "tune": _modules_loaded("tune", *labeled, "--grid-step", "0.25", "--out", tmp_path / "weights.json"),
+    }
+    for command in ("--version", "--help", "usage error"):
+        assert {m for m in loaded[command] if m.split(".")[0] == "remap"} == {"remap", "remap.cli"}, command
+    scorers = {f"remap.{m}" for m in ("mapper", "evalkit", "ingest", "prefilter", "simcore", "normalizer")}
+    assert not loaded["extract"] & scorers
+    for command in ("eval", "tune"):
+        assert not loaded[command] & {"remap.extractor", "remap.ingest"}, command
+    assert [c for c, modules in loaded.items() if "xml.etree.ElementTree" in modules] == []
+    assert [c for c, modules in loaded.items() if "numpy" in modules] == ["tune"]
+
+
 def test_manifest_starts_before_the_work(pipeline, tmp_path, monkeypatch):
     work, left, right, pairs = pipeline
     import time
@@ -940,9 +979,8 @@ def test_ablate_and_impact_measure_each_record_at_most_twice(pipeline, tmp_path,
 
 
 def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path):
-    from remap import cli, evalkit, ingest, mapper
+    from remap import ABLATION_MODES, cli, evalkit, ingest, mapper
     from remap.records import load_snapshot
-    from remap.simcore import ABLATION_MODES
 
     work, left, right, pairs = pipeline
     lsnap, rsnap = load_snapshot(left), load_snapshot(right)

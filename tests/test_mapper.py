@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remap import cli, mapper
+from remap import ABLATION_MODES, cli, mapper
 from remap.extractor import extract
 from remap.ingest import load_pairs
 from remap.mapper import (
@@ -36,7 +36,7 @@ from remap.normalizer import BUNDLED_RULESETS, EMPTY_RULESET, SOOT_SOOTUP_RULES,
 from remap.prefilter import CandidatePair, exhaustive_pairs, save_pairs
 from remap.records import ClassRecord, MethodRecord, ProjectSnapshot, SourceSpan, save_snapshot
 from remap.simcore import (
-    ABLATION_MODES, EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, components, measure, prepare,
+    EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, components, measure, prepare,
 )
 from test_simcore import dp_lcs
 

@@ -181,6 +181,14 @@ def test_ruleset_roundtrip(tmp_path):
     assert loaded.name == SOOT_SOOTUP_RULES.name
 
 
+def test_rules_file_with_a_byte_order_mark_loads(tmp_path):
+    # some editors save hand-edited JSON with a UTF-8 BOM
+    path = tmp_path / "rules.json"
+    SOOT_SOOTUP_RULES.save(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert RuleSet.load(path).to_dict() == SOOT_SOOTUP_RULES.to_dict()
+
+
 # -- doc normalization --------------------------------------------------------
 
 

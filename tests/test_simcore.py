@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from remap import ABLATION_MODES
 from remap.lcs import lcs_bits, lcs_length, match_masks, pack_masks
 from remap.normalizer import NormalizedDetails
 from remap.simcore import (
-    ABLATION_MODES,
     FIELDS,
     WeightConfig,
     aggregate,
@@ -175,6 +175,15 @@ def test_default_weights():
     w = WeightConfig()
     assert (w.alpha, w.beta, w.theta) == (0.5, 0.25, 0.25)
     assert (w.delta, w.eta, w.phi) == (0.5, 0.35, 0.15)
+
+
+def test_weights_file_with_a_byte_order_mark_loads(tmp_path):
+    # some editors save hand-edited JSON with a UTF-8 BOM
+    w = WeightConfig(alpha=0.4, beta=0.3, theta=0.3)
+    path = tmp_path / "weights.json"
+    w.save(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert WeightConfig.load(path) == w
 
 
 def test_weight_simplex_enforced():
