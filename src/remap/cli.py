@@ -200,10 +200,23 @@ def _labels_arg(args) -> list:
     return _read_file(args, "labels", "labels file", evalkit.load_labels)
 
 
-def _scored_arg(args) -> list:
+def _labeled_rows(args) -> tuple[list, list, set]:
+    """The labels, the ``--scored`` rows that a label names (in file order) and the kept rows' keys.
+    The file is recorded before the labels are read and streamed after them, holding no other row."""
     from . import mapper
 
-    return _read_file(args, "scored", "scored file", mapper.load_results)
+    def read(path: Path):
+        labels = _labels_arg(args)
+        labeled = {lab.key for lab in labels}
+        rows, kept = [], set()
+        for r in mapper.load_results(path):
+            if r.kept:
+                kept.add(r.key)
+            if r.key in labeled:
+                rows.append(r)
+        return labels, rows, kept
+
+    return _read_file(args, "scored", "scored file", read)
 
 
 def _labels_unmatched(labels: list, rows) -> int:
@@ -335,16 +348,14 @@ def cmd_eval(args) -> dict:
     from . import evalkit
     from .records import write_json
 
-    scored = _scored_arg(args)
-    labels = _labels_arg(args)
-    kept = {r.key for r in scored if r.kept}
+    labels, rows, kept = _labeled_rows(args)
     counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
     write_json(
         args.out,
         {"task": TASKS[args.task], "confusion": counts.to_dict(), "metrics": metrics.to_dict()},
     )
     print(json.dumps(metrics.to_dict(), sort_keys=True))
-    return {"labeled": len(labels), "labels_unmatched": _labels_unmatched(labels, scored), "kept": len(kept),
+    return {"labeled": len(labels), "labels_unmatched": _labels_unmatched(labels, rows), "kept": len(kept),
             **counts.to_dict()}
 
 
@@ -352,10 +363,9 @@ def cmd_sweep(args) -> dict:
     from . import evalkit
     from .records import open_output, write_json
 
-    scored = _scored_arg(args)
-    labels = _labels_arg(args)
+    labels, rows, _ = _labeled_rows(args)
     thresholds = _parse_thresholds(args.thresholds)
-    points, best = evalkit.sweep(scored, labels, TASKS[args.task], thresholds)
+    points, best = evalkit.sweep(rows, labels, TASKS[args.task], thresholds)
     if args.csv:  # before --out, so a failed --csv leaves no --out without its manifest
         with open_output(args.csv) as fh:
             fh.write("threshold,fpr,precision,recall,f1_pos,f1_neg,avg_f1\n")
@@ -372,7 +382,7 @@ def cmd_sweep(args) -> dict:
     }
     write_json(args.out, payload)
     print(json.dumps({"best_threshold": best}, sort_keys=True))
-    return {"points": len(points), "labels_unmatched": _labels_unmatched(labels, scored)}
+    return {"points": len(points), "labels_unmatched": _labels_unmatched(labels, rows)}
 
 
 def cmd_ablate(args) -> dict:
@@ -383,14 +393,17 @@ def cmd_ablate(args) -> dict:
     pairs = _pairs_arg(args)
     labels = _labels_arg(args)
     threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
+    labeled_keys = {lab.key for lab in labels}
+    labeled = [i for i, pair in enumerate(pairs) if pair.key in labeled_keys]  # the positions a label names
     report, counters = {}, {"pairs": len(pairs)}
     for column in mapper.score_columns(pairs, left, right, rules, weights, ABLATION_MODES, counters):
-        kept = {pair.key for pair, s in zip(pairs, column.scores) if s >= threshold}
+        kept = {pairs[i].key for i in labeled if column.scores[i] >= threshold}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
         report[column.mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
     write_json(args.out, report)
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
-    return {**counters, "settings": len(report), "labels_unmatched": _labels_unmatched(labels, pairs)}
+    unmatched = _labels_unmatched(labels, [pairs[i] for i in labeled])
+    return {**counters, "settings": len(report), "labels_unmatched": unmatched}
 
 
 def cmd_impact(args) -> dict:
@@ -421,12 +434,10 @@ def cmd_tune(args) -> dict:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import evalkit
 
-    scored = _scored_arg(args)
-    labels = _labels_arg(args)
-    task = TASKS[args.task]
-    label_by_key = {lab.key: lab.positive(task) for lab in labels}
+    labels, rows, _ = _labeled_rows(args)
+    label_by_key = {lab.key: lab.positive(TASKS[args.task]) for lab in labels}
     # a pair repeated in the scored file is one example, as eval and sweep count it once
-    training = list({r.key: (r, label_by_key[r.key]) for r in scored if r.key in label_by_key}.values())
+    training = list({r.key: (r, label_by_key[r.key]) for r in rows}.values())
     cfg = _config(evalkit.TunerConfig, grid_step=args.grid_step, objective_k=args.k)
     weights = evalkit.tune(training, cfg)
     weights.save(args.out)
@@ -434,7 +445,7 @@ def cmd_tune(args) -> dict:
     grid_points = len(evalkit.simplex_grid(cfg.grid_step))
     return {
         "training": len(training),
-        "labels_unmatched": _labels_unmatched(labels, scored),
+        "labels_unmatched": _labels_unmatched(labels, rows),
         "k": evalkit.top_k(training, cfg),
         "grid_points": grid_points,
         "weight_configs": grid_points ** 2,

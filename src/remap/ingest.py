@@ -220,4 +220,4 @@ def load_pairs(path: str | Path) -> list[CandidatePair]:
         return CandidatePair(strings.setdefault(left, left), strings.setdefault(right, right),
                              strings.setdefault(detector, detector))
 
-    return read_lines(path, parse)
+    return list(read_lines(path, parse))

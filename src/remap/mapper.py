@@ -377,15 +377,15 @@ def _result_from_json(d) -> MappingResult:
     return MappingResult(d["left"], d["right"], d["provenance"], breakdown, d["kept"], d["rank"])
 
 
-def load_results(path: str | Path) -> list[MappingResult]:
-    """Read jsonl rows that ``report`` wrote.
+def load_results(path: str | Path) -> Iterator[MappingResult]:
+    """Yield each jsonl row that ``report`` wrote as it is read and checked.
 
-    Raises ValueError naming the first line that is not JSON, lacks a
-    field of ``MappingResult.to_dict`` with its JSON type, holds a
-    similarity or score outside [0,1] by more than ``SCORE_SLACK``, has
-    a rank that does not fit its ``kept``, or breaks ``ranked``'s order:
-    the kept rows come first, ranked 1..k in file order, and each scores
-    above every dropped row.
+    Raises ValueError, after the rows before it, naming the first line
+    that is not JSON, lacks a field of ``MappingResult.to_dict`` with its
+    JSON type, holds a similarity or score outside [0,1] by more than
+    ``SCORE_SLACK``, has a rank that does not fit its ``kept``, or breaks
+    ``ranked``'s order: the kept rows come first, ranked 1..k in file
+    order, and each scores above every dropped row.
     """
     kept, lowest, dropped = 0, math.inf, False  # kept rows so far, their lowest score, a dropped row seen
 

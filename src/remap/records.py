@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -76,27 +76,26 @@ def parse_json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
-def read_lines(path: str | Path, parse) -> list:
-    """``parse`` of each non-blank line, stripped, in file order.
+def read_lines(path: str | Path, parse) -> Iterator:
+    """Yield ``parse`` of each non-blank line, stripped, in file order, as
+    the line is read.
 
     Raises ValueError naming the first line that ``parse`` rejects with a
-    ValueError.
+    ValueError, once the lines before it have been yielded.
     """
-    out = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(parse(line))
+                yield parse(line)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-    return out
 
 
-def read_jsonl(path: str | Path, parse) -> list:
-    """``parse`` of each non-blank line's JSON value, in file order.
+def read_jsonl(path: str | Path, parse) -> Iterator:
+    """Yield ``parse`` of each non-blank line's JSON value, in file order.
 
     Raises ValueError naming the first line that is not JSON or that
     ``parse`` rejects with a ValueError.
@@ -396,7 +395,7 @@ def load_snapshot(records_path: Path) -> ProjectSnapshot:
     """
     records_path = Path(records_path)
     side = sidecar_path(records_path)
-    records = read_jsonl(records_path, MethodRecord.from_dict)
+    records = list(read_jsonl(records_path, MethodRecord.from_dict))
     try:  # the sidecar's shape is that of ``to_sidecar_dict``
         meta = parse_json(side.read_text(encoding="utf-8"))
         check_fields(meta, _SIDECAR_FIELDS)

@@ -548,7 +548,7 @@ def test_report_formats_roundtrip(tmp_path):
     for mode in ABLATION_MODES:
         moded = [r._replace(breakdown=r.breakdown._replace(**sims, ablation=mode)) for r in results]
         report(moded, out)
-        assert load_results(out) == moded
+        assert list(load_results(out)) == moded
     for fmt in ("yaml", "summary"):  # score writes a summary by itself, with no result rows
         with pytest.raises(ValueError):
             report(results, tmp_path / f"s.{fmt}", fmt)
@@ -589,7 +589,7 @@ def test_load_results_reads_every_row_aggregate_writes(score_triple, header_trip
         report(rows, Path(d) / "s.jsonl")
         lines = (Path(d) / "s.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         assert lines == [json.JSONEncoder(sort_keys=True).encode(r.to_dict()) + "\n" for r in rows]
-        assert load_results(Path(d) / "s.jsonl") == rows
+        assert list(load_results(Path(d) / "s.jsonl")) == rows
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

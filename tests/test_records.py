@@ -261,4 +261,4 @@ def test_write_jsonl_writes_each_row_as_sort_keyed_json(rows):
         write_jsonl(out, (row for row in rows))  # a one-shot generator
         lines = out.read_text(encoding="utf-8").split("\n")
         assert lines == [json.dumps(row, sort_keys=True) for row in rows] + [""]
-        assert read_jsonl(out, lambda v: v) == rows
+        assert list(read_jsonl(out, lambda v: v)) == rows
