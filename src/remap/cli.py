@@ -191,7 +191,7 @@ def _weights_arg(args) -> WeightConfig:
 def _pairs_arg(args) -> list:
     from . import ingest
 
-    return _read_file(args, "pairs", "pairs file", ingest.load_pairs)
+    return _read_file(args, "pairs", "pairs file", lambda path: list(ingest.load_pairs(path)))
 
 
 def _labels_arg(args) -> list:
@@ -200,30 +200,19 @@ def _labels_arg(args) -> list:
     return _read_file(args, "labels", "labels file", evalkit.load_labels)
 
 
-def _labeled_rows(args) -> tuple[list, list, set]:
-    """The labels, the ``--scored`` rows that a label names (in file order) and the kept rows' keys.
+def _labeled_rows(args, dest: str, what: str, read_rows) -> tuple[list, list, int]:
+    """The labels, the rows of the ``dest`` file that ``read_rows(path)`` yields and a label names, in
+    file order, and how many labels name none (a label keyed by anything but the two record ids does).
     The file is recorded before the labels are read and streamed after them, holding no other row."""
-    from . import mapper
 
     def read(path: Path):
         labels = _labels_arg(args)
-        labeled = {lab.key for lab in labels}
-        rows, kept = [], set()
-        for r in mapper.load_results(path):
-            if r.kept:
-                kept.add(r.key)
-            if r.key in labeled:
-                rows.append(r)
-        return labels, rows, kept
+        keys = {lab.key for lab in labels}
+        labeled = [r for r in read_rows(path) if r.key in keys]
+        found = {r.key for r in labeled}
+        return labels, labeled, sum(lab.key not in found for lab in labels)
 
-    return _read_file(args, "scored", "scored file", read)
-
-
-def _labels_unmatched(labels: list, rows) -> int:
-    """The labels whose key names none of the scored rows or pairs ``rows``:
-    a label keyed otherwise than by the two record ids matches nothing."""
-    keys = {r.key for r in rows}
-    return sum(lab.key not in keys for lab in labels)
+    return _read_file(args, dest, what, read)
 
 
 MAX_THRESHOLDS = 10_000
@@ -345,25 +334,32 @@ def cmd_score(args) -> dict:
 
 
 def cmd_eval(args) -> dict:
-    from . import evalkit
+    from . import evalkit, mapper
     from .records import write_json
 
-    labels, rows, kept = _labeled_rows(args)
+    kept = set()  # the key of every kept row, labeled or not
+
+    def rows(path: Path):
+        for r in mapper.load_results(path):
+            if r.kept:
+                kept.add(r.key)
+            yield r
+
+    labels, _, unmatched = _labeled_rows(args, "scored", "scored file", rows)
     counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
     write_json(
         args.out,
         {"task": TASKS[args.task], "confusion": counts.to_dict(), "metrics": metrics.to_dict()},
     )
     print(json.dumps(metrics.to_dict(), sort_keys=True))
-    return {"labeled": len(labels), "labels_unmatched": _labels_unmatched(labels, rows), "kept": len(kept),
-            **counts.to_dict()}
+    return {"labeled": len(labels), "labels_unmatched": unmatched, "kept": len(kept), **counts.to_dict()}
 
 
 def cmd_sweep(args) -> dict:
-    from . import evalkit
+    from . import evalkit, mapper
     from .records import open_output, write_json
 
-    labels, rows, _ = _labeled_rows(args)
+    labels, rows, unmatched = _labeled_rows(args, "scored", "scored file", mapper.load_results)
     thresholds = _parse_thresholds(args.thresholds)
     points, best = evalkit.sweep(rows, labels, TASKS[args.task], thresholds)
     if args.csv:  # before --out, so a failed --csv leaves no --out without its manifest
@@ -382,27 +378,33 @@ def cmd_sweep(args) -> dict:
     }
     write_json(args.out, payload)
     print(json.dumps({"best_threshold": best}, sort_keys=True))
-    return {"points": len(points), "labels_unmatched": _labels_unmatched(labels, rows)}
+    return {"points": len(points), "labels_unmatched": unmatched}
 
 
 def cmd_ablate(args) -> dict:
-    from . import evalkit, mapper
+    from . import evalkit, ingest, mapper
     from .records import write_json
 
     left, right = _load_two_snapshots(args)
-    pairs = _pairs_arg(args)
-    labels = _labels_arg(args)
+    pairs_read = 0
+
+    def rows(path: Path):  # every pair read is checked, its ids too, though only the labeled are scored
+        nonlocal pairs_read
+        for pair in ingest.load_pairs(path):
+            mapper.resolve_id(left, pair.left)
+            mapper.resolve_id(right, pair.right)
+            pairs_read += 1
+            yield pair
+
+    labels, pairs, unmatched = _labeled_rows(args, "pairs", "pairs file", rows)
     threshold, weights, rules = _threshold(args), _weights_arg(args), _rules_arg(args)
-    labeled_keys = {lab.key for lab in labels}
-    labeled = [i for i, pair in enumerate(pairs) if pair.key in labeled_keys]  # the positions a label names
-    report, counters = {}, {"pairs": len(pairs)}
+    report, counters = {}, {"pairs": pairs_read, "pairs_scored": len(pairs)}
     for column in mapper.score_columns(pairs, left, right, rules, weights, ABLATION_MODES, counters):
-        kept = {pairs[i].key for i in labeled if column.scores[i] >= threshold}
+        kept = {pair.key for pair, score in zip(pairs, column.scores) if score >= threshold}
         counts, metrics = evalkit.evaluate(kept, labels, TASKS[args.task])
         report[column.mode] = {"confusion": counts.to_dict(), "metrics": metrics.to_dict()}
     write_json(args.out, report)
     print(json.dumps({m: report[m]["metrics"]["avg_f1"] for m in report}, sort_keys=True))
-    unmatched = _labels_unmatched(labels, [pairs[i] for i in labeled])
     return {**counters, "settings": len(report), "labels_unmatched": unmatched}
 
 
@@ -432,9 +434,9 @@ def cmd_tune(args) -> dict:
     # the thread pool that OpenBLAS starts when numpy loads is pure start-up
     # cost; set before evalkit.tune first imports numpy, and a user's value wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import evalkit
+    from . import evalkit, mapper
 
-    labels, rows, _ = _labeled_rows(args)
+    labels, rows, unmatched = _labeled_rows(args, "scored", "scored file", mapper.load_results)
     label_by_key = {lab.key: lab.positive(TASKS[args.task]) for lab in labels}
     # a pair repeated in the scored file is one example, as eval and sweep count it once
     training = list({r.key: (r, label_by_key[r.key]) for r in rows}.values())
@@ -445,7 +447,7 @@ def cmd_tune(args) -> dict:
     grid_points = len(evalkit.simplex_grid(cfg.grid_step))
     return {
         "training": len(training),
-        "labels_unmatched": _labels_unmatched(labels, rows),
+        "labels_unmatched": unmatched,
         "k": evalkit.top_k(training, cfg),
         "grid_points": grid_points,
         "weight_configs": grid_points ** 2,

@@ -15,6 +15,7 @@ reads the report formats.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,13 +200,14 @@ def _pair_from_json(obj, strings: dict[str, str]) -> CandidatePair:
 _PAIR_LINE = re.compile(re.escape(PAIR_LINE).replace("%s", r'"([^"\\\x00-\x1f]*)"'))
 
 
-def load_pairs(path: str | Path) -> list[CandidatePair]:
-    """Load key-based pair JSONL previously written by this tool.
+def load_pairs(path: str | Path) -> Iterator[CandidatePair]:
+    """Yield each pair of key-based pair JSONL written by this tool, as it is read.
 
-    Raises ValueError naming the first line that is not a format-1 pair
-    object with ``left.key`` and ``right.key`` strings and a string
-    ``detector``, if any. A line of ``save_pairs``' own shape is read by one
-    regex match, any other is decoded as JSON, to the same pair. A file
+    Raises ValueError, after the pairs before it, naming the first line
+    that is not a format-1 pair object with ``left.key`` and ``right.key``
+    strings and a string ``detector``, if any. A line of ``save_pairs``'
+    own shape is read by one regex match, any other is decoded as JSON, to
+    the same pair. A file
     repeats few ids over many pairs, so the pairs share one string object
     per distinct id and detector.
     """
@@ -220,4 +222,4 @@ def load_pairs(path: str | Path) -> list[CandidatePair]:
         return CandidatePair(strings.setdefault(left, left), strings.setdefault(right, right),
                              strings.setdefault(detector, detector))
 
-    return list(read_lines(path, parse))
+    return read_lines(path, parse)

@@ -44,7 +44,9 @@ from typing import NamedTuple
 from . import ABLATION_MODES, TASK_CODE_MAPPING, TASK_GENUINE_CLONE, PipelineError
 from .normalizer import EMPTY_RULESET, RuleSet, normalize_record
 from .prefilter import CandidatePair
-from .records import ProjectSnapshot, check_fields, encode_sorted, encode_string, open_output, read_jsonl
+from .records import (
+    MethodRecord, ProjectSnapshot, check_fields, encode_sorted, encode_string, open_output, read_jsonl,
+)
 from .simcore import (
     EPS, FIELDS, SASBreakdown, WeightConfig, aggregate, class_sims, measure, pack_row, packed_sims, prepare,
 )
@@ -97,6 +99,15 @@ class UnresolvedPairError(PipelineError):
     pass
 
 
+def resolve_id(snapshot: ProjectSnapshot, rec_id: str) -> MethodRecord:
+    """The record that a pair id names in ``snapshot``. An id that it lacks
+    is a hard error: the pairs file was produced against other snapshots."""
+    rec = snapshot.get(rec_id)
+    if rec is None:
+        raise UnresolvedPairError(f"pair id {rec_id!r} not found in snapshot {snapshot.project_id!r}")
+    return rec
+
+
 _WIDTH = len(FIELDS)  # doubles per table row of a packed measurement, and fields per measurement
 
 # the shortest group that ``measure_pairs`` packs: a packed pass over fewer right records costs no
@@ -114,10 +125,9 @@ def measure_pairs(
 ) -> Iterator[tuple]:
     """Yield each candidate pair's ``measure``d fields under ``rules``, in order.
 
-    An id that does not resolve in its snapshot is a hard error (the pairs
-    file was produced against different snapshots). Each record is
-    normalized once, and the class-level similarities taken once per class
-    pair.
+    An id that its snapshot lacks is ``resolve_id``'s hard error. Each
+    record is normalized once, and the class-level similarities taken once
+    per class pair.
 
     Pairs are taken in groups of consecutive pairs that share a left record.
     A group of at least ``RUN_MIN`` pairs whose right ids are the previous
@@ -142,11 +152,7 @@ def measure_pairs(
     def prepared(snapshot: ProjectSnapshot, cache: dict, rec_id: str) -> tuple:
         entry = cache.get(rec_id)
         if entry is None:
-            rec = snapshot.get(rec_id)
-            if rec is None:
-                raise UnresolvedPairError(
-                    f"pair id {rec_id!r} not found in snapshot {snapshot.project_id!r}"
-                )
+            rec = resolve_id(snapshot, rec_id)
             details = normalize_record(rec, snapshot.class_of(rec), rules, snapshot.role)
             entry = cache[rec_id] = (rec.class_name, prepare(details))
         return entry

@@ -389,6 +389,43 @@ def test_label_commands_hold_only_the_labeled_rows(tmp_path):
     assert all(large < 1.25 * small for small, large in peaks.values()), peaks
 
 
+def test_ablate_holds_and_scores_only_the_labeled_pairs(pipeline, tmp_path):
+    """ablate keeps and measures only the pairs that a label names: with
+    the toy's 40 labeled pairs, ten times the unlabeled pairs (the other 716
+    of the toy's exhaustive pairs, 10 and then 100 times over) leaves its
+    traced peak within 1.25x; both files pass the 1 MB chunk that hashing an
+    input reads at once. Holding and scoring every pair, the peak grew 3.5x,
+    2.3 MB to 7.9 MB. The modules that ablate imports on its first call are
+    imported before tracing starts."""
+    import tracemalloc
+
+    from remap import cli, evalkit, ingest, mapper  # noqa: F401
+    from remap.prefilter import exhaustive_pairs, save_pairs
+    from remap.records import load_snapshot
+
+    work, left, right, labeled = pipeline
+    keys = {pair.key for pair in ingest.load_pairs(labeled)}
+    unlabeled = [pair for pair in exhaustive_pairs(load_snapshot(left), load_snapshot(right)) if pair.key not in keys]
+    labels, pairs = tmp_path / "labels.csv", tmp_path / "pairs.jsonl"
+    _write_labels(labels, left, right)
+    argv = ["ablate", "--pairs", str(pairs), "--left", str(left), "--right", str(right), "--labels", str(labels),
+            "--task", "cm", "--rules", "soot-sootup", "--out", str(tmp_path / "ablate.json")]
+    peaks, counts = [], []
+    for copies in (10, 100):
+        save_pairs([*ingest.load_pairs(labeled), *unlabeled * copies], pairs)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        counters = json.loads((tmp_path / "ablate.json.manifest.json").read_text())["counters"]
+        counts.append((counters["pairs"], counters["pairs_scored"]))
+    assert counts == [(40 + 10 * 716, 40), (40 + 100 * 716, 40)]
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 def test_pairs_command_exhaustive(pipeline, tmp_path):
     work, left, right, _ = pipeline
     out = tmp_path / "exhaustive.jsonl"
@@ -620,35 +657,63 @@ def test_bad_scored_file_is_usage_error(scored, tmp_path, capsys, line, culprit)
         assert not (tmp_path / f"{command}.json").exists()
 
 
-def test_a_bad_row_after_the_last_labeled_row_is_usage_error(scored, tmp_path, capsys):
-    """Only the labeled rows are held, yet every row is read and checked."""
-    scores, labels = scored
-    lines = scores.read_text().splitlines(keepends=True)
-    bad = tmp_path / "scores.jsonl"
-    bad.write_text("".join(lines) + "[1]\n")
-    for command in ("eval", "sweep", "tune"):
-        code, err = _main_error(capsys, command, "--scored", bad, "--labels", labels, "--task", "cm",
+def _joined(pipeline, scored):
+    """(command, the flag of the file it joins with the labels, that file, what it is called, other flags)
+    of each command that joins labels."""
+    work, left, right, pairs = pipeline
+    scores, _ = scored
+    return [*((command, "--scored", scores, "scored file", []) for command in ("eval", "sweep", "tune")),
+            ("ablate", "--pairs", pairs, "pairs file", ["--left", left, "--right", right])]
+
+
+def test_a_bad_row_after_the_last_labeled_row_is_usage_error(pipeline, scored, tmp_path, capsys):
+    """Only the labeled rows or pairs are held, yet every one is read and checked."""
+    _, labels = scored
+    for command, flag, good, what, extra in _joined(pipeline, scored):
+        lines = good.read_text().splitlines(keepends=True)
+        bad = tmp_path / good.name
+        bad.write_text("".join(lines) + "[1]\n")
+        code, err = _main_error(capsys, command, flag, bad, *extra, "--labels", labels, "--task", "cm",
                                 "--out", tmp_path / f"{command}.json")
         assert code == 2, command
-        assert f"invalid scored file {bad}: line {len(lines) + 1}: expected a JSON object" in err["message"], command
+        assert f"invalid {what} {bad}: line {len(lines) + 1}: expected a JSON object" in err["message"], command
         assert not (tmp_path / f"{command}.json").exists()
 
 
-def test_label_commands_read_the_labels_before_the_scored_rows(scored, tmp_path, capsys):
-    """The scored rows are streamed after the labels, which pick the rows to
-    keep: when both files are bad, the labels file is named. A missing
-    scored file is still named first, as it is recorded before the labels."""
-    scores, labels = scored
-    bad_scores, bad_labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
-    bad_scores.write_text("not json\n")
+def test_ablate_resolves_the_ids_of_every_pair_it_reads(pipeline, scored, tmp_path, capsys):
+    """A pair that no label names is not scored, yet an id of it that no
+    snapshot has is a runtime error, as in ``score``."""
+    work, left, right, pairs = pipeline
+    _, labels = scored
+    stale = tmp_path / "pairs.jsonl"
+    stale.write_text(pairs.read_text() + json.dumps({
+        "detector": "x", "format_version": 1, "left": {"key": "soot.Gone#f():1-5"},
+        "right": {"key": json.loads(pairs.read_text().split("\n")[0])["right"]["key"]},
+    }) + "\n")
+    out = tmp_path / "ablate.json"
+    code, err = _main_error(capsys, "ablate", "--pairs", stale, "--left", left, "--right", right,
+                            "--labels", labels, "--task", "cm", "--out", out)
+    assert code == 1
+    assert err["error"] == "UnresolvedPairError" and "soot.Gone#f():1-5" in err["message"]
+    assert not out.exists()
+
+
+def test_label_commands_read_the_labels_before_the_scored_rows(pipeline, scored, tmp_path, capsys):
+    """The scored rows or pairs are streamed after the labels, which pick
+    the rows to keep: when both files are bad, the labels file is named. A
+    missing scored or pairs file is still named first, as it is recorded
+    before the labels."""
+    bad_labels = tmp_path / "labels.csv"
     bad_labels.write_text("left_key,right_key,clone_type,is_code_mapping\na,b,T1\n")
-    for command in ("eval", "sweep", "tune"):
-        code, err = _main_error(capsys, command, "--scored", bad_scores, "--labels", bad_labels, "--task", "cm",
+    for command, flag, good, what, extra in _joined(pipeline, scored):
+        bad = tmp_path / good.name
+        bad.write_text("not json\n")
+        code, err = _main_error(capsys, command, flag, bad, *extra, "--labels", bad_labels, "--task", "cm",
                                 "--out", tmp_path / f"{command}.json")
         assert code == 2 and f"invalid labels file {bad_labels}: line 2" in err["message"], command
-        code, err = _main_error(capsys, command, "--scored", tmp_path / "none.jsonl", "--labels", bad_labels,
+        code, err = _main_error(capsys, command, flag, tmp_path / "none.jsonl", *extra, "--labels", bad_labels,
                                 "--task", "cm", "--out", tmp_path / f"{command}.json")
-        assert code == 2 and err["message"] == f"scored file not found: {tmp_path / 'none.jsonl'}", command
+        assert code == 2 and err["message"] == f"{what} not found: {tmp_path / 'none.jsonl'}", command
 
 
 def _reordered(rows: list[dict], edit: str) -> list[dict]:
@@ -1107,7 +1172,7 @@ def test_ablate_and_impact_equal_one_score_pairs_run_per_mode(pipeline, tmp_path
         assert cli.main(ablate) == 0
         assert cli.main(impact + settings) == 0
 
-        loaded = ingest.load_pairs(pairs_file)
+        loaded = list(ingest.load_pairs(pairs_file))
         labels = evalkit.load_labels(tmp_path / "labels.csv")
 
         def score(mode):
@@ -1141,17 +1206,20 @@ def test_manifests_count_distinct_measurements(pipeline, tmp_path):
     tuples of each rule set they measure, ``none`` for EXR1's, and how many
     pairs each measured in packed runs from how many run packs: the toy's
     cross product pairs every left method with the same 27 right ones, so
-    every left method after the first reuses one pack."""
-    from remap import cli, mapper
+    every left method after the first reuses one pack. ``ablate`` measures
+    only the pairs that a label names, so its counters are those of one
+    ``score_columns`` run over the labeled pairs alone."""
+    from remap import ABLATION_MODES, cli, evalkit, mapper
     from remap.ingest import load_pairs
     from remap.normalizer import EMPTY_RULESET, SOOT_SOOTUP_RULES
     from remap.records import load_snapshot
+    from remap.simcore import WeightConfig
 
     work, left, right, _ = pipeline
     pairs = tmp_path / "exhaustive.jsonl"
     assert cli.main(["pairs", "--mode", "exhaustive", "--left", str(left), "--right", str(right),
                      "--out", str(pairs)]) == 0
-    lsnap, rsnap, loaded = load_snapshot(left), load_snapshot(right), load_pairs(pairs)
+    lsnap, rsnap, loaded = load_snapshot(left), load_snapshot(right), list(load_pairs(pairs))
     distinct = {rules.name: len(set(mapper.measure_pairs(loaded, lsnap, rsnap, rules)))
                 for rules in (SOOT_SOOTUP_RULES, EMPTY_RULESET)}
     assert distinct[SOOT_SOOTUP_RULES.name] < len(loaded) == 756
@@ -1159,15 +1227,26 @@ def test_manifests_count_distinct_measurements(pipeline, tmp_path):
     ablate, impact = _ablation_argv((work, left, right, pairs), tmp_path)
     score = ["score", "--pairs", str(pairs), "--left", str(left), "--right", str(right),
              "--rules", "soot-sootup", "--out", str(tmp_path / "scored.jsonl")]
-    for argv, expected in ((score, with_rules), (score + ["--ablation", "exr1"], {"none": distinct["none"]}),
-                           (ablate, distinct), (impact, distinct), (impact + ["--setting", "exr2"], with_rules)):
+
+    def counters_of(argv):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        out = argv[argv.index("--out") + 1]
-        counters = json.loads(Path(f"{out}.manifest.json").read_text())["counters"]
+        return json.loads(Path(f"{argv[argv.index('--out') + 1]}.manifest.json").read_text())["counters"]
+
+    for argv, expected in ((score, with_rules), (score + ["--ablation", "exr1"], {"none": distinct["none"]}),
+                           (impact, distinct), (impact + ["--setting", "exr2"], with_rules)):
+        counters = counters_of(argv)
         assert counters["distinct_measurements"] == expected, argv[0]
         assert counters["packed_pairs"] == dict.fromkeys(expected, 756 - 27), argv[0]
         assert counters["run_packs_built"] == dict.fromkeys(expected, 1), argv[0]
+    keys = {lab.key for lab in evalkit.load_labels(tmp_path / "labels.csv")}
+    labeled, expected = [p for p in loaded if p.key in keys], {}
+    for _ in mapper.score_columns(labeled, lsnap, rsnap, SOOT_SOOTUP_RULES, WeightConfig(), ABLATION_MODES, expected):
+        pass
+    counters = counters_of(ablate)
+    assert (counters["pairs"], counters["pairs_scored"]) == (756, len(labeled)) == (756, 40)
+    assert {name: counters[name] for name in expected} == expected
+    assert expected["packed_pairs"] == dict.fromkeys(distinct, 0)  # the labeled pairs repeat no right list
 
 
 def test_manifests_count_labels_that_match_no_row(pipeline, tmp_path):

@@ -289,7 +289,7 @@ def test_pairs_roundtrip(snapshots, tmp_path):
     pairs, _ = ingest_generic(report, left, right)
     out = tmp_path / "pairs.jsonl"
     save_pairs(pairs, out)
-    loaded = load_pairs(out)
+    loaded = list(load_pairs(out))
     assert [(p.left, p.right) for p in loaded] == [(p.left, p.right) for p in pairs]
 
 
@@ -320,7 +320,7 @@ def test_pair_lines_are_sorted_json_and_load_as_json_decodes_them(triples, ascii
         if not ascii_only and not _lone_surrogate(s for t in triples for s in t):
             lines = [json.dumps(p.to_dict(), sort_keys=True, ensure_ascii=False) for p in pairs]
             out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        assert load_pairs(out) == pairs
+        assert list(load_pairs(out)) == pairs
         assert pairs == [ingest._pair_from_json(json.loads(line), {}) for line in lines if line]
 
 
@@ -341,11 +341,11 @@ def test_other_pair_line_shapes_are_read_as_json(tmp_path):
     for line in variants:
         assert not ingest._PAIR_LINE.fullmatch(line), line
         path.write_text(f"{canonical}\n  {line}\t\n")
-        assert load_pairs(path) == [pair, pair]
+        assert list(load_pairs(path)) == [pair, pair]
     for version in ("1.0", "true"):
         path.write_text(canonical + "\n\n" + canonical.replace('"format_version": 1', f'"format_version": {version}'))
         with pytest.raises(ValueError, match=f"^line 3: format_version {version.title()} is not 1$"):
-            load_pairs(path)
+            list(load_pairs(path))
 
 
 NICAD_TEMPLATE = """<?xml version="1.0" encoding="utf-8"?>

@@ -620,7 +620,7 @@ def test_loaded_pairs_and_score_column_hold_few_bytes_per_pair(tmp_path):
     save_pairs(toy * 27, tmp_path / "pairs.jsonl")
     tracemalloc.start()
     try:
-        pairs = load_pairs(tmp_path / "pairs.jsonl")
+        pairs = list(load_pairs(tmp_path / "pairs.jsonl"))
         [column] = score_columns(pairs, left, right, SOOT_SOOTUP_RULES, WeightConfig(), ["ALL"])
         held = tracemalloc.get_traced_memory()[0]
     finally:
